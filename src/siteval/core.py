@@ -4,6 +4,7 @@ Everything here is immutable after construction and safe to share across threads
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -126,15 +127,16 @@ def validate_hierarchy(h: IndicatorHierarchy) -> list[str]:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative weights keyed by id. Key order is preserved."""
+    """Finite non-negative weights keyed by id. Key order is preserved."""
 
     weights: Mapping[str, float]
 
     def __post_init__(self) -> None:
         cleaned = {str(k): float(v) for k, v in self.weights.items()}
         for k, v in cleaned.items():
-            if v < 0:
-                raise ValidationError(f"negative weight for {k!r}: {v}")
+            if not 0.0 <= v < math.inf:  # also false for NaN
+                kind = "negative" if v < 0 else "non-finite"
+                raise ValidationError(f"{kind} weight for {k!r}: {v}")
         object.__setattr__(self, "weights", cleaned)
 
     @property

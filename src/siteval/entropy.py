@@ -13,38 +13,80 @@ import numpy as np
 from .core import ValidationError, WeightVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionMatrix:
-    """Non-negative observations: rows are alternatives, columns are indicators."""
+    """Non-negative finite observations: rows are alternatives, columns are indicators.
+
+    `values` is stored as one read-only float64 array of shape
+    (alternatives, indicators); any nested sequence of numbers is accepted.
+    """
 
     alternatives: tuple[str, ...]
     indicators: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         alts = tuple(self.alternatives)
         inds = tuple(self.indicators)
-        vals = tuple(tuple(float(v) for v in row) for row in self.values)
         object.__setattr__(self, "alternatives", alts)
         object.__setattr__(self, "indicators", inds)
-        object.__setattr__(self, "values", vals)
         if len(alts) < 2:
             raise ValidationError("decision matrix needs at least 2 alternatives")
         if len(set(alts)) != len(alts) or len(set(inds)) != len(inds):
             raise ValidationError("decision matrix ids must be unique")
-        if len(vals) != len(alts) or any(len(row) != len(inds) for row in vals):
-            raise ValidationError(
-                f"decision matrix shape mismatch: expected {len(alts)}x{len(inds)}"
-            )
-        for alt, row in zip(alts, vals):
-            for ind, v in zip(inds, row):
-                if v < 0:
-                    raise ValidationError(
-                        f"decision matrix ({alt}, {ind}): negative value {v}"
-                    )
+        try:
+            vals = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != (len(alts), len(inds)):
+            raise _conversion_error(alts, inds, self.values)
+        # NaN fails `>= 0`, so this one pass catches negatives, NaN and +-inf.
+        bad = np.flatnonzero(~(vals >= 0) | np.isinf(vals))
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(inds))
+            v = vals[i, j]
+            kind = "negative value" if np.isfinite(v) else "non-finite value"
+            raise ValidationError(f"decision matrix ({alts[i]}, {inds[j]}): {kind} {v}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecisionMatrix):
+            return NotImplemented
+        return (
+            self.alternatives == other.alternatives
+            and self.indicators == other.indicators
+            and np.array_equal(self.values, other.values)
+        )
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        """The stored read-only observation array (no copy)."""
+        return self.values
+
+
+def _conversion_error(
+    alts: tuple[str, ...], inds: tuple[str, ...], values: object
+) -> ValidationError:
+    """Why `values` is not an alternatives x indicators array of numbers.
+
+    Only runs on the error path, so it can afford a per-cell Python pass.
+    """
+    shape_error = ValidationError(
+        f"decision matrix shape mismatch: expected {len(alts)}x{len(inds)}"
+    )
+    try:
+        rows = [list(row) for row in values]  # type: ignore[union-attr]
+    except TypeError:
+        return shape_error
+    if len(rows) != len(alts) or any(len(row) != len(inds) for row in rows):
+        return shape_error
+    for alt, row in zip(alts, rows):
+        for ind, v in zip(inds, row):
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                return ValidationError(f"decision matrix ({alt}, {ind}): not a number: {v!r}")
+    return shape_error
 
 
 def column_shares(m: DecisionMatrix) -> np.ndarray:

@@ -99,7 +99,7 @@ def first_level(
                 f"weights for criterion {crit.id!r} do not match its indicators: {diff}"
             )
         w = [weights[ind] for ind in crit.children]
-        rows = [[r.row(ind)[g] for g in grades] for ind in crit.children]
+        rows = [[row[g] for g in grades] for row in map(r.row, crit.children)]
         values = _compose(w, rows, operator)
         out[crit.id] = FuzzyVector(dict(zip(grades, values)))
     return out

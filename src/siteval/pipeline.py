@@ -16,7 +16,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .ahp import ConsistencyReport, JudgmentMatrix, derive_weights, synthesize_global
 from .core import (
@@ -47,7 +47,7 @@ try:
 except importlib.metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.1.0"
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 POLICY_PAPER = "paper"
 POLICY_FUSED_BOTH = "fused-both"
@@ -127,6 +127,7 @@ class ProjectConfig:
             raise ValidationError(
                 f"unknown weights_policy {self.weights_policy!r}; expected one of {POLICIES}"
             )
+        self.validate()
 
     def validate(self) -> None:
         """Cross-check all referenced ids against the hierarchy."""
@@ -282,10 +283,10 @@ class ProjectConfig:
             decision = DecisionMatrix(
                 alternatives=tuple(str(a) for a in dm["alternatives"]),
                 indicators=tuple(str(i) for i in dm["indicators"]),
-                values=tuple(tuple(float(v) for v in row) for row in dm["values"]),
+                values=dm["values"],
             )
 
-        cfg = cls(
+        return cls(
             hierarchy=hierarchy,
             scale=scale,
             classes=classes,
@@ -298,8 +299,6 @@ class ProjectConfig:
             operator=str(data.get("operator", WEIGHTED_AVERAGE)),
             weights_policy=str(data.get("weights_policy", POLICY_PAPER)),
         )
-        cfg.validate()
-        return cfg
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready dict that parses back to an equivalent config.
@@ -307,7 +306,32 @@ class ProjectConfig:
         Judgment-matrix entries are emitted from their raw tokens, so
         fractional inputs like "1/3" round-trip exactly.
         """
-        out: dict[str, object] = {
+        out = self._dict_without_values()
+        if self.decision_matrix is not None:
+            out["decision_matrix"]["values"] = self.decision_matrix.values.tolist()
+        return out
+
+    def config_hash(self) -> str:
+        """SHA-256 of the config in a canonical encoding.
+
+        The digest covers the canonical JSON of `to_dict()`, with the decision
+        matrix's values replaced by their shape and dtype, followed by the
+        matrix's C-order little-endian float64 bytes.
+        """
+        out = self._dict_without_values()
+        matrix = None
+        if self.decision_matrix is not None:
+            matrix = self.decision_matrix.values
+            out["decision_matrix"]["values"] = {"shape": list(matrix.shape), "dtype": "<f8"}
+        canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8"))
+        if matrix is not None:
+            digest.update(matrix.astype("<f8", copy=False).tobytes(order="C"))
+        return digest.hexdigest()
+
+    def _dict_without_values(self) -> dict[str, Any]:
+        """`to_dict()` minus the decision matrix's values, which its callers encode."""
+        out: dict[str, Any] = {
             "goal": self.hierarchy.goal_name,
             "grades": list(self.scale.labels),
             "criteria": [
@@ -349,13 +373,8 @@ class ProjectConfig:
             out["decision_matrix"] = {
                 "alternatives": list(self.decision_matrix.alternatives),
                 "indicators": list(self.decision_matrix.indicators),
-                "values": [list(row) for row in self.decision_matrix.values],
             }
         return out
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def with_overrides(
         self,
@@ -363,14 +382,8 @@ class ProjectConfig:
         operator: str | None = None,
         weights_policy: str | None = None,
     ) -> "ProjectConfig":
-        cfg = self
-        if alpha is not None:
-            cfg = replace(cfg, alpha=alpha)
-        if operator is not None:
-            cfg = replace(cfg, operator=operator)
-        if weights_policy is not None:
-            cfg = replace(cfg, weights_policy=weights_policy)
-        return cfg
+        changes = {"alpha": alpha, "operator": operator, "weights_policy": weights_policy}
+        return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
 def load_config(path: str | Path) -> ProjectConfig:
@@ -520,7 +533,6 @@ def _prepare(
     warnings: list[ReportWarning] = []
 
     with _stage("config"):
-        cfg.validate()
         for ind, dev in cfg.membership.row_sum_deviations().items():
             total = 1.0 + dev
             if abs(dev) > MEMBERSHIP_ERROR_TOL:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siteval import (
@@ -259,6 +259,9 @@ class TestAhpProperties:
         assert report.cr == pytest.approx(0.0, abs=1e-6)
 
     @given(generating_weights())
+    # Two generators that differ in the last bit tie after normalisation, so
+    # argmax and argmin may each pick a different one of the tied ids.
+    @example({"n0": 0.39999999999999997, "n1": 0.4, "n2": 0.2})
     @settings(max_examples=40, deadline=None)
     def test_transpose_flips_ranking(self, weights):
         m = consistent_matrix("gen", weights)
@@ -272,7 +275,9 @@ class TestAhpProperties:
         ids = m.labels
         argmax_fwd = max(ids, key=lambda k: w_fwd[k])
         argmin_rev = min(ids, key=lambda k: w_rev[k])
-        assert argmax_fwd == argmin_rev
+        # The top id forward holds the lowest weight in reverse; on a tie that
+        # weight is shared, so compare weights rather than ids.
+        assert w_rev[argmax_fwd] == pytest.approx(w_rev[argmin_rev], rel=1e-9)
 
     @given(generating_weights(), st.floats(min_value=0.1, max_value=10))
     @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"]["grade"] == "Good"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_markdown_output(self, capsys, fixture_dir):
         code, out, _ = _run(
@@ -194,6 +194,14 @@ class TestEntropyCommand:
         payload = json.loads(out)
         assert payload["weights"]["X1"] == pytest.approx(1.0, abs=1e-9)
         assert payload["weights"]["X2"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_infinite_cell_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("alternative,X1,X2\nS1,2,1\nS2,1,inf\nS3,1,1\n")
+        code, out, err = _run(capsys, ["entropy", "--matrix", str(p)])
+        assert code == 1
+        assert out == ""
+        assert "(S2, X2): non-finite value inf" in err
 
 
 class TestFuseCommand:

@@ -123,6 +123,11 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="negative"):
             WeightVector({"a": -0.1, "b": 1.1})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite weight for 'b'"):
+            WeightVector({"a": 0.5, "b": bad})
+
 
 positive_vectors = st.dictionaries(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),

@@ -81,12 +81,19 @@ class TestReadDecisionMatrix:
         m = read_decision_matrix(fixture_dir / "decision_small.csv")
         assert m.alternatives == ("S1", "S2", "S3")
         assert m.indicators == ("X1", "X2")
-        assert m.values[0] == (2.0, 1.0)
+        assert tuple(m.values[0]) == (2.0, 1.0)
 
     def test_negative_entry_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("alternative,X1\nS1,-1\nS2,2\n")
         with pytest.raises(ValidationError, match="negative"):
+            read_decision_matrix(p)
+
+    @pytest.mark.parametrize("token", ["inf", "nan", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        p = tmp_path / "m.csv"
+        p.write_text(f"alternative,X1,X2\nS1,1,{token}\nS2,2,3\n")
+        with pytest.raises(ValidationError, match=r"\(S1, X2\): non-finite value"):
             read_decision_matrix(p)
 
     def test_non_numeric_cell_reports_position(self, tmp_path):

@@ -1,10 +1,12 @@
 import copy
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from siteval import (
+    MembershipMatrix,
     ProjectConfig,
     ValidationError,
     emit_report,
@@ -18,6 +20,20 @@ from siteval.pipeline import render_markdown, sweep_to_json_dict
 def _variant(config_dict, **edits):
     data = copy.deepcopy(config_dict)
     data.update(edits)
+    return data
+
+
+def _with_decision_matrix(config_dict, values=None):
+    """The fixture with its objective weights swapped for a 4-row decision matrix."""
+    data = copy.deepcopy(config_dict)
+    ids = list(data.pop("objective_weights"))
+    if values is None:
+        values = [[(r + 1) * (i % 5 + 1) + r * r for i in range(len(ids))] for r in range(4)]
+    data["decision_matrix"] = {
+        "alternatives": ["S1", "S2", "S3", "S4"],
+        "indicators": ids,
+        "values": values,
+    }
     return data
 
 
@@ -166,6 +182,25 @@ class TestRunPipeline:
                 _variant(campus_config_dict, respondent_classes=classes)
             )
 
+    def test_nan_observation_rejected_at_config(self, campus_config_dict):
+        data = _with_decision_matrix(campus_config_dict)
+        data["decision_matrix"]["values"][2][0] = float("nan")
+        with pytest.raises(ValidationError, match=r"^config: .*\(S3, C1\): non-finite value nan"):
+            ProjectConfig.from_dict(data)
+
+    def test_nan_objective_weight_rejected_at_config(self, campus_config_dict):
+        data = copy.deepcopy(campus_config_dict)
+        data["objective_weights"]["C4"] = float("nan")
+        with pytest.raises(ValidationError, match="^config: non-finite weight for 'C4'"):
+            ProjectConfig.from_dict(data)
+
+    def test_construction_cross_validates(self, campus_config):
+        membership = MembershipMatrix(
+            {i: campus_config.membership.row(i) for i in list(campus_config.membership.rows)[1:]}
+        )
+        with pytest.raises(ValidationError, match="membership rows do not match"):
+            replace(campus_config, membership=membership)
+
     def test_membership_deviation_above_band_is_error(self, campus_config_dict):
         data = copy.deepcopy(campus_config_dict)
         data["membership"]["C1"] = {"Excellent": 0.1, "Good": 0.3, "Poor": 0.4}
@@ -223,7 +258,7 @@ class TestSweepAlpha:
 class TestEmitReport:
     def test_json_schema_and_verdict(self, campus_config):
         payload = json.loads(emit_report(run_pipeline(campus_config), "json"))
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["verdict"]["grade"] == "Good"
         assert payload["verdict"]["membership"] == pytest.approx(0.448, abs=0.002)
         assert payload["provenance"]["alpha"] == 0.5
@@ -295,3 +330,43 @@ class TestConfigRoundTrip:
     def test_round_trip_hash_identical(self, campus_config):
         reparsed = ProjectConfig.from_dict(campus_config.to_dict())
         assert reparsed.config_hash() == campus_config.config_hash()
+
+    def test_decision_matrix_round_trip(self, campus_config_dict):
+        cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
+        emitted = cfg.to_dict()
+        assert isinstance(emitted["decision_matrix"]["values"][0][0], float)
+        reparsed = ProjectConfig.from_dict(json.loads(json.dumps(emitted)))
+        assert reparsed == cfg
+        assert reparsed.to_dict() == emitted
+
+
+class TestConfigHash:
+    def test_fixture_digest_pinned(self, campus_config):
+        assert campus_config.config_hash() == (
+            "7b4bd418f1d1b6c25a9963fdbf92b1a3a5916723aa6d3a17a3689f018518307e"
+        )
+
+    def test_decision_matrix_digest_stable_across_reparse_and_int_values(
+        self, campus_config_dict
+    ):
+        data = _with_decision_matrix(campus_config_dict)
+        as_ints = ProjectConfig.from_dict(data)
+        assert isinstance(data["decision_matrix"]["values"][0][0], int)
+        as_floats = copy.deepcopy(data)
+        as_floats["decision_matrix"]["values"] = [
+            [float(v) for v in row] for row in data["decision_matrix"]["values"]
+        ]
+        digest = as_ints.config_hash()
+        assert ProjectConfig.from_dict(as_floats).config_hash() == digest
+        assert ProjectConfig.from_dict(as_ints.to_dict()).config_hash() == digest
+
+    def test_one_cell_change_changes_digest(self, campus_config_dict):
+        data = _with_decision_matrix(campus_config_dict)
+        digest = ProjectConfig.from_dict(data).config_hash()
+        data["decision_matrix"]["values"][3][13] += 1e-9
+        assert ProjectConfig.from_dict(data).config_hash() != digest
+
+    def test_decision_matrix_values_read_only(self, campus_config_dict):
+        cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
+        with pytest.raises(ValueError):
+            cfg.decision_matrix.values[0, 0] = 0.0
