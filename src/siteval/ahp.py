@@ -138,7 +138,10 @@ def ri_lookup(n: int, overrides: Mapping[int, float] | None = None) -> float:
 
 
 def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
-    """Power iteration from the uniform vector, sum-normalized each step."""
+    """Power iteration from the uniform vector, sum-normalized each step.
+
+    Raises ValidationError when POWER_MAX_ITER steps do not converge.
+    """
     n = a.shape[0]
     w = np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
@@ -147,7 +150,9 @@ def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
         if np.max(np.abs(nxt - w)) < POWER_TOL:
             return nxt
         w = nxt
-    return w
+    raise ValidationError(
+        f"power iteration did not converge within {POWER_MAX_ITER} iterations"
+    )
 
 
 def derive_weights(
@@ -161,7 +166,10 @@ def derive_weights(
     """
     a = m.to_array()
     n = m.order
-    w = _principal_eigenvector(a)
+    try:
+        w = _principal_eigenvector(a)
+    except ValidationError as exc:
+        raise ValidationError(f"matrix {m.node!r}: {exc}") from exc
     lambda_max = float(np.mean((a @ w) / w))
 
     ri = ri_lookup(n, ri_overrides)

@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--survey", help="optional survey CSV for the screening stage")
     p_eval.add_argument("--alpha", type=float, help="override the config alpha")
     p_eval.add_argument(
-        "--operator", choices=list(OPERATORS), help="fuzzy composition operator"
+        "--operator",
+        choices=list(OPERATORS),
+        help="fuzzy composition operator (min-max is the max-min composition)",
     )
     p_eval.add_argument(
         "--weights-policy",
@@ -324,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--step", type=float, default=0.1, help="grid step when --grid is not given"
     )
     p_sweep.add_argument(
-        "--operator", choices=list(OPERATORS), help="fuzzy composition operator"
+        "--operator",
+        choices=list(OPERATORS),
+        help="fuzzy composition operator (min-max is the max-min composition)",
     )
     p_sweep.add_argument(
         "--weights-policy", choices=list(POLICIES), help="weight-level policy"

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 ROW_SUM_FLAG_TOL = 1e-6
 
 
@@ -221,6 +223,14 @@ class MembershipMatrix:
             raise ValidationError(
                 f"missing membership row for indicator {indicator_id!r}"
             ) from None
+
+    def to_array(self, indicator_ids: Sequence[str]) -> np.ndarray:
+        """Rows of `indicator_ids`, in that order, as an (I, G) float64 array in grade order."""
+        grades = self.grades
+        return np.array(
+            [[row[g] for g in grades] for row in map(self.row, indicator_ids)],
+            dtype=np.float64,
+        )
 
     def row_sum_deviations(self, tol: float = ROW_SUM_FLAG_TOL) -> dict[str, float]:
         """Rows whose sum deviates from 1 by more than `tol`, as id -> (sum - 1)."""

@@ -3,14 +3,22 @@
 Level one composes each criterion's indicator weights with the membership
 matrix rows; level two composes the criterion weights with the level-one
 vectors. The default operator is the weighted average, which uses every
-membership degree; a max-min composition is available as an alternative.
-Result vectors are reported raw, without re-normalization, so an input whose
-membership rows do not sum to 1 stays visible in the output.
+membership degree; the max-min composition (each grade is the largest of the
+smaller of weight and membership) is available as an alternative and is
+selected with the operator token "min-max". Result vectors are reported raw,
+without re-normalization, so an input whose membership rows do not sum to 1
+stays visible in the output.
+
+Both operators run on a batch of weight vectors at once (`compose`), so the
+alpha sweep evaluates its whole grid in one pass; a single evaluation is a
+batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .core import (
     GradeScale,
@@ -64,17 +72,33 @@ class Verdict:
     full_vector: FuzzyVector
 
 
-def _compose(weights: list[float], rows: list[list[float]], operator: str) -> list[float]:
-    n_grades = len(rows[0]) if rows else 0
+def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
+    """Compose weights (..., n) with membership rows (..., n, G) into vectors (..., G).
+
+    Leading axes broadcast, so (A, n) weights with (n, G) rows give A vectors,
+    and (A, C, n) weights with (C, n, G) rows give A vectors per criterion.
+    The reduction over n runs one term at a time, in index order, so every
+    entry is the same float as the scalar left-to-right sum (or max of mins);
+    only the leading axes are vectorised.
+    """
+    if weights.shape[-1] == 0:
+        raise ValidationError("nothing to compose: no weights")
+    terms = range(weights.shape[-1])
     if operator == WEIGHTED_AVERAGE:
-        return [
-            sum(w * row[g] for w, row in zip(weights, rows)) for g in range(n_grades)
-        ]
+        acc = 0.0  # as sum() starts from 0, so 0.0 + -0.0 gives 0.0 here too
+        for j in terms:
+            acc += weights[..., j, None] * rows[..., j, :]  # in place from j = 1 on
+        return acc
     if operator == MIN_MAX:
-        return [
-            max(min(w, row[g]) for w, row in zip(weights, rows))
-            for g in range(n_grades)
-        ]
+        acc = None
+        for j in terms:
+            w, r = weights[..., j, None], rows[..., j, :]
+            low = np.where(r < w, r, w)  # min(w, r)
+            if acc is None:
+                acc = low
+            else:  # max() keeps the first of equal values, as a scalar max does
+                np.copyto(acc, low, where=low > acc)
+        return acc
     raise ValidationError(f"unknown fuzzy operator {operator!r}")
 
 
@@ -98,10 +122,9 @@ def first_level(
             raise ValidationError(
                 f"weights for criterion {crit.id!r} do not match its indicators: {diff}"
             )
-        w = [weights[ind] for ind in crit.children]
-        rows = [[row[g] for g in grades] for row in map(r.row, crit.children)]
-        values = _compose(w, rows, operator)
-        out[crit.id] = FuzzyVector(dict(zip(grades, values)))
+        w = np.array([weights.values(crit.children)])
+        values = compose(w, r.to_array(crit.children), operator)[0]
+        out[crit.id] = FuzzyVector(dict(zip(grades, values.tolist())))
     return out
 
 
@@ -122,10 +145,10 @@ def second_level(
             raise ValidationError(
                 f"first-level vector for {cid!r} uses a different grade order"
             )
-    w = [criterion_weights[cid] for cid in crit_ids]
-    rows = [[first[cid][g] for g in grades] for cid in crit_ids]
-    values = _compose(w, rows, operator)
-    return FuzzyVector(dict(zip(grades, values)))
+    w = np.array([criterion_weights.values(crit_ids)])
+    rows = np.array([[first[cid][g] for g in grades] for cid in crit_ids])
+    values = compose(w, rows, operator)[0]
+    return FuzzyVector(dict(zip(grades, values.tolist())))
 
 
 def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:

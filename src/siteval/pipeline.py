@@ -5,8 +5,9 @@ membership matrix and the objective-weight source. `run_pipeline` chains the
 stages (optional survey screening, eigenvector weighting with consistency
 checks, entropy or adopted objective weights, convex fusion, two-level fuzzy
 composition, verdict) into a single report; `sweep_alpha` reuses the fixed
-stages and re-runs only the alpha-dependent tail. Runs are pure functions of
-their inputs, so identical configs produce identical reports.
+stages and evaluates the alpha-dependent tail once over its whole grid. Runs
+are pure functions of their inputs, so identical configs produce identical
+reports, and a sweep row equals the report at the same alpha bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .ahp import ConsistencyReport, JudgmentMatrix, derive_weights, synthesize_global
 from .core import (
@@ -39,8 +42,15 @@ from .delphi import (
     screen,
 )
 from .entropy import DecisionMatrix, entropy_weights
-from .fusion import FusionConfig, fuse
-from .fuzzy import OPERATORS, WEIGHTED_AVERAGE, FuzzyVector, Verdict, first_level, second_level, verdict
+from .fusion import fuse_grid
+from .fuzzy import (
+    OPERATORS,
+    WEIGHTED_AVERAGE,
+    FuzzyVector,
+    Verdict,
+    compose,
+    verdict,
+)
 
 try:
     TOOL_VERSION = importlib.metadata.version("siteval")
@@ -86,6 +96,40 @@ def _stage(name: str) -> Iterator[None]:
         yield
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc}") from exc
+
+
+def _path(parts: tuple[object, ...]) -> str:
+    """Key path for an error message: ("criteria", 0, "id") -> "criteria[0].id"."""
+    out = ""
+    for part in parts:
+        out += f"[{part}]" if isinstance(part, int) else f".{part}" if out else str(part)
+    return out
+
+
+def _list(value: object, *path: object) -> Sequence[Any]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{_path(path)}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _object(value: object, *path: object) -> Mapping[str, Any]:
+    if not isinstance(value, (dict, Mapping)):  # dict first: the Mapping check is slow
+        raise ValidationError(f"{_path(path)}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _field(entry: object, key: str, *path: object) -> Any:
+    entry = _object(entry, *path)
+    if key not in entry:
+        raise ValidationError(f"{_path(path)}: missing key {key!r}")
+    return entry[key]
+
+
+def _number(value: object, *path: object) -> float:
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{_path(path)}: not a number: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -188,6 +232,8 @@ class ProjectConfig:
 
     @classmethod
     def _parse(cls, data: Mapping[str, object]) -> "ProjectConfig":
+        if not isinstance(data, (dict, Mapping)):
+            raise ValidationError(f"expected an object, got {type(data).__name__}")
         unknown = sorted(set(data) - _CONFIG_KEYS)
         if unknown:
             raise ValidationError(f"unknown config keys: {unknown}")
@@ -195,26 +241,28 @@ class ProjectConfig:
             if key not in data:
                 raise ValidationError(f"missing config key {key!r}")
 
-        scale = GradeScale(tuple(str(g) for g in data["grades"]))
+        scale = GradeScale(tuple(str(g) for g in _list(data["grades"], "grades")))
 
         criteria: list[Criterion] = []
         indicators: list[Indicator] = []
-        for entry in data["criteria"]:
-            kids = entry.get("indicators", [])
+        for k, entry in enumerate(_list(data["criteria"], "criteria")):
+            crit_id = _field(entry, "id", "criteria", k)
             child_ids = []
-            for ind in kids:
+            kids = _list(entry.get("indicators", []), "criteria", k, "indicators")
+            for m, ind in enumerate(kids):
+                ind_id = _field(ind, "id", "criteria", k, "indicators", m)
                 indicators.append(
                     Indicator(
-                        id=str(ind["id"]),
-                        name=str(ind.get("name", ind["id"])),
+                        id=str(ind_id),
+                        name=str(ind.get("name", ind_id)),
                         kind=str(ind.get("kind", "qualitative")),
                     )
                 )
-                child_ids.append(str(ind["id"]))
+                child_ids.append(str(ind_id))
             criteria.append(
                 Criterion(
-                    id=str(entry["id"]),
-                    name=str(entry.get("name", entry["id"])),
+                    id=str(crit_id),
+                    name=str(entry.get("name", crit_id)),
                     children=tuple(child_ids),
                 )
             )
@@ -225,24 +273,35 @@ class ProjectConfig:
         )
 
         classes = tuple(
-            RespondentClass(str(c["label"]), float(c["score_weight"]))
-            for c in data.get("respondent_classes", [])
+            RespondentClass(
+                str(_field(c, "label", "respondent_classes", k)),
+                _number(
+                    _field(c, "score_weight", "respondent_classes", k),
+                    "respondent_classes", k, "score_weight",
+                ),
+            )
+            for k, c in enumerate(_list(data.get("respondent_classes", []), "respondent_classes"))
         ) or DEFAULT_CLASSES
         labels = [c.label for c in classes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")
 
-        sc = data.get("screening", {})
+        sc = _object(data.get("screening", {}), "screening")
+        min_gcr = sc.get("min_gcr", 3.0)
         screening = ScreeningCriteria(
-            min_mean=float(sc.get("min_mean", 3.5)),
-            min_full_mark_rate=float(sc.get("min_full_mark_rate", 0.5)),
-            max_cv=float(sc.get("max_cv", 0.25)),
-            min_gcr=None if sc.get("min_gcr", 3.0) is None else float(sc.get("min_gcr", 3.0)),
-            overrides=frozenset(str(i) for i in sc.get("overrides", [])),
+            min_mean=_number(sc.get("min_mean", 3.5), "screening", "min_mean"),
+            min_full_mark_rate=_number(
+                sc.get("min_full_mark_rate", 0.5), "screening", "min_full_mark_rate"
+            ),
+            max_cv=_number(sc.get("max_cv", 0.25), "screening", "max_cv"),
+            min_gcr=None if min_gcr is None else _number(min_gcr, "screening", "min_gcr"),
+            overrides=frozenset(
+                str(i) for i in _list(sc.get("overrides", []), "screening", "overrides")
+            ),
         )
 
         matrices: dict[str, JudgmentMatrix] = {}
-        for node, rows in dict(data["judgment_matrices"]).items():
+        for node, rows in _object(data["judgment_matrices"], "judgment_matrices").items():
             node = str(node)
             if node == "goal":
                 labels = hierarchy.criterion_ids()
@@ -251,6 +310,10 @@ class ProjectConfig:
                 if not match:
                     raise ValidationError(f"judgment matrix for unknown node {node!r}")
                 labels = match[0].children
+            rows = [
+                _list(row, "judgment_matrices", node, k)
+                for k, row in enumerate(_list(rows, "judgment_matrices", node))
+            ]
             if len(rows) != len(labels):
                 raise ValidationError(
                     f"matrix {node!r}: expected order {len(labels)}, got {len(rows)}"
@@ -258,7 +321,8 @@ class ProjectConfig:
             matrices[node] = JudgmentMatrix.from_rows(node, labels, rows)
 
         membership_rows: dict[str, dict[str, float]] = {}
-        for ind, row in dict(data["membership"]).items():
+        for ind, row in _object(data["membership"], "membership").items():
+            row = _object(row, "membership", ind)
             missing_grades = [g for g in scale.labels if g not in row]
             if missing_grades:
                 raise ValidationError(
@@ -269,22 +333,28 @@ class ProjectConfig:
                 raise ValidationError(
                     f"membership row {ind!r}: unknown grades {extra_grades}"
                 )
-            membership_rows[str(ind)] = {g: float(row[g]) for g in scale.labels}
+            membership_rows[str(ind)] = {
+                g: _number(row[g], "membership", ind, g) for g in scale.labels
+            }
         membership = MembershipMatrix(membership_rows)
 
         objective = None
         if "objective_weights" in data:
+            ow = _object(data["objective_weights"], "objective_weights")
             objective = WeightVector(
-                {str(k): float(v) for k, v in dict(data["objective_weights"]).items()}
+                {str(k): _number(v, "objective_weights", k) for k, v in ow.items()}
             )
         decision = None
         if "decision_matrix" in data:
             dm = data["decision_matrix"]
-            decision = DecisionMatrix(
-                alternatives=tuple(str(a) for a in dm["alternatives"]),
-                indicators=tuple(str(i) for i in dm["indicators"]),
-                values=dm["values"],
-            )
+            ids = {
+                key: tuple(
+                    str(x)
+                    for x in _list(_field(dm, key, "decision_matrix"), "decision_matrix", key)
+                )
+                for key in ("alternatives", "indicators")
+            }
+            decision = DecisionMatrix(**ids, values=_field(dm, "values", "decision_matrix"))
 
         return cls(
             hierarchy=hierarchy,
@@ -295,7 +365,7 @@ class ProjectConfig:
             membership=membership,
             objective_weights=objective,
             decision_matrix=decision,
-            alpha=float(data.get("alpha", 0.5)),
+            alpha=_number(data.get("alpha", 0.5), "alpha"),
             operator=str(data.get("operator", WEIGHTED_AVERAGE)),
             weights_policy=str(data.get("weights_policy", POLICY_PAPER)),
         )
@@ -523,6 +593,20 @@ class _Prepared:
     indicator_subjective: WeightVector
     criterion_objective: WeightVector
     indicator_objective: WeightVector
+    # Criterion c's j-th indicator sits in slot (c, j); slots past a criterion's
+    # last indicator are unused and hold zero weight and zero membership.
+    slots: np.ndarray  # (C, n) bool: slot holds an indicator
+    relative_slots: np.ndarray  # (C, n) within-criterion subjective weights
+    membership: np.ndarray  # (C, n, G) membership rows, grades in membership order
+
+
+class _Tail(NamedTuple):
+    """Alpha-dependent stage outputs over a grid of A alphas, in hierarchy order."""
+
+    criterion: np.ndarray  # (A, C) comprehensive criterion weights
+    indicator: np.ndarray  # (A, I) comprehensive indicator weights
+    first: np.ndarray  # (A, C, G) first-level vectors; (1, C, G) if they ignore alpha
+    second: np.ndarray  # (A, G) second-level vectors
 
 
 def _prepare(
@@ -546,6 +630,10 @@ def _prepare(
                     f"membership row {ind!r} sums to {total:.4f}, expected 1",
                 )
             )
+        sizes = [len(c.children) for c in cfg.hierarchy.criteria]
+        slots = np.arange(max(sizes)) < np.array(sizes)[:, None]
+        membership = np.zeros(slots.shape + (len(cfg.membership.grades),))
+        membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
 
     screening_section = None
     if survey is not None:
@@ -553,6 +641,16 @@ def _prepare(
             stats = round_statistics(survey, cfg.classes)
             result = screen(stats, cfg.screening)
             screening_section = ScreeningSection(tuple(stats), result)
+        in_hierarchy = set(cfg.hierarchy.indicator_ids())
+        for d in result.rejected:
+            if d.indicator in in_hierarchy:
+                warnings.append(
+                    ReportWarning(
+                        "screening-rejected-in-hierarchy",
+                        f"indicator {d.indicator!r} was rejected by screening "
+                        f"but is still in the hierarchy and keeps its weight",
+                    )
+                )
 
     consistency: dict[str, ConsistencyReport] = {}
     relative: dict[str, WeightVector] = {}
@@ -576,6 +674,10 @@ def _prepare(
         indicator_subjective = synthesize_global(
             cfg.hierarchy, criterion_subjective, relative
         )
+        relative_slots = np.zeros(slots.shape)
+        relative_slots[slots] = [
+            w for c in cfg.hierarchy.criteria for w in relative[c.id].values(c.children)
+        ]
 
     with _stage("entropy"):
         if cfg.decision_matrix is not None:
@@ -605,67 +707,36 @@ def _prepare(
         indicator_subjective=indicator_subjective,
         criterion_objective=criterion_objective,
         indicator_objective=indicator_objective,
+        slots=slots,
+        relative_slots=relative_slots,
+        membership=membership,
     )
 
 
-def _evaluate_tail(
-    cfg: ProjectConfig, prep: _Prepared, alpha: float
-) -> tuple[WeightVector, WeightVector, dict[str, FuzzyVector], FuzzyVector, Verdict, list[ReportWarning]]:
-    warnings: list[ReportWarning] = []
-
+def _evaluate_tail(cfg: ProjectConfig, prep: _Prepared, alphas: np.ndarray) -> _Tail:
+    """Fusion and both fuzzy levels at every alpha of a 1-D array, in one pass."""
     with _stage("fuse"):
-        fusion = FusionConfig(alpha)
-        criterion_comprehensive = fuse(
-            prep.criterion_subjective, prep.criterion_objective, fusion
-        )
-        indicator_comprehensive = fuse(
-            prep.indicator_subjective, prep.indicator_objective, fusion
-        )
+        criterion = fuse_grid(prep.criterion_subjective, prep.criterion_objective, alphas)
+        indicator = fuse_grid(prep.indicator_subjective, prep.indicator_objective, alphas)
 
     with _stage("fuzzy"):
         if cfg.weights_policy == POLICY_FUSED_BOTH:
-            level_one_weights = {
-                c.id: WeightVector(
-                    {i: indicator_comprehensive[i] for i in c.children}
-                ).normalize()
-                for c in cfg.hierarchy.criteria
-            }
+            w = np.zeros((len(alphas),) + prep.slots.shape)
+            w[:, prep.slots] = indicator
+            total = 0.0
+            for j in range(w.shape[-1]):
+                total = total + w[..., j]
+            if np.any(total <= 0):
+                raise ValidationError("degenerate weight vector: all entries zero")
+            w /= total[..., None]
         else:
-            level_one_weights = prep.relative
-        first = first_level(
-            cfg.hierarchy, level_one_weights, cfg.membership, operator=cfg.operator
-        )
-        if cfg.operator == WEIGHTED_AVERAGE:
-            for crit_id, vec in first.items():
-                dev = vec.total() - 1.0
-                if abs(dev) > VECTOR_SUM_WARN_TOL:
-                    warnings.append(
-                        ReportWarning(
-                            "fuzzy-vector-sum",
-                            f"first-level vector for {crit_id!r} sums to "
-                            f"{vec.total():.4f}, expected 1",
-                        )
-                    )
-        second = second_level(criterion_comprehensive, first, operator=cfg.operator)
-        if cfg.operator == WEIGHTED_AVERAGE:
-            dev = second.total() - 1.0
-            if abs(dev) > VECTOR_SUM_WARN_TOL:
-                warnings.append(
-                    ReportWarning(
-                        "fuzzy-vector-sum",
-                        f"second-level vector sums to {second.total():.4f}, expected 1",
-                    )
-                )
-        final = verdict(second, cfg.scale)
+            w = prep.relative_slots[None]  # the paper policy's level-one weights ignore alpha
+        # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
+        # max over non-negative values, so every composed value stays bit-exact.
+        first = compose(w, prep.membership, cfg.operator)
+        second = compose(criterion, first, cfg.operator)
 
-    return (
-        criterion_comprehensive,
-        indicator_comprehensive,
-        first,
-        second,
-        final,
-        warnings,
-    )
+    return _Tail(criterion=criterion, indicator=indicator, first=first, second=second)
 
 
 def run_pipeline(
@@ -675,14 +746,33 @@ def run_pipeline(
 ) -> EvaluationReport:
     """Run every stage on one config and collect the full report."""
     prep = _prepare(cfg, survey, allow_inconsistent)
-    (
-        criterion_comprehensive,
-        indicator_comprehensive,
-        first,
-        second,
-        final,
-        tail_warnings,
-    ) = _evaluate_tail(cfg, prep, cfg.alpha)
+    tail = _evaluate_tail(cfg, prep, np.array([cfg.alpha], dtype=np.float64))
+    grades = cfg.membership.grades
+    warnings = list(prep.warnings)
+    with _stage("fuzzy"):
+        first = {
+            c.id: FuzzyVector(dict(zip(grades, vec.tolist())))
+            for c, vec in zip(cfg.hierarchy.criteria, tail.first[0])
+        }
+        second = FuzzyVector(dict(zip(grades, tail.second[0].tolist())))
+        if cfg.operator == WEIGHTED_AVERAGE:
+            for crit_id, vec in first.items():
+                if abs(vec.total() - 1.0) > VECTOR_SUM_WARN_TOL:
+                    warnings.append(
+                        ReportWarning(
+                            "fuzzy-vector-sum",
+                            f"first-level vector for {crit_id!r} sums to "
+                            f"{vec.total():.4f}, expected 1",
+                        )
+                    )
+            if abs(second.total() - 1.0) > VECTOR_SUM_WARN_TOL:
+                warnings.append(
+                    ReportWarning(
+                        "fuzzy-vector-sum",
+                        f"second-level vector sums to {second.total():.4f}, expected 1",
+                    )
+                )
+        final = verdict(second, cfg.scale)
     return EvaluationReport(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
@@ -691,14 +781,18 @@ def run_pipeline(
         relative_weights=prep.relative,
         criterion_subjective=prep.criterion_subjective,
         criterion_objective=prep.criterion_objective,
-        criterion_comprehensive=criterion_comprehensive,
+        criterion_comprehensive=WeightVector(
+            dict(zip(prep.criterion_subjective.ids, tail.criterion[0].tolist()))
+        ),
         indicator_subjective=prep.indicator_subjective,
         indicator_objective=prep.indicator_objective,
-        indicator_comprehensive=indicator_comprehensive,
+        indicator_comprehensive=WeightVector(
+            dict(zip(prep.indicator_subjective.ids, tail.indicator[0].tolist()))
+        ),
         first_level=first,
         second_level=second,
         verdict=final,
-        warnings=prep.warnings + tuple(tail_warnings),
+        warnings=tuple(warnings),
         alpha=cfg.alpha,
         operator=cfg.operator,
         weights_policy=cfg.weights_policy,
@@ -712,21 +806,32 @@ def sweep_alpha(
     survey: SurveyRound | None = None,
     allow_inconsistent: bool = False,
 ) -> list[SweepRow]:
-    """Evaluate the alpha-dependent tail at every grid value, sorted by alpha.
+    """Evaluate the alpha-dependent tail over the whole grid, rows sorted by alpha.
 
     Screening, the eigenvector weights and the objective weights are computed
-    once and shared across the sweep.
+    once; the tail runs once, batched over the grid. Each row's second-level
+    vector and verdict equal those of `run_pipeline` at that alpha exactly.
     """
-    if not grid:
+    alphas = sorted(grid)
+    if not alphas:
         raise ValidationError("sweep grid is empty")
-    for a in grid:
+    for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValidationError(f"sweep grid value out of [0, 1]: {a}")
     prep = _prepare(cfg, survey, allow_inconsistent)
+    # Only the second-level array outlives this line, so the other grid arrays
+    # are freed before the rows are built. Rows keep no first-level vectors, and
+    # their range check cannot fail: each is a combination of membership rows in
+    # [0, 1] with weights summing to 1 within rounding, or a max of mins of those.
+    second_level = _evaluate_tail(cfg, prep, np.array(alphas, dtype=np.float64)).second
+    grades = cfg.membership.grades
     rows: list[SweepRow] = []
-    for a in sorted(grid):
-        _, _, _, second, final, _ = _evaluate_tail(cfg, prep, a)
-        rows.append(SweepRow(alpha=float(a), second_level=second, verdict=final))
+    with _stage("fuzzy"):
+        for a, vec in zip(alphas, second_level):
+            second = FuzzyVector(dict(zip(grades, vec.tolist())))
+            rows.append(
+                SweepRow(alpha=float(a), second_level=second, verdict=verdict(second, cfg.scale))
+            )
     return rows
 
 

@@ -15,8 +15,10 @@ from siteval import (
     derive_weights,
     parse_ratio,
     ri_lookup,
+    run_pipeline,
     synthesize_global,
 )
+from siteval import ahp
 
 GOAL_ROWS = [
     ["1", "3", "3", "3"],
@@ -95,6 +97,19 @@ class TestDeriveWeights:
             assert weights[node] == pytest.approx(value, abs=0.005)
         assert report.cr == pytest.approx(0.0592, abs=0.003)
         assert report.consistent
+
+    def test_power_iteration_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(ahp, "POWER_MAX_ITER", 1)
+        with pytest.raises(
+            ValidationError,
+            match="^matrix 'goal': power iteration did not converge within 1 iterations",
+        ):
+            derive_weights(goal_matrix())
+
+    def test_non_convergence_names_stage_and_node(self, monkeypatch, campus_config):
+        monkeypatch.setattr(ahp, "POWER_MAX_ITER", 1)
+        with pytest.raises(ValidationError, match="^ahp: matrix 'goal': power iteration"):
+            run_pipeline(campus_config)
 
     def test_three_by_three_sublayer(self):
         m = JudgmentMatrix.from_rows("B1", ["C1", "C2", "C3"], B1_ROWS)

@@ -94,6 +94,17 @@ class TestEvaluate:
         assert code == 1
         assert "error:" in err
 
+    def test_malformed_config_shape_exits_one(self, capsys, fixture_dir, tmp_path):
+        data = json.loads((fixture_dir / "campus_bikeshare.json").read_text())
+        del data["criteria"][0]["id"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, ["evaluate", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "config: criteria[0]: missing key 'id'" in err
+        assert "Traceback" not in err
+
     def test_bad_format_is_usage_error(self, fixture_dir):
         with pytest.raises(SystemExit) as exc:
             main(

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siteval import FusionConfig, ValidationError, WeightVector, fuse
+from siteval.fusion import fuse_grid
 
 # Printed criterion-level weight vectors used by the bundled fixture.
 SUBJ_CRIT = {"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118}
@@ -112,3 +114,16 @@ class TestFusionProperties:
         out = fuse(subj, obj, FusionConfig(alpha))
         expected = alpha * subj.total() + (1 - alpha) * obj.total()
         assert out.total() == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        weight_pairs(),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60)
+    def test_grid_rows_equal_scalar_blend(self, pair, alphas):
+        subj, obj = pair
+        grid = fuse_grid(subj, obj, np.array(alphas))
+        assert grid.shape == (len(alphas), len(subj.ids))
+        for row, a in zip(grid.tolist(), alphas):
+            assert row == [a * subj[k] + (1.0 - a) * obj[k] for k in subj.ids]
+            assert fuse(subj, obj, FusionConfig(a)).values() == row

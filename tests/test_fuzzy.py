@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from siteval import (
     second_level,
     verdict,
 )
-from siteval.fuzzy import MIN_MAX
+from siteval.fuzzy import MIN_MAX, WEIGHTED_AVERAGE, compose
 
 SCALE = GradeScale(("Excellent", "Good", "Poor"))
 
@@ -209,3 +210,43 @@ class TestFuzzyProperties:
         for gi, g in enumerate(SCALE.labels):
             flat = sum(rel[i] * rows[i][gi] for i in range(3))
             assert out[g] == pytest.approx(flat, abs=1e-12)
+
+
+def _scalar_compose(weights, rows, operator):
+    """Reference: the left-to-right scalar composition of one weight vector."""
+    if operator == WEIGHTED_AVERAGE:
+        return [sum(w * row[g] for w, row in zip(weights, rows)) for g in range(len(rows[0]))]
+    return [max(min(w, row[g]) for w, row in zip(weights, rows)) for g in range(len(rows[0]))]
+
+
+# -0.0 passes every range check, so signed zeros must come out as the scalar code gives them.
+_unit = st.floats(min_value=0, max_value=1) | st.just(-0.0)
+
+
+class TestComposeKernel:
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(_unit, min_size=n, max_size=n), min_size=1, max_size=5),
+                st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=n, max_size=n),
+                st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from([WEIGHTED_AVERAGE, MIN_MAX]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_rows_equal_scalar_reference(self, case, operator):
+        weights, rows, other_rows = case
+        shared = compose(np.array(weights), np.array(rows), operator)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(shared.tolist()) == repr([_scalar_compose(w, rows, operator) for w in weights])
+        # (A, n, G) rows: batch entry k composes weights[k] with its own rows.
+        per_row = [rows if k % 2 else other_rows for k in range(len(weights))]
+        batched = compose(np.array(weights), np.array(per_row), operator)
+        assert repr(batched.tolist()) == repr(
+            [_scalar_compose(w, r, operator) for w, r in zip(weights, per_row)]
+        )
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValidationError, match="unknown fuzzy operator"):
+            compose(np.ones((1, 2)), np.ones((2, 3)), "mean")

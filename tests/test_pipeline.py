@@ -3,7 +3,10 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siteval import (
     MembershipMatrix,
@@ -119,6 +122,21 @@ class TestRunPipeline:
         assert "C1" in report.screening.result.selected_ids()
         assert "C2" in report.screening.result.rejected_ids()
 
+    def test_screening_rejections_still_in_hierarchy_are_warned(
+        self, campus_config, fixture_dir
+    ):
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", campus_config.classes)
+        report = run_pipeline(campus_config, survey=survey)
+        flagged = [w for w in report.warnings if w.code == "screening-rejected-in-hierarchy"]
+        assert [re.search(r"'(\w+)'", w.message).group(1) for w in flagged] == ["C2", "C3"]
+        # The warning reports the rejection; it does not change any weight.
+        plain = run_pipeline(campus_config)
+        assert report.indicator_comprehensive == plain.indicator_comprehensive
+        assert report.indicator_comprehensive["C2"] > 0
+        assert not any(
+            w.code == "screening-rejected-in-hierarchy" for w in plain.warnings
+        )
+
     def test_screening_omitted_without_survey(self, campus_config):
         assert run_pipeline(campus_config).screening is None
 
@@ -209,6 +227,44 @@ class TestRunPipeline:
             run_pipeline(cfg)
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["criteria"][0].pop("id"), "criteria[0]: missing key 'id'"),
+            (
+                lambda d: d["criteria"][1]["indicators"][2].pop("id"),
+                "criteria[1].indicators[2]: missing key 'id'",
+            ),
+            (lambda d: d.update(criteria=5), "criteria: expected a list, got int"),
+            (lambda d: d["criteria"].append("B5"), "criteria[4]: expected an object, got str"),
+            (lambda d: d.update(grades=3), "grades: expected a list, got int"),
+            (lambda d: d.update(membership=[1, 2]), "membership: expected an object, got list"),
+            (lambda d: d["membership"].update(C1=0.5), "membership.C1: expected an object"),
+            (lambda d: d["membership"]["C1"].update(Good="x"), "membership.C1.Good: not a number"),
+            (
+                lambda d: d["judgment_matrices"].update(goal=5),
+                "judgment_matrices.goal: expected a list",
+            ),
+            (lambda d: d.update(alpha="half"), "alpha: not a number: 'half'"),
+            (lambda d: d.update(screening=[]), "screening: expected an object, got list"),
+            (
+                lambda d: d.update(respondent_classes=[{"label": "expert"}]),
+                "respondent_classes[0]: missing key 'score_weight'",
+            ),
+        ],
+    )
+    def test_shape_errors_name_the_key_path(self, campus_config_dict, edit, message):
+        data = copy.deepcopy(campus_config_dict)
+        edit(data)
+        with pytest.raises(ValidationError, match="^config: " + re.escape(message)):
+            ProjectConfig.from_dict(data)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="^config: expected an object, got list"):
+            ProjectConfig.from_dict([1, 2])
+
+
 class TestDeterminism:
     def test_repeated_runs_emit_identical_json(self, campus_config_dict):
         def one_pass():
@@ -228,9 +284,7 @@ class TestSweepAlpha:
         rows = sweep_alpha(campus_config, [1.0, 0.0, 0.5])
         assert [r.alpha for r in rows] == [0.0, 0.5, 1.0]
         mid = run_pipeline(campus_config)
-        assert rows[1].second_level.as_dict() == pytest.approx(
-            mid.second_level.as_dict(), abs=1e-15
-        )
+        assert rows[1].second_level.as_dict() == mid.second_level.as_dict()
 
     def test_duplicate_grid_values_repeat_rows(self, campus_config):
         rows = sweep_alpha(campus_config, [0.5, 0.5])
@@ -242,11 +296,48 @@ class TestSweepAlpha:
         rows = sweep_alpha(campus_config, grid)
         assert [r.verdict.grade for r in rows] == ["Good"] * 11
 
+    def test_numpy_grid_accepted(self, campus_config):
+        rows = sweep_alpha(campus_config, np.linspace(1.0, 0.0, 5))
+        assert [r.alpha for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(type(r.alpha) is float for r in rows)
+
     def test_grid_values_validated(self, campus_config):
         with pytest.raises(ValidationError, match="out of"):
             sweep_alpha(campus_config, [0.5, 1.5])
         with pytest.raises(ValidationError, match="empty"):
             sweep_alpha(campus_config, [])
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_equal_run_pipeline_at_each_alpha(self, campus_config_dict, grid):
+        base = ProjectConfig.from_dict(campus_config_dict)
+        for operator in ("weighted-average", "min-max"):
+            for policy in ("paper", "fused-both"):
+                cfg = base.with_overrides(operator=operator, weights_policy=policy)
+                rows = sweep_alpha(cfg, grid)
+                assert [r.alpha for r in rows] == sorted(grid)
+                for row in rows:
+                    report = run_pipeline(cfg.with_overrides(alpha=row.alpha))
+                    assert row.second_level.as_dict() == report.second_level.as_dict()
+                    assert row.verdict == report.verdict
+
+    def test_fused_both_sweep_through_zero_rejects_degenerate_criterion(
+        self, campus_config_dict
+    ):
+        # B1's indicators carry no objective weight, so at alpha = 0 their fused
+        # weights are all zero and cannot be normalised within B1.
+        data = copy.deepcopy(campus_config_dict)
+        weights = data["objective_weights"]
+        for ind in ("C1", "C2", "C3"):
+            weights[ind] = 0.0
+        rest = sum(weights.values())
+        data["objective_weights"] = {k: v / rest for k, v in weights.items()}
+        cfg = ProjectConfig.from_dict(data).with_overrides(weights_policy="fused-both")
+        assert len(sweep_alpha(cfg, [0.25, 0.5, 1.0])) == 3
+        with pytest.raises(ValidationError, match="^fuzzy: degenerate weight vector"):
+            sweep_alpha(cfg, [1.0, 0.5, 0.0])
+        with pytest.raises(ValidationError, match="^fuzzy: degenerate weight vector"):
+            run_pipeline(cfg.with_overrides(alpha=0.0))
 
     def test_sweep_reproducible(self, campus_config):
         grid = [round(0.1 * k, 10) for k in range(11)]
@@ -313,6 +404,36 @@ class TestEmitReport:
                     assert f"{float(cell):.4f}" in json_numbers, cell
                     checked += 1
         assert checked > 50
+
+
+class TestGoldenReports:
+    """The fixture's reports, byte for byte, as captured before the batched tail."""
+
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("markdown", "md")])
+    def test_evaluate_matches_golden(self, campus_config, fixture_dir, fmt, suffix):
+        golden = (fixture_dir / "golden" / f"evaluate.{suffix}").read_text(encoding="utf-8")
+        assert emit_report(run_pipeline(campus_config), fmt) == golden
+
+    def test_survey_evaluate_matches_golden_plus_screening_warnings(
+        self, campus_config, fixture_dir
+    ):
+        golden = fixture_dir / "golden"
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", campus_config.classes)
+        report = run_pipeline(campus_config, survey=survey)
+        code = "screening-rejected-in-hierarchy"
+
+        payload = json.loads(emit_report(report, "json"))
+        added = [w for w in payload["warnings"] if w["code"] == code]
+        assert len(added) == 2
+        payload["warnings"] = [w for w in payload["warnings"] if w["code"] != code]
+        assert json.dumps(payload, indent=2) == (golden / "evaluate_survey.json").read_text(
+            encoding="utf-8"
+        )
+
+        md = emit_report(report, "markdown").split("\n")
+        assert sum(line.startswith(f"- {code}: ") for line in md) == 2
+        kept = "\n".join(line for line in md if not line.startswith(f"- {code}: "))
+        assert kept == (golden / "evaluate_survey.md").read_text(encoding="utf-8")
 
 
 class TestConfigRoundTrip:
