@@ -9,13 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
-from .ahp import derive_weights, synthesize_global
 from .core import ValidationError, WeightVector
-from .delphi import round_statistics, screen
 from .entropy import entropy_weights
 from .fusion import FusionConfig, fuse
 from .ingest import ingest_survey, read_decision_matrix
@@ -24,10 +22,17 @@ from .pipeline import (
     OPERATORS,
     POLICIES,
     _md_table,
+    _number,
+    _object,
+    _read_json,
+    ahp_stage,
     emit_report,
     load_config,
     render_sweep_markdown,
     run_pipeline,
+    screen_stage,
+    screening_table,
+    screening_to_json_dict,
     sweep_alpha,
     sweep_to_json_dict,
 )
@@ -45,16 +50,8 @@ def _weights_table(weights: WeightVector) -> str:
 
 
 def _load_weight_file(path: str) -> WeightVector:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"weight file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"weight file {p}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"weight file {p}: expected an object of id -> weight")
-    return WeightVector({str(k): float(v) for k, v in data.items()})
+    data = _object(_read_json(path, "weight file"), f"weight file {path}")
+    return WeightVector({str(k): _number(v, f"weight file {path}: {k}") for k, v in data.items()})
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
@@ -65,115 +62,46 @@ def _cmd_screen(args: argparse.Namespace) -> int:
             cfg, screening=replace(cfg.screening, overrides=cfg.screening.overrides | extra)
         )
     survey = ingest_survey(args.survey, cfg.classes, round_index=args.round)
-    stats = round_statistics(survey, cfg.classes)
-    result = screen(stats, cfg.screening)
-
+    section = screen_stage(cfg, survey)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "round_index": survey.round_index,
-            "stats": [
-                {
-                    "indicator": s.indicator,
-                    "mean": s.mean,
-                    "std_dev": s.std_dev,
-                    "cv": s.cv,
-                    "full_mark_rate": s.full_mark_rate,
-                    "gcr": s.gcr,
-                    "respondent_count": s.respondent_count,
-                }
-                for s in stats
-            ],
-            "selected": [
-                {"indicator": d.indicator, "failed": list(d.failed)} for d in result.selected
-            ],
-            "rejected": [
-                {"indicator": d.indicator, "failed": list(d.failed)} for d in result.rejected
-            ],
-            "overridden": [
-                {"indicator": d.indicator, "failed": list(d.failed)}
-                for d in result.overridden
-            ],
+            **screening_to_json_dict(section),
         }
         _emit(json.dumps(payload, indent=2), args.output)
     else:
-        status_of = {
-            d.indicator: (d.status, d.failed)
-            for d in result.selected + result.rejected + result.overridden
-        }
-        lines = ["# Screening", ""]
-        lines += _md_table(
-            ["Indicator", "Mean", "Std dev", "CV", "Full-mark rate", "GCR", "Status", "Failed"],
-            [
-                [
-                    s.indicator,
-                    s.mean,
-                    s.std_dev,
-                    s.cv,
-                    s.full_mark_rate,
-                    s.gcr,
-                    status_of[s.indicator][0],
-                    ", ".join(status_of[s.indicator][1]) or "-",
-                ]
-                for s in stats
-            ],
-        )
-        _emit("\n".join(lines), args.output)
+        _emit("\n".join(["# Screening", ""] + screening_table(section)), args.output)
     return 0
 
 
 def _cmd_ahp(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    nodes: dict[str, dict[str, object]] = {}
-    derived: dict[str, WeightVector] = {}
-    for node in ("goal",) + cfg.hierarchy.criterion_ids():
-        weights, rep = derive_weights(cfg.matrices[node])
-        if not rep.consistent and not args.allow_inconsistent:
-            raise ValidationError(
-                f"judgment matrix {node!r} failed the consistency check "
-                f"(CR = {rep.cr:.4f} >= 0.1); revise the comparisons"
-            )
-        derived[node] = weights
-        nodes[node] = {
-            "weights": weights.as_dict(),
-            "consistency": {
-                "lambda_max": rep.lambda_max,
-                "ci": rep.ci,
-                "ri": rep.ri,
-                "cr": rep.cr,
-                "consistent": rep.consistent,
-            },
-        }
-    global_weights = synthesize_global(
-        cfg.hierarchy,
-        derived["goal"],
-        {c.id: derived[c.id] for c in cfg.hierarchy.criteria},
-    )
-
+    ahp = ahp_stage(load_config(args.config), args.allow_inconsistent)
+    nodes = {"goal": ahp.criterion, **ahp.relative}
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "nodes": nodes,
-            "global_subjective": global_weights.as_dict(),
+            "nodes": {
+                node: {"weights": w.as_dict(), "consistency": asdict(ahp.consistency[node])}
+                for node, w in nodes.items()
+            },
+            "global_subjective": ahp.indicator.as_dict(),
         }
         _emit(json.dumps(payload, indent=2), args.output)
     else:
         lines = ["# Subjective weights", ""]
-        for node, info in nodes.items():
-            lines.append(f"## {node}")
-            rep = info["consistency"]
-            lines += _md_table(
-                ["Id", "Weight"],
-                [[k, v] for k, v in info["weights"].items()],
-            )
+        for node, w in nodes.items():
+            rep = ahp.consistency[node]
             lines += [
+                f"## {node}",
+                _weights_table(w),
                 "",
-                f"lambda_max {rep['lambda_max']:.4f}, CI {rep['ci']:.4f}, "
-                f"RI {rep['ri']:.4f}, CR {rep['cr']:.4f}",
+                f"lambda_max {rep.lambda_max:.4f}, CI {rep.ci:.4f}, "
+                f"RI {rep.ri:.4f}, CR {rep.cr:.4f}",
                 "",
             ]
         lines.append("## Global indicator weights")
-        lines.append(_weights_table(global_weights))
+        lines.append(_weights_table(ahp.indicator))
         _emit("\n".join(lines), args.output)
     return 0
 
@@ -213,8 +141,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.survey:
         survey = ingest_survey(args.survey, cfg.classes)
     report = run_pipeline(cfg, survey=survey, allow_inconsistent=args.allow_inconsistent)
-    fmt = "markdown" if args.format == "md" else args.format
-    _emit(emit_report(report, fmt), args.output)
+    _emit(emit_report(report, args.format), args.output)
     return 0
 
 

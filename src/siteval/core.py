@@ -11,6 +11,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 ROW_SUM_FLAG_TOL = 1e-6
+# Weight vectors that must sum to 1 may miss it by this much; values combined
+# with such weights may exceed 1 by the same slack.
+SUM_TOL = 1e-6
 
 
 class ValidationError(ValueError):

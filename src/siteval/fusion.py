@@ -5,9 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, WeightVector
-
-SUM_TOL = 1e-6
+from .core import SUM_TOL, ValidationError, WeightVector
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
+    SUM_TOL,
     GradeScale,
     IndicatorHierarchy,
     MembershipMatrix,
@@ -46,7 +47,7 @@ class FuzzyVector:
         if not cleaned:
             raise ValidationError("empty fuzzy vector")
         for g, v in cleaned.items():
-            if not -1e-12 <= v <= 1.0 + 1e-9:
+            if not -1e-12 <= v <= 1.0 + SUM_TOL:
                 raise ValidationError(f"membership for grade {g!r} outside [0, 1]: {v}")
         object.__setattr__(self, "memberships", cleaned)
 

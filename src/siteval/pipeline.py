@@ -5,9 +5,11 @@ membership matrix and the objective-weight source. `run_pipeline` chains the
 stages (optional survey screening, eigenvector weighting with consistency
 checks, entropy or adopted objective weights, convex fusion, two-level fuzzy
 composition, verdict) into a single report; `sweep_alpha` reuses the fixed
-stages and evaluates the alpha-dependent tail once over its whole grid. Runs
-are pure functions of their inputs, so identical configs produce identical
-reports, and a sweep row equals the report at the same alpha bit for bit.
+stages and evaluates the alpha-dependent tail once over its whole grid. The
+screening and AHP stages (`screen_stage`, `ahp_stage`) and the serialisers of
+their results are shared with the CLI's single-stage commands. Runs are pure
+functions of their inputs, so identical configs produce identical reports, and
+a sweep row equals the report at the same alpha bit for bit.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import hashlib
 import importlib.metadata
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
@@ -456,21 +458,95 @@ class ProjectConfig:
         return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
-def load_config(path: str | Path) -> ProjectConfig:
+def _read_json(path: str | Path, what: str) -> Any:
+    """Parsed JSON of a file; a missing file or invalid JSON raises a ValidationError."""
     p = Path(path)
     if not p.exists():
-        raise ValidationError(f"config file not found: {p}")
+        raise ValidationError(f"{what} not found: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {p}: invalid JSON: {exc}") from exc
-    return ProjectConfig.from_dict(data)
+        raise ValidationError(f"{what} {p}: invalid JSON: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ProjectConfig:
+    return ProjectConfig.from_dict(_read_json(path, "config file"))
 
 
 @dataclass(frozen=True)
 class ScreeningSection:
     stats: tuple[IndicatorStats, ...]
     result: ScreeningResult
+
+
+@dataclass(frozen=True)
+class AhpSection:
+    """Eigenvector weights of every judgment matrix, goal first, and their synthesis."""
+
+    criterion: WeightVector  # the goal matrix's weights over the criteria
+    relative: Mapping[str, WeightVector]  # each criterion's weights over its indicators
+    indicator: WeightVector  # global subjective indicator weights
+    consistency: Mapping[str, ConsistencyReport]
+    warnings: tuple[ReportWarning, ...]
+
+
+def screen_stage(cfg: ProjectConfig, survey: SurveyRound) -> ScreeningSection:
+    """Round statistics of a survey and their screening under the config's criteria."""
+    with _stage("screen"):
+        stats = round_statistics(survey, cfg.classes)
+        return ScreeningSection(tuple(stats), screen(stats, cfg.screening))
+
+
+def ahp_stage(cfg: ProjectConfig, allow_inconsistent: bool) -> AhpSection:
+    """Weights and consistency reports of the goal and criterion matrices.
+
+    A matrix with CR >= 0.1 raises, or with `allow_inconsistent` adds a warning.
+    """
+    weights: dict[str, WeightVector] = {}
+    consistency: dict[str, ConsistencyReport] = {}
+    warnings: list[ReportWarning] = []
+    with _stage("ahp"):
+        for node in ("goal",) + cfg.hierarchy.criterion_ids():
+            weights[node], rep = derive_weights(cfg.matrices[node])
+            consistency[node] = rep
+            if not rep.consistent:
+                msg = (
+                    f"judgment matrix {node!r} failed the consistency check "
+                    f"(CR = {rep.cr:.4f} >= 0.1); revise the comparisons"
+                )
+                if not allow_inconsistent:
+                    raise ValidationError(msg)
+                warnings.append(ReportWarning("inconsistent-judgment-matrix", msg))
+        relative = {c.id: weights[c.id] for c in cfg.hierarchy.criteria}
+        indicator = synthesize_global(cfg.hierarchy, weights["goal"], relative)
+    return AhpSection(weights["goal"], relative, indicator, consistency, tuple(warnings))
+
+
+def screening_to_json_dict(section: ScreeningSection) -> dict[str, object]:
+    out: dict[str, object] = {
+        "stats": [
+            {
+                "indicator": s.indicator,
+                "mean": s.mean,
+                "std_dev": s.std_dev,
+                "cv": s.cv,
+                "full_mark_rate": s.full_mark_rate,
+                "gcr": s.gcr,
+                "respondent_count": s.respondent_count,
+            }
+            for s in section.stats
+        ]
+    }
+    for key in ("selected", "rejected", "overridden"):
+        out[key] = [
+            {"indicator": d.indicator, "failed": list(d.failed)}
+            for d in getattr(section.result, key)
+        ]
+    return out
+
+
+def verdict_to_json_dict(v: Verdict) -> dict[str, object]:
+    return {"grade": v.grade, "membership": v.membership, "tied": v.tied}
 
 
 @dataclass(frozen=True)
@@ -498,49 +574,14 @@ class EvaluationReport:
     config_sha256: str
 
     def to_json_dict(self) -> dict[str, object]:
-        screening = None
-        if self.screening is not None:
-            screening = {
-                "stats": [
-                    {
-                        "indicator": s.indicator,
-                        "mean": s.mean,
-                        "std_dev": s.std_dev,
-                        "cv": s.cv,
-                        "full_mark_rate": s.full_mark_rate,
-                        "gcr": s.gcr,
-                        "respondent_count": s.respondent_count,
-                    }
-                    for s in self.screening.stats
-                ],
-                "selected": [
-                    {"indicator": d.indicator, "failed": list(d.failed)}
-                    for d in self.screening.result.selected
-                ],
-                "rejected": [
-                    {"indicator": d.indicator, "failed": list(d.failed)}
-                    for d in self.screening.result.rejected
-                ],
-                "overridden": [
-                    {"indicator": d.indicator, "failed": list(d.failed)}
-                    for d in self.screening.result.overridden
-                ],
-            }
         return {
             "schema_version": SCHEMA_VERSION,
             "goal": self.goal,
             "grades": list(self.grades),
-            "screening": screening,
-            "consistency": {
-                node: {
-                    "lambda_max": rep.lambda_max,
-                    "ci": rep.ci,
-                    "ri": rep.ri,
-                    "cr": rep.cr,
-                    "consistent": rep.consistent,
-                }
-                for node, rep in self.consistency.items()
-            },
+            "screening": (
+                None if self.screening is None else screening_to_json_dict(self.screening)
+            ),
+            "consistency": {node: asdict(rep) for node, rep in self.consistency.items()},
             "weights": {
                 "criterion": {
                     "subjective": self.criterion_subjective.as_dict(),
@@ -558,11 +599,7 @@ class EvaluationReport:
             },
             "first_level": {crit: fv.as_dict() for crit, fv in self.first_level.items()},
             "second_level": self.second_level.as_dict(),
-            "verdict": {
-                "grade": self.verdict.grade,
-                "membership": self.verdict.membership,
-                "tied": self.verdict.tied,
-            },
+            "verdict": verdict_to_json_dict(self.verdict),
             "warnings": [{"code": w.code, "message": w.message} for w in self.warnings],
             "provenance": {
                 "tool_version": TOOL_VERSION,
@@ -587,10 +624,7 @@ class _Prepared:
 
     warnings: tuple[ReportWarning, ...]
     screening: ScreeningSection | None
-    consistency: dict[str, ConsistencyReport]
-    relative: dict[str, WeightVector]
-    criterion_subjective: WeightVector
-    indicator_subjective: WeightVector
+    ahp: AhpSection
     criterion_objective: WeightVector
     indicator_objective: WeightVector
     # Criterion c's j-th indicator sits in slot (c, j); slots past a criterion's
@@ -635,14 +669,11 @@ def _prepare(
         membership = np.zeros(slots.shape + (len(cfg.membership.grades),))
         membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
 
-    screening_section = None
+    screening = None
     if survey is not None:
-        with _stage("screen"):
-            stats = round_statistics(survey, cfg.classes)
-            result = screen(stats, cfg.screening)
-            screening_section = ScreeningSection(tuple(stats), result)
+        screening = screen_stage(cfg, survey)
         in_hierarchy = set(cfg.hierarchy.indicator_ids())
-        for d in result.rejected:
+        for d in screening.result.rejected:
             if d.indicator in in_hierarchy:
                 warnings.append(
                     ReportWarning(
@@ -652,32 +683,12 @@ def _prepare(
                     )
                 )
 
-    consistency: dict[str, ConsistencyReport] = {}
-    relative: dict[str, WeightVector] = {}
-    with _stage("ahp"):
-        node_order = ["goal"] + list(cfg.hierarchy.criterion_ids())
-        derived: dict[str, WeightVector] = {}
-        for node in node_order:
-            w, rep = derive_weights(cfg.matrices[node])
-            consistency[node] = rep
-            derived[node] = w
-            if not rep.consistent:
-                msg = (
-                    f"judgment matrix {node!r} failed the consistency check "
-                    f"(CR = {rep.cr:.4f} >= 0.1); revise the comparisons"
-                )
-                if not allow_inconsistent:
-                    raise ValidationError(msg)
-                warnings.append(ReportWarning("inconsistent-judgment-matrix", msg))
-        criterion_subjective = derived["goal"]
-        relative = {c.id: derived[c.id] for c in cfg.hierarchy.criteria}
-        indicator_subjective = synthesize_global(
-            cfg.hierarchy, criterion_subjective, relative
-        )
-        relative_slots = np.zeros(slots.shape)
-        relative_slots[slots] = [
-            w for c in cfg.hierarchy.criteria for w in relative[c.id].values(c.children)
-        ]
+    ahp = ahp_stage(cfg, allow_inconsistent)
+    warnings += ahp.warnings
+    relative_slots = np.zeros(slots.shape)
+    relative_slots[slots] = [
+        w for c in cfg.hierarchy.criteria for w in ahp.relative[c.id].values(c.children)
+    ]
 
     with _stage("entropy"):
         if cfg.decision_matrix is not None:
@@ -700,11 +711,8 @@ def _prepare(
 
     return _Prepared(
         warnings=tuple(warnings),
-        screening=screening_section,
-        consistency=consistency,
-        relative=relative,
-        criterion_subjective=criterion_subjective,
-        indicator_subjective=indicator_subjective,
+        screening=screening,
+        ahp=ahp,
         criterion_objective=criterion_objective,
         indicator_objective=indicator_objective,
         slots=slots,
@@ -716,8 +724,8 @@ def _prepare(
 def _evaluate_tail(cfg: ProjectConfig, prep: _Prepared, alphas: np.ndarray) -> _Tail:
     """Fusion and both fuzzy levels at every alpha of a 1-D array, in one pass."""
     with _stage("fuse"):
-        criterion = fuse_grid(prep.criterion_subjective, prep.criterion_objective, alphas)
-        indicator = fuse_grid(prep.indicator_subjective, prep.indicator_objective, alphas)
+        criterion = fuse_grid(prep.ahp.criterion, prep.criterion_objective, alphas)
+        indicator = fuse_grid(prep.ahp.indicator, prep.indicator_objective, alphas)
 
     with _stage("fuzzy"):
         if cfg.weights_policy == POLICY_FUSED_BOTH:
@@ -777,17 +785,17 @@ def run_pipeline(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
         screening=prep.screening,
-        consistency=prep.consistency,
-        relative_weights=prep.relative,
-        criterion_subjective=prep.criterion_subjective,
+        consistency=prep.ahp.consistency,
+        relative_weights=prep.ahp.relative,
+        criterion_subjective=prep.ahp.criterion,
         criterion_objective=prep.criterion_objective,
         criterion_comprehensive=WeightVector(
-            dict(zip(prep.criterion_subjective.ids, tail.criterion[0].tolist()))
+            dict(zip(prep.ahp.criterion.ids, tail.criterion[0].tolist()))
         ),
-        indicator_subjective=prep.indicator_subjective,
+        indicator_subjective=prep.ahp.indicator,
         indicator_objective=prep.indicator_objective,
         indicator_comprehensive=WeightVector(
-            dict(zip(prep.indicator_subjective.ids, tail.indicator[0].tolist()))
+            dict(zip(prep.ahp.indicator.ids, tail.indicator[0].tolist()))
         ),
         first_level=first,
         second_level=second,
@@ -842,11 +850,7 @@ def sweep_to_json_dict(rows: Sequence[SweepRow]) -> dict[str, object]:
             {
                 "alpha": r.alpha,
                 "second_level": r.second_level.as_dict(),
-                "verdict": {
-                    "grade": r.verdict.grade,
-                    "membership": r.verdict.membership,
-                    "tied": r.verdict.tied,
-                },
+                "verdict": verdict_to_json_dict(r.verdict),
             }
             for r in rows
         ],
@@ -869,6 +873,29 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> list[
     for row in rows:
         lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
     return lines
+
+
+def screening_table(section: ScreeningSection) -> list[str]:
+    """Markdown table lines: one row per indicator with its statistics and decision."""
+    decisions = section.result.selected + section.result.rejected + section.result.overridden
+    status_of = {d.indicator: (d.status, d.failed) for d in decisions}
+    return _md_table(
+        ["Indicator", "Mean", "Std dev", "CV", "Full-mark rate", "GCR", "Count", "Status", "Failed"],
+        [
+            [
+                s.indicator,
+                s.mean,
+                s.std_dev,
+                s.cv,
+                s.full_mark_rate,
+                s.gcr,
+                s.respondent_count,
+                status_of[s.indicator][0],
+                ", ".join(status_of[s.indicator][1]) or "-",
+            ]
+            for s in section.stats
+        ],
+    )
 
 
 def render_markdown(report: EvaluationReport) -> str:
@@ -948,30 +975,7 @@ def render_markdown(report: EvaluationReport) -> str:
 
     if report.screening is not None:
         lines.append("## Screening")
-        status_of: dict[str, tuple[str, tuple[str, ...]]] = {}
-        for d in (
-            report.screening.result.selected
-            + report.screening.result.rejected
-            + report.screening.result.overridden
-        ):
-            status_of[d.indicator] = (d.status, d.failed)
-        lines += _md_table(
-            ["Indicator", "Mean", "Std dev", "CV", "Full-mark rate", "GCR", "Count", "Status", "Failed"],
-            [
-                [
-                    s.indicator,
-                    s.mean,
-                    s.std_dev,
-                    s.cv,
-                    s.full_mark_rate,
-                    s.gcr,
-                    s.respondent_count,
-                    status_of[s.indicator][0],
-                    ", ".join(status_of[s.indicator][1]) or "-",
-                ]
-                for s in report.screening.stats
-            ],
-        )
+        lines += screening_table(report.screening)
         lines.append("")
 
     lines.append("## Warnings")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from siteval import ProjectConfig, run_pipeline
 from siteval.cli import main
 
 
@@ -195,6 +196,36 @@ class TestAhpCommand:
         assert goal["consistency"]["cr"] == pytest.approx(0.0592, abs=0.003)
         assert payload["global_subjective"]["C1"] == pytest.approx(0.289, abs=0.001)
 
+    def _inconsistent_config(self, fixture_dir, tmp_path):
+        data = json.loads((fixture_dir / "campus_bikeshare.json").read_text())
+        data["judgment_matrices"]["goal"] = [
+            ["1", "9", "1/9", "1"],
+            ["1/9", "1", "9", "1"],
+            ["9", "1/9", "1", "1"],
+            ["1", "1", "1", "1"],
+        ]
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(data))
+        return path, ProjectConfig.from_dict(data)
+
+    def test_inconsistent_goal_matrix_exits_one(self, capsys, fixture_dir, tmp_path):
+        path, _ = self._inconsistent_config(fixture_dir, tmp_path)
+        code, out, err = _run(capsys, ["ahp", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "error: ahp: judgment matrix 'goal' failed the consistency check"
+        )
+
+    def test_allow_inconsistent_matches_pipeline(self, capsys, fixture_dir, tmp_path):
+        path, cfg = self._inconsistent_config(fixture_dir, tmp_path)
+        code, out, _ = _run(capsys, ["ahp", "--config", str(path), "--allow-inconsistent"])
+        assert code == 0
+        payload = json.loads(out)
+        assert not payload["nodes"]["goal"]["consistency"]["consistent"]
+        report = run_pipeline(cfg, allow_inconsistent=True)
+        assert payload["global_subjective"] == report.indicator_subjective.as_dict()
+
 
 class TestEntropyCommand:
     def test_weights_from_matrix(self, capsys, fixture_dir):
@@ -241,6 +272,29 @@ class TestFuseCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"C1": "x"}', "C1: not a number: 'x'"),
+            ('{"C1": [1]}', "C1: not a number: [1]"),
+            ('["C1"]', "expected an object, got list"),
+            ("{", "invalid JSON"),
+        ],
+    )
+    def test_malformed_weight_file_exits_one(self, capsys, tmp_path, content, message):
+        subj = tmp_path / "subj.json"
+        obj = tmp_path / "obj.json"
+        subj.write_text(content)
+        obj.write_text(json.dumps({"C1": 1.0}))
+        code, out, err = _run(
+            capsys, ["fuse", "--subjective", str(subj), "--objective", str(obj)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: weight file {subj}")
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_grid_rows_sorted(self, capsys, fixture_dir):
@@ -285,3 +339,50 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "| Alpha |" in out
+
+
+def _drop_column(markdown, index):
+    """The Markdown text with column `index` removed from every table line."""
+    lines = []
+    for line in markdown.split("\n"):
+        if line.startswith("|"):
+            cells = line.split("|")
+            del cells[index + 1]
+            line = "|".join(cells)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestGoldenOutputs:
+    """Fixture outputs of the stage commands, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["ahp"], "ahp"),
+            (["sweep-alpha", "--step", "0.05"], "sweep_alpha"),
+            (["screen", "--survey", "survey_round2.csv"], "screen"),
+            (
+                ["screen", "--survey", "survey_round2.csv", "--override", "C2,C3"],
+                "screen_override",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_matches_golden(self, capsys, fixture_dir, argv, golden, fmt):
+        argv = [str(fixture_dir / a) if a.endswith(".csv") else a for a in argv]
+        code, out, _ = _run(
+            capsys,
+            argv + ["--config", str(fixture_dir / "campus_bikeshare.json"), "--format", fmt],
+        )
+        assert code == 0
+        expected = (fixture_dir / "golden" / f"{golden}.{fmt}").read_text(encoding="utf-8")
+        if golden.startswith("screen") and fmt == "md":
+            # The table gained the report's Count column; nothing else changed.
+            count_column = 6
+            stats = json.loads((fixture_dir / "golden" / f"{golden}.json").read_text())["stats"]
+            rows = [line.split(" | ") for line in out.split("\n") if line.startswith("| C")]
+            assert "| GCR | Count | Status |" in out
+            assert [r[count_column] for r in rows] == [str(s["respondent_count"]) for s in stats]
+            out = _drop_column(out, count_column)
+        assert out == expected

@@ -226,6 +226,21 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="config.*C1"):
             run_pipeline(cfg)
 
+    def test_weights_within_fusion_tolerance_reach_a_verdict(self, campus_config_dict):
+        # Fusion accepts weights summing to 1 within SUM_TOL, so the fuzzy
+        # vectors built from them may exceed 1 by as much and must be accepted.
+        data = copy.deepcopy(campus_config_dict)
+        for ind in data["membership"]:
+            data["membership"][ind] = {"Excellent": 1, "Good": 0, "Poor": 0}
+        total = sum(data["objective_weights"].values())
+        data["objective_weights"] = {
+            k: v * (1 + 9e-7) / total for k, v in data["objective_weights"].items()
+        }
+        data["alpha"] = 0
+        report = run_pipeline(ProjectConfig.from_dict(data))
+        assert report.verdict.grade == "Excellent"
+        assert report.second_level["Excellent"] > 1.0
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize(
