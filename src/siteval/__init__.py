@@ -24,20 +24,18 @@ from .core import (
     validate_hierarchy,
 )
 from .delphi import (
-    ConvergenceReport,
     IndicatorStats,
     RespondentClass,
     Response,
     ScreeningCriteria,
     ScreeningResult,
     SurveyRound,
-    convergence_report,
     round_statistics,
     screen,
     weighted_full_mark_rate,
 )
 from .entropy import DecisionMatrix, column_shares, entropy_weights, information_entropy
-from .fusion import FusionConfig, fuse
+from .fusion import fuse
 from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import (
@@ -55,11 +53,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsistencyReport",
-    "ConvergenceReport",
     "Criterion",
     "DecisionMatrix",
     "EvaluationReport",
-    "FusionConfig",
     "FuzzyVector",
     "GradeScale",
     "Indicator",
@@ -79,7 +75,6 @@ __all__ = [
     "Verdict",
     "WeightVector",
     "column_shares",
-    "convergence_report",
     "derive_weights",
     "emit_report",
     "entropy_weights",

@@ -32,16 +32,14 @@ def parse_ratio(value: object) -> float:
     Fraction strings are converted exactly before float storage so that
     reciprocal pairs written as '3' and '1/3' survive the reciprocity check.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationError(f"invalid comparison entry {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"invalid comparison entry {value!r}") from None
-    raise ValidationError(f"invalid comparison entry {value!r}")
+    try:
+        return float(Fraction(value.strip()) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"invalid comparison entry {value!r}") from None
+    except OverflowError:
+        raise ValidationError("comparison entry too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,19 @@ class JudgmentMatrix:
     def from_rows(
         cls, node: str, labels: Sequence[str], rows: Sequence[Sequence[object]]
     ) -> "JudgmentMatrix":
-        entries = tuple(tuple(parse_ratio(v) for v in row) for row in rows)
+        n = len(labels)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValidationError(f"matrix {node!r}: not square of order {n}")
+
+        def entry(i: int, j: int) -> float:
+            try:
+                return parse_ratio(rows[i][j])
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"matrix {node!r}: entry ({labels[i]}, {labels[j]}): {exc}"
+                ) from None
+
+        entries = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
         raw = tuple(tuple(str(v) for v in row) for row in rows)
         return cls(node=node, labels=tuple(labels), entries=entries, raw=raw)
 
@@ -126,10 +136,8 @@ class ConsistencyReport:
     consistent: bool
 
 
-def ri_lookup(n: int, overrides: Mapping[int, float] | None = None) -> float:
-    """Random index for a matrix of order n (1..9, or any order via overrides)."""
-    if overrides and n in overrides:
-        return float(overrides[n])
+def ri_lookup(n: int) -> float:
+    """Random index for a matrix of order n (1..9)."""
     if n < 1:
         raise ValidationError(f"RI undefined for order {n}")
     if n > 9:
@@ -155,9 +163,7 @@ def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
     )
 
 
-def derive_weights(
-    m: JudgmentMatrix, ri_overrides: Mapping[int, float] | None = None
-) -> tuple[WeightVector, ConsistencyReport]:
+def derive_weights(m: JudgmentMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Principal-eigenvector weights plus the consistency report for a matrix.
 
     lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
@@ -172,7 +178,7 @@ def derive_weights(
         raise ValidationError(f"matrix {m.node!r}: {exc}") from exc
     lambda_max = float(np.mean((a @ w) / w))
 
-    ri = ri_lookup(n, ri_overrides)
+    ri = ri_lookup(n)
     ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
     cr = 0.0 if n <= 2 else ci / ri
     report = ConsistencyReport(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import ValidationError, WeightVector
 from .entropy import entropy_weights
-from .fusion import FusionConfig, fuse
+from .fusion import fuse
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import (
     SCHEMA_VERSION,
@@ -120,7 +120,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     subjective = _load_weight_file(args.subjective)
     objective = _load_weight_file(args.objective)
-    fused = fuse(subjective, objective, FusionConfig(args.alpha))
+    fused = WeightVector(
+        dict(zip(subjective.ids, fuse(subjective, objective, [args.alpha])[0].tolist()))
+    )
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -5,8 +5,8 @@ Everything here is immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class IndicatorHierarchy:
     def indicator_ids(self) -> tuple[str, ...]:
         """Indicator ids in criterion traversal order."""
         return tuple(i for c in self.criteria for i in c.children)
-
-    def criterion_of(self, indicator_id: str) -> Criterion:
-        for c in self.criteria:
-            if indicator_id in c.children:
-                return c
-        raise ValidationError(f"indicator {indicator_id!r} not found in hierarchy")
 
 
 def validate_hierarchy(h: IndicatorHierarchy) -> list[str]:
@@ -235,11 +229,11 @@ class MembershipMatrix:
             dtype=np.float64,
         )
 
-    def row_sum_deviations(self, tol: float = ROW_SUM_FLAG_TOL) -> dict[str, float]:
-        """Rows whose sum deviates from 1 by more than `tol`, as id -> (sum - 1)."""
+    def row_sum_deviations(self) -> dict[str, float]:
+        """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1)."""
         out: dict[str, float] = {}
         for ind, row in self.rows.items():
             dev = sum(row.values()) - 1.0
-            if abs(dev) > tol:
+            if abs(dev) > ROW_SUM_FLAG_TOL:
                 out[ind] = dev
         return out

@@ -10,7 +10,7 @@ agrees matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ValidationError
@@ -18,8 +18,8 @@ from .core import ValidationError
 SCORE_MIN = 1
 SCORE_MAX = 5
 
-# A "full mark" is a score of 4 or 5; configurable per project.
-DEFAULT_FULL_MARK_MIN = 4
+# A "full mark" is a score of 4 or 5.
+FULL_MARK_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,6 @@ class ScreeningResult:
         return tuple(d.indicator for d in self.overridden)
 
 
-@dataclass(frozen=True)
-class IndicatorDelta:
-    indicator: str
-    std_dev_delta: float
-    cv_delta: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    deltas: tuple[IndicatorDelta, ...]
-    improved: int
-    worsened: int
-    converged: bool
-
-
 def weighted_full_mark_rate(
     max_scorers_by_class: Mapping[str, int],
     totals_by_class: Mapping[str, int],
@@ -208,9 +193,7 @@ def weighted_full_mark_rate(
 
 
 def round_statistics(
-    survey_round: SurveyRound,
-    classes: Sequence[RespondentClass],
-    full_mark_min: int = DEFAULT_FULL_MARK_MIN,
+    survey_round: SurveyRound, classes: Sequence[RespondentClass]
 ) -> list[IndicatorStats]:
     """Per-indicator statistics for one round, in first-appearance order.
 
@@ -244,7 +227,7 @@ def round_statistics(
         totals: dict[str, int] = {}
         for r in responses:
             totals[r.respondent_class] = totals.get(r.respondent_class, 0) + 1
-            if r.score >= full_mark_min:
+            if r.score >= FULL_MARK_MIN:
                 maxed[r.respondent_class] = maxed.get(r.respondent_class, 0) + 1
         rate = weighted_full_mark_rate(maxed, totals, classes)
 
@@ -302,32 +285,3 @@ def screen(
         else:
             rejected.append(ScreeningDecision(s.indicator, "rejected", failed))
     return ScreeningResult(tuple(selected), tuple(rejected), tuple(overridden))
-
-
-def convergence_report(
-    round_a: Sequence[IndicatorStats], round_b: Sequence[IndicatorStats]
-) -> ConvergenceReport:
-    """Dispersion deltas (round_b - round_a) per indicator.
-
-    The rounds count as converged when a strict majority of indicators
-    reduced their coefficient of variation.
-    """
-    a_by_id = {s.indicator: s for s in round_a}
-    b_by_id = {s.indicator: s for s in round_b}
-    if set(a_by_id) != set(b_by_id):
-        diff = sorted(set(a_by_id) ^ set(b_by_id))
-        raise ValidationError(f"rounds cover different indicators: {diff}")
-
-    deltas: list[IndicatorDelta] = []
-    improved = 0
-    worsened = 0
-    for ind, a in a_by_id.items():
-        b = b_by_id[ind]
-        cv_delta = b.cv - a.cv
-        deltas.append(IndicatorDelta(ind, b.std_dev - a.std_dev, cv_delta))
-        if cv_delta < 0:
-            improved += 1
-        elif cv_delta > 0:
-            worsened += 1
-    converged = improved > len(deltas) / 2
-    return ConvergenceReport(tuple(deltas), improved, worsened, converged)

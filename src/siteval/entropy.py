@@ -36,7 +36,7 @@ class DecisionMatrix:
             raise ValidationError("decision matrix ids must be unique")
         try:
             vals = np.array(self.values, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             vals = None
         if vals is None or vals.shape != (len(alts), len(inds)):
             raise _conversion_error(alts, inds, self.values)
@@ -58,10 +58,6 @@ class DecisionMatrix:
             and self.indicators == other.indicators
             and np.array_equal(self.values, other.values)
         )
-
-    def to_array(self) -> np.ndarray:
-        """The stored read-only observation array (no copy)."""
-        return self.values
 
 
 def _conversion_error(
@@ -86,12 +82,16 @@ def _conversion_error(
                 float(v)
             except (TypeError, ValueError):
                 return ValidationError(f"decision matrix ({alt}, {ind}): not a number: {v!r}")
+            except OverflowError:
+                return ValidationError(
+                    f"decision matrix ({alt}, {ind}): number too large for a float"
+                )
     return shape_error
 
 
 def column_shares(m: DecisionMatrix) -> np.ndarray:
     """Per-column shares p_ij = x_ij / column sum. Columns sum to 1."""
-    x = m.to_array()
+    x = m.values
     sums = x.sum(axis=0)
     for ind, s in zip(m.indicators, sums):
         if s <= 0:

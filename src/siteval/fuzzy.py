@@ -70,7 +70,6 @@ class Verdict:
     grade: str
     membership: float
     tied: bool
-    full_vector: FuzzyVector
 
 
 def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
@@ -164,9 +163,4 @@ def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
     peak = max(b.memberships.values())
     contenders = [g for g in scale.labels if g in b.memberships and b[g] >= peak - TIE_TOL]
     winner = contenders[0]
-    return Verdict(
-        grade=winner,
-        membership=b[winner],
-        tied=len(contenders) > 1,
-        full_vector=b,
-    )
+    return Verdict(grade=winner, membership=b[winner], tied=len(contenders) > 1)

@@ -44,7 +44,7 @@ from .delphi import (
     screen,
 )
 from .entropy import DecisionMatrix, entropy_weights
-from .fusion import fuse_grid
+from .fusion import fuse
 from .fuzzy import (
     OPERATORS,
     WEIGHTED_AVERAGE,
@@ -132,6 +132,8 @@ def _number(value: object, *path: object) -> float:
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise ValidationError(f"{_path(path)}: not a number: {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{_path(path)}: number too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -465,7 +467,7 @@ def _read_json(path: str | Path, what: str) -> Any:
         raise ValidationError(f"{what} not found: {p}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also the int-digit limit, which JSONDecodeError misses
         raise ValidationError(f"{what} {p}: invalid JSON: {exc}") from exc
 
 
@@ -491,9 +493,16 @@ class AhpSection:
 
 
 def screen_stage(cfg: ProjectConfig, survey: SurveyRound) -> ScreeningSection:
-    """Round statistics of a survey and their screening under the config's criteria."""
+    """Round statistics of a survey and their screening under the config's criteria.
+
+    An override id that is neither a hierarchy indicator nor a surveyed one raises.
+    """
     with _stage("screen"):
         stats = round_statistics(survey, cfg.classes)
+        known = set(cfg.hierarchy.indicator_ids()).union(s.indicator for s in stats)
+        unknown = sorted(cfg.screening.overrides - known)
+        if unknown:
+            raise ValidationError(f"unknown override ids: {unknown}")
         return ScreeningSection(tuple(stats), screen(stats, cfg.screening))
 
 
@@ -724,8 +733,8 @@ def _prepare(
 def _evaluate_tail(cfg: ProjectConfig, prep: _Prepared, alphas: np.ndarray) -> _Tail:
     """Fusion and both fuzzy levels at every alpha of a 1-D array, in one pass."""
     with _stage("fuse"):
-        criterion = fuse_grid(prep.ahp.criterion, prep.criterion_objective, alphas)
-        indicator = fuse_grid(prep.ahp.indicator, prep.indicator_objective, alphas)
+        criterion = fuse(prep.ahp.criterion, prep.criterion_objective, alphas)
+        indicator = fuse(prep.ahp.indicator, prep.indicator_objective, alphas)
 
     with _stage("fuzzy"):
         if cfg.weights_policy == POLICY_FUSED_BOTH:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from siteval import (
-    FusionConfig,
     FuzzyVector,
     GradeScale,
     IndicatorStats,
@@ -195,19 +194,23 @@ def test_criterion_3_global_subjective_weights(campus_config):
 def test_criterion_4_weight_fusion():
     with criterion(4, "comprehensive weights ±0.0005 and criterion fusion ±0.001"):
         # Published inputs carry rounding (sums 1.002 / 0.999), so normalize first.
-        fused = fuse(
-            WeightVector(SUBJECTIVE_GLOBAL).normalize(),
-            WeightVector(OBJECTIVE_GLOBAL).normalize(),
-            FusionConfig(0.5),
-        )
-        _assert_vector(fused, COMPREHENSIVE_GLOBAL, 0.0005)
+        subjective = WeightVector(SUBJECTIVE_GLOBAL).normalize()
+        (fused,) = fuse(subjective, WeightVector(OBJECTIVE_GLOBAL).normalize(), [0.5])
+        _assert_vector(dict(zip(subjective.ids, fused)), COMPREHENSIVE_GLOBAL, 0.0005)
 
-        crit = fuse(
-            WeightVector({"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118}).normalize(),
+        crit_subjective = WeightVector(
+            {"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118}
+        ).normalize()
+        (crit,) = fuse(
+            crit_subjective,
             WeightVector({"B1": 0.2081, "B2": 0.533, "B3": 0.0457, "B4": 0.2132}).normalize(),
-            FusionConfig(0.5),
+            [0.5],
         )
-        _assert_vector(crit, {"B1": 0.348, "B2": 0.405, "B3": 0.082, "B4": 0.166}, 0.001)
+        _assert_vector(
+            dict(zip(crit_subjective.ids, crit)),
+            {"B1": 0.348, "B2": 0.405, "B3": 0.082, "B4": 0.166},
+            0.001,
+        )
 
 
 def test_criterion_5_first_level_vectors(campus_config):

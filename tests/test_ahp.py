@@ -59,6 +59,9 @@ class TestParseRatio:
         for bad in ("three", "1/0", "", None, True):
             with pytest.raises(ValidationError):
                 parse_ratio(bad)
+        for huge in (10**400, "1" + "0" * 400):
+            with pytest.raises(ValidationError, match="too large for a float"):
+                parse_ratio(huge)
 
 
 class TestJudgmentMatrixValidation:
@@ -141,9 +144,6 @@ class TestDeriveWeights:
         m = consistent_matrix("big", {k: 1.0 for k in labels})
         with pytest.raises(ValidationError, match="RI undefined for order > 9"):
             derive_weights(m)
-        weights, report = derive_weights(m, ri_overrides={10: 1.49})
-        assert report.cr == pytest.approx(0.0, abs=1e-9)
-        assert weights["x0"] == pytest.approx(0.1, abs=1e-9)
 
 
 class TestRiLookup:
@@ -156,9 +156,6 @@ class TestRiLookup:
             ri_lookup(10)
         with pytest.raises(ValidationError):
             ri_lookup(0)
-
-    def test_override_table(self):
-        assert ri_lookup(10, overrides={10: 1.49}) == 1.49
 
 
 class TestSynthesizeGlobal:
@@ -261,7 +258,7 @@ class TestAhpProperties:
     @given(reciprocal_matrices())
     @settings(max_examples=60, deadline=None)
     def test_lambda_max_at_least_order(self, matrix):
-        _, report = derive_weights(matrix, ri_overrides={n: 1.49 for n in range(3, 8)})
+        _, report = derive_weights(matrix)
         assert report.lambda_max >= matrix.order - 1e-9
 
     @given(generating_weights())

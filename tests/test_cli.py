@@ -96,15 +96,52 @@ class TestEvaluate:
         assert "error:" in err
 
     def test_malformed_config_shape_exits_one(self, capsys, fixture_dir, tmp_path):
-        data = json.loads((fixture_dir / "campus_bikeshare.json").read_text())
-        del data["criteria"][0]["id"]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        code, out, err = _run(capsys, ["evaluate", "--config", str(path)])
-        assert code == 1
-        assert out == ""
-        assert "config: criteria[0]: missing key 'id'" in err
-        assert "Traceback" not in err
+        huge = 10**400  # parses as a JSON int, but no float can hold it
+
+        def drop_criterion_id(d):
+            del d["criteria"][0]["id"]
+
+        def huge_judgment(d):
+            d["judgment_matrices"]["goal"][0][1] = huge
+
+        def huge_decision_cell(d):
+            ids = list(d.pop("objective_weights"))
+            d["decision_matrix"] = {
+                "alternatives": ["S1", "S2"],
+                "indicators": ids,
+                "values": [[1] * len(ids), [huge] + [1] * (len(ids) - 1)],
+            }
+
+        cases = [
+            (drop_criterion_id, "config: criteria[0]: missing key 'id'"),
+            (lambda d: d.update(alpha=huge), "config: alpha: number too large for a float"),
+            (
+                lambda d: d["membership"]["C1"].update(Good=huge),
+                "config: membership.C1.Good: number too large for a float",
+            ),
+            (
+                lambda d: d["screening"].update(min_mean=huge),
+                "config: screening.min_mean: number too large for a float",
+            ),
+            (
+                huge_judgment,
+                "config: matrix 'goal': entry (B1, B2): comparison entry too large for a float",
+            ),
+            (
+                huge_decision_cell,
+                "config: decision matrix (S2, C1): number too large for a float",
+            ),
+        ]
+        for corrupt, message in cases:
+            data = json.loads((fixture_dir / "campus_bikeshare.json").read_text())
+            corrupt(data)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            code, out, err = _run(capsys, ["evaluate", "--config", str(path)])
+            assert code == 1
+            assert out == ""
+            assert message in err
+            assert "Traceback" not in err
 
     def test_bad_format_is_usage_error(self, fixture_dir):
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +203,23 @@ class TestScreen:
         assert {"C2", "C3"} <= overridden
         for d in payload["overridden"]:
             assert d["failed"]
+
+    def test_unknown_override_id_exits_one(self, capsys, fixture_dir):
+        code, out, err = _run(
+            capsys,
+            [
+                "screen",
+                "--survey",
+                str(fixture_dir / "survey_round2.csv"),
+                "--config",
+                str(fixture_dir / "campus_bikeshare.json"),
+                "--override",
+                "C2,ZZ",
+            ],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: screen: unknown override ids: ['ZZ']\n"
 
     def test_markdown_format(self, capsys, fixture_dir):
         code, out, _ = _run(
@@ -261,6 +315,19 @@ class TestFuseCommand:
         assert payload["fused"]["a"] == pytest.approx(0.4)
         assert payload["fused"]["b"] == pytest.approx(0.6)
 
+    def test_alpha_out_of_range_exits_one(self, capsys, tmp_path):
+        subj = tmp_path / "subj.json"
+        obj = tmp_path / "obj.json"
+        subj.write_text(json.dumps({"a": 0.6, "b": 0.4}))
+        obj.write_text(json.dumps({"a": 0.2, "b": 0.8}))
+        code, out, err = _run(
+            capsys,
+            ["fuse", "--subjective", str(subj), "--objective", str(obj), "--alpha", "1.5"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: alpha must be in [0, 1], got 1.5\n"
+
     def test_mismatched_ids_exit_one(self, capsys, tmp_path):
         subj = tmp_path / "subj.json"
         obj = tmp_path / "obj.json"
@@ -279,6 +346,16 @@ class TestFuseCommand:
             ('{"C1": [1]}', "C1: not a number: [1]"),
             ('["C1"]', "expected an object, got list"),
             ("{", "invalid JSON"),
+            pytest.param(
+                '{"C1": 1' + "0" * 400 + "}",
+                "C1: number too large for a float",
+                id="int-400-digits",
+            ),
+            pytest.param(  # above the interpreter's int-to-str digit limit
+                '{"C1": 1' + "0" * 5000 + "}",
+                "invalid JSON: Exceeds the limit",
+                id="int-5000-digits",
+            ),
         ],
     )
     def test_malformed_weight_file_exits_one(self, capsys, tmp_path, content, message):

@@ -94,7 +94,7 @@ class TestValidateHierarchy:
         h = _hierarchy({"B1": ["C1", "C2"], "B2": ["C3"]})
         assert validate_hierarchy(h) == []
         for ind in h.indicator_ids():
-            assert h.criterion_of(ind).id in ("B1", "B2")
+            assert [c.id for c in h.criteria if ind in c.children] in (["B1"], ["B2"])
 
 
 class TestNormalize:

@@ -11,7 +11,6 @@ from siteval import (
     ScreeningCriteria,
     SurveyRound,
     ValidationError,
-    convergence_report,
     round_statistics,
     screen,
     weighted_full_mark_rate,
@@ -201,54 +200,6 @@ class TestScreen:
         assert set(base.selected_ids()) == set(shuffled.selected_ids())
         assert set(base.rejected_ids()) == set(shuffled.rejected_ids())
         assert set(base.overridden_ids()) == set(shuffled.overridden_ids())
-
-
-class TestConvergence:
-    # Second-round consultation reduced the spread on every user indicator.
-    ROUND1 = [
-        ("arrival_time", 3.273, 0.203),
-        ("walking_distance", 4.091, 0.164),
-        ("time_urgency", 3.364, 0.268),
-        ("search_time", 3.818, 0.157),
-        ("return_time", 3.455, 0.217),
-    ]
-    ROUND2 = [
-        ("arrival_time", 3.600, 0.184),
-        ("walking_distance", 4.500, 0.149),
-        ("time_urgency", 4.000, 0.158),
-        ("search_time", 4.200, 0.143),
-        ("return_time", 3.700, 0.211),
-    ]
-
-    def test_second_round_tightens_every_cv(self):
-        a = [_stats(i, m, cv, 0.5) for i, m, cv in self.ROUND1]
-        b = [_stats(i, m, cv, 0.5) for i, m, cv in self.ROUND2]
-        report = convergence_report(a, b)
-        assert all(d.cv_delta < 0 for d in report.deltas)
-        assert report.improved == 5
-        assert report.worsened == 0
-        assert report.converged
-
-    def test_identical_rounds_do_not_converge(self):
-        a = [_stats(i, m, cv, 0.5) for i, m, cv in self.ROUND1]
-        report = convergence_report(a, a)
-        assert all(d.cv_delta == 0 and d.std_dev_delta == 0 for d in report.deltas)
-        assert not report.converged
-
-    def test_majority_improvement_with_one_worsening(self):
-        a = [_stats(f"I{k}", 4.0, 0.20, 0.5) for k in range(5)]
-        b = [_stats(f"I{k}", 4.0, 0.15, 0.5) for k in range(4)]
-        b.append(_stats("I4", 4.0, 0.25, 0.5))
-        report = convergence_report(a, b)
-        assert report.converged
-        assert report.worsened == 1
-
-    def test_mismatched_indicator_sets_listed(self):
-        a = [_stats("A", 4.0, 0.1, 0.5), _stats("B", 4.0, 0.1, 0.5)]
-        b = [_stats("A", 4.0, 0.1, 0.5), _stats("C", 4.0, 0.1, 0.5)]
-        with pytest.raises(ValidationError) as err:
-            convergence_report(a, b)
-        assert "'B'" in str(err.value) and "'C'" in str(err.value)
 
 
 class TestSurveyRoundInvariants:

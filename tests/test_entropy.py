@@ -99,7 +99,6 @@ class TestDecisionMatrixContract:
     def test_values_are_read_only_float64(self):
         m = _matrix({"X1": [1, 2], "X2": [3, 4]})
         assert m.values.dtype == np.float64 and m.values.shape == (2, 2)
-        assert m.to_array() is m.values
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
 
@@ -136,6 +135,10 @@ class TestDecisionMatrixContract:
     def test_non_numeric_cell_is_not_a_number(self):
         with pytest.raises(ValidationError, match=r"\(S2, X1\): not a number: 'abc'"):
             DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1.0, 2.0), ("abc", 4.0)))
+
+    def test_int_beyond_float_range_names_cell(self):
+        with pytest.raises(ValidationError, match=r"\(S1, X2\): number too large for a float"):
+            DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1, 10**400), (3, 4)))
 
 
 columns_strategy = st.lists(

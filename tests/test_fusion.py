@@ -3,49 +3,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siteval import FusionConfig, ValidationError, WeightVector, fuse
-from siteval.fusion import fuse_grid
+from siteval import ValidationError, WeightVector, fuse
 
 # Printed criterion-level weight vectors used by the bundled fixture.
 SUBJ_CRIT = {"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118}
 OBJ_CRIT = {"B1": 0.2081, "B2": 0.533, "B3": 0.0457, "B4": 0.2132}
 
 
+def blend(subj, obj, alpha):
+    """The row of `fuse` at one alpha, keyed by id."""
+    (row,) = fuse(subj, obj, [alpha])
+    return dict(zip(subj.ids, row.tolist()))
+
+
 class TestFuse:
     def test_midpoint_on_single_indicator(self):
-        out = fuse(
+        out = blend(
             WeightVector({"C1": 0.289, "C2": 0.711}),
             WeightVector({"C1": 0.0460, "C2": 0.954}),
-            FusionConfig(0.5),
+            0.5,
         )
         assert out["C1"] == pytest.approx(0.1675, abs=1e-12)
 
     def test_alpha_one_returns_subjective(self):
         subj = WeightVector({"a": 0.6, "b": 0.4})
         obj = WeightVector({"a": 0.2, "b": 0.8})
-        out = fuse(subj, obj, FusionConfig(1.0))
-        assert out.as_dict() == pytest.approx(subj.as_dict(), abs=1e-15)
+        out = blend(subj, obj, 1.0)
+        assert out == pytest.approx(subj.as_dict(), abs=1e-15)
 
     def test_alpha_zero_returns_objective(self):
         subj = WeightVector({"a": 0.6, "b": 0.4})
         obj = WeightVector({"a": 0.2, "b": 0.8})
-        out = fuse(subj, obj, FusionConfig(0.0))
-        assert out.as_dict() == pytest.approx(obj.as_dict(), abs=1e-15)
+        out = blend(subj, obj, 0.0)
+        assert out == pytest.approx(obj.as_dict(), abs=1e-15)
 
     def test_heavy_objective_indicator(self):
-        out = fuse(
+        out = blend(
             WeightVector({"C4": 0.018, "C5": 0.982}),
             WeightVector({"C4": 0.3449, "C5": 0.6551}),
-            FusionConfig(0.5),
+            0.5,
         )
         assert out["C4"] == pytest.approx(0.18145, abs=1e-12)
 
     def test_criterion_level_fusion(self):
         # Printed weights carry rounding, so normalize before blending.
-        out = fuse(
+        out = blend(
             WeightVector(SUBJ_CRIT).normalize(),
             WeightVector(OBJ_CRIT).normalize(),
-            FusionConfig(0.5),
+            0.5,
         )
         assert out["B1"] == pytest.approx(0.348, abs=0.001)
         assert out["B2"] == pytest.approx(0.405, abs=0.001)
@@ -54,11 +59,7 @@ class TestFuse:
 
     def test_id_mismatch_lists_difference(self):
         with pytest.raises(ValidationError) as err:
-            fuse(
-                WeightVector({"a": 1.0}),
-                WeightVector({"b": 1.0}),
-                FusionConfig(0.5),
-            )
+            fuse(WeightVector({"a": 1.0}), WeightVector({"b": 1.0}), [0.5])
         assert "'a'" in str(err.value) and "'b'" in str(err.value)
 
     def test_unnormalized_input_rejected(self):
@@ -66,14 +67,15 @@ class TestFuse:
             fuse(
                 WeightVector({"a": 0.9, "b": 0.3}),
                 WeightVector({"a": 0.5, "b": 0.5}),
-                FusionConfig(0.5),
+                [0.5],
             )
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValidationError):
-            FusionConfig(1.5)
-        with pytest.raises(ValidationError):
-            FusionConfig(-0.1)
+        subj = WeightVector({"a": 0.6, "b": 0.4})
+        obj = WeightVector({"a": 0.2, "b": 0.8})
+        for alphas, bad in (([1.5], "1.5"), ([-0.1], "-0.1"), ([0.2, np.nan, 2.0], "nan")):
+            with pytest.raises(ValidationError, match=rf"alpha must be in \[0, 1\], got {bad}$"):
+                fuse(subj, obj, alphas)
 
 
 @st.composite
@@ -94,7 +96,7 @@ class TestFusionProperties:
     @settings(max_examples=60)
     def test_convexity(self, pair, alpha):
         subj, obj = pair
-        out = fuse(subj, obj, FusionConfig(alpha))
+        out = blend(subj, obj, alpha)
         for k in subj.ids:
             lo, hi = min(subj[k], obj[k]), max(subj[k], obj[k])
             assert lo - 1e-12 <= out[k] <= hi + 1e-12
@@ -103,7 +105,7 @@ class TestFusionProperties:
     @settings(max_examples=60)
     def test_midpoint_is_mean_of_endpoints(self, pair):
         subj, obj = pair
-        mid = fuse(subj, obj, FusionConfig(0.5))
+        mid = blend(subj, obj, 0.5)
         for k in subj.ids:
             assert mid[k] == pytest.approx((subj[k] + obj[k]) / 2, abs=1e-15)
 
@@ -111,9 +113,9 @@ class TestFusionProperties:
     @settings(max_examples=60)
     def test_sum_preserved(self, pair, alpha):
         subj, obj = pair
-        out = fuse(subj, obj, FusionConfig(alpha))
+        out = blend(subj, obj, alpha)
         expected = alpha * subj.total() + (1 - alpha) * obj.total()
-        assert out.total() == pytest.approx(expected, abs=1e-12)
+        assert sum(out.values()) == pytest.approx(expected, abs=1e-12)
 
     @given(
         weight_pairs(),
@@ -122,8 +124,8 @@ class TestFusionProperties:
     @settings(max_examples=60)
     def test_grid_rows_equal_scalar_blend(self, pair, alphas):
         subj, obj = pair
-        grid = fuse_grid(subj, obj, np.array(alphas))
+        grid = fuse(subj, obj, np.array(alphas))
         assert grid.shape == (len(alphas), len(subj.ids))
         for row, a in zip(grid.tolist(), alphas):
             assert row == [a * subj[k] + (1.0 - a) * obj[k] for k in subj.ids]
-            assert fuse(subj, obj, FusionConfig(a)).values() == row
+            assert list(blend(subj, obj, a).values()) == row

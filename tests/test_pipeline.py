@@ -137,6 +137,16 @@ class TestRunPipeline:
             w.code == "screening-rejected-in-hierarchy" for w in plain.warnings
         )
 
+    def test_unknown_override_id_rejected(self, campus_config_dict, fixture_dir):
+        data = copy.deepcopy(campus_config_dict)
+        data["screening"]["overrides"] = ["ZZ"]
+        cfg = ProjectConfig.from_dict(data)
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", cfg.classes)
+        with pytest.raises(ValidationError) as err:
+            run_pipeline(cfg, survey=survey)
+        assert str(err.value) == "screen: unknown override ids: ['ZZ']"
+        assert run_pipeline(cfg).verdict.grade == "Good"  # checked only where screening runs
+
     def test_screening_omitted_without_survey(self, campus_config):
         assert run_pipeline(campus_config).screening is None
 
