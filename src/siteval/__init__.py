@@ -39,6 +39,7 @@ from .fusion import fuse
 from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import (
+    AlphaSweep,
     EvaluationReport,
     ProjectConfig,
     ReportWarning,
@@ -52,6 +53,7 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AlphaSweep",
     "ConsistencyReport",
     "Criterion",
     "DecisionMatrix",

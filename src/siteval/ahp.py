@@ -155,7 +155,7 @@ def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
     for _ in range(POWER_MAX_ITER):
         nxt = a @ w
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - w)) < POWER_TOL:
+        if abs(nxt - w).max() < POWER_TOL:  # methods skip numpy's Python-level wrappers
             return nxt
         w = nxt
     raise ValidationError(

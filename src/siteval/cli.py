@@ -77,6 +77,8 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 
 def _cmd_ahp(args: argparse.Namespace) -> int:
     ahp = ahp_stage(load_config(args.config), args.allow_inconsistent)
+    for w in ahp.warnings:  # stderr, so the report on stdout stays the same
+        print(f"warning: {w.code}: {w.message}", file=sys.stderr)
     nodes = {"goal": ahp.criterion, **ahp.relative}
     if args.format == "json":
         payload = {

@@ -20,6 +20,16 @@ class ValidationError(ValueError):
     """Input data violates a structural or numeric contract."""
 
 
+def _float(value: object, label: str, key: str) -> float:
+    """float(value), or a ValidationError naming `label` and `key` (never OverflowError)."""
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{label} {key!r}: not a number: {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{label} {key!r}: number too large for a float") from None
+
+
 @dataclass(frozen=True)
 class GradeScale:
     """Ordered evaluation grades, best grade first."""
@@ -131,7 +141,7 @@ class WeightVector:
     weights: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        cleaned = {str(k): float(v) for k, v in self.weights.items()}
+        cleaned = {str(k): _float(v, "weight for", str(k)) for k, v in self.weights.items()}
         for k, v in cleaned.items():
             if not 0.0 <= v < math.inf:  # also false for NaN
                 kind = "negative" if v < 0 else "non-finite"
@@ -180,7 +190,8 @@ class MembershipMatrix:
         cleaned: dict[str, dict[str, float]] = {}
         grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
-            row_f = {str(g): float(v) for g, v in row.items()}
+            label = f"membership row {str(ind)!r}, grade"
+            row_f = {str(g): _float(v, label, str(g)) for g, v in row.items()}
             row_grades = tuple(row_f)
             if grades is None:
                 grades = row_grades

@@ -9,14 +9,15 @@ selected with the operator token "min-max". Result vectors are reported raw,
 without re-normalization, so an input whose membership rows do not sum to 1
 stays visible in the output.
 
-Both operators run on a batch of weight vectors at once (`compose`), so the
+Both operators run on a batch of weight vectors at once (`compose`), and the
+verdict is read off a batch of result vectors at once (`verdicts`), so the
 alpha sweep evaluates its whole grid in one pass; a single evaluation is a
 batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +36,14 @@ OPERATORS = (WEIGHTED_AVERAGE, MIN_MAX)
 
 TIE_TOL = 1e-12
 
+# A composed membership may stray past [0, 1] by rounding, but no further.
+MEMBERSHIP_LO = -1e-12
+MEMBERSHIP_HI = 1.0 + SUM_TOL
+
+
+def _out_of_range(grade: str, value: float) -> ValidationError:
+    return ValidationError(f"membership for grade {grade!r} outside [0, 1]: {value}")
+
 
 @dataclass(frozen=True)
 class FuzzyVector:
@@ -47,8 +56,8 @@ class FuzzyVector:
         if not cleaned:
             raise ValidationError("empty fuzzy vector")
         for g, v in cleaned.items():
-            if not -1e-12 <= v <= 1.0 + SUM_TOL:
-                raise ValidationError(f"membership for grade {g!r} outside [0, 1]: {v}")
+            if not MEMBERSHIP_LO <= v <= MEMBERSHIP_HI:  # also false for NaN
+                raise _out_of_range(g, v)
         object.__setattr__(self, "memberships", cleaned)
 
     @property
@@ -151,16 +160,46 @@ def second_level(
     return FuzzyVector(dict(zip(grades, values.tolist())))
 
 
-def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
-    """Grade with the largest membership; ties go to the better grade.
+def check_vectors(vectors: np.ndarray, grades: Sequence[str]) -> None:
+    """Apply FuzzyVector's range check to every row of an (A, G) array at once.
 
-    Grades within TIE_TOL of the maximum count as tied, and the winner is the
-    best-ranked of them in scale order, flagged tied=True rather than chosen
-    silently.
+    Raises the error FuzzyVector would raise for the first offending row, and
+    within it the first offending grade.
     """
-    for g in b.grades:
-        scale.rank(g)  # raises on unknown grade
-    peak = max(b.memberships.values())
-    contenders = [g for g in scale.labels if g in b.memberships and b[g] >= peak - TIE_TOL]
-    winner = contenders[0]
-    return Verdict(grade=winner, membership=b[winner], tied=len(contenders) > 1)
+    ok = (vectors >= MEMBERSHIP_LO) & (vectors <= MEMBERSHIP_HI)  # NaN fails both
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        raise _out_of_range(grades[col], float(vectors[row, col]))
+
+
+def verdicts(
+    vectors: np.ndarray, grades: Sequence[str], scale: GradeScale
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-membership verdict of every row of an (A, G) array, grades in `grades` order.
+
+    Returns, per row, the winner's index in `scale.labels`, its membership and
+    whether it is tied. Grades within TIE_TOL of the row's peak count as
+    contenders, and the winner is the best-ranked of them in scale order,
+    flagged tied=True rather than chosen silently.
+    """
+    ranks = [scale.rank(g) for g in grades]  # raises on unknown grade
+    if not ranks:
+        raise ValidationError("empty fuzzy vector")
+    # Plain-Python sorts: G is small, and numpy's per-call overhead is not.
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)  # columns in scale order
+    ranked = np.asarray(vectors, dtype=np.float64)[:, order]
+    contenders = ranked >= ranked.max(axis=1, keepdims=True) - TIE_TOL
+    first = contenders.argmax(axis=1)  # the first contender in scale order
+    winner = np.array(sorted(ranks))[first]
+    membership = ranked[np.arange(len(ranked)), first]
+    return winner, membership, contenders.sum(axis=1) > 1
+
+
+def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
+    """Grade with the largest membership; ties go to the better grade (see `verdicts`)."""
+    winner, membership, tied = verdicts(
+        np.array([list(b.memberships.values())]), b.grades, scale
+    )
+    return Verdict(
+        grade=scale.labels[winner[0]], membership=float(membership[0]), tied=bool(tied[0])
+    )

@@ -3,13 +3,16 @@
 Survey files carry one response per line with the header
 `indicator,respondent,class,score,confidence`; the confidence column is
 optional. Decision matrices carry one alternative per line with `alternative`
-as the first header field and indicator ids as the remaining ones.
+as the first header field and indicator ids as the remaining ones. Every
+error names the file it came from: `survey <path>: line N: ...` or
+`decision matrix <path>: line N: ...`.
 """
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import ValidationError
 from .delphi import RespondentClass, Response, SurveyRound
@@ -18,12 +21,24 @@ from .entropy import DecisionMatrix
 SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
 
 
+@contextmanager
+def _naming(what: str, path: str | Path) -> Iterator[None]:
+    """Prefix validation errors with the kind of file and its path."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from exc
+
+
 def _read_rows(path: str | Path) -> list[list[str]]:
     p = Path(path)
     if not p.exists():
-        raise ValidationError(f"file not found: {p}")
+        raise ValidationError("file not found")
     with p.open(newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh)]
+        rows = [row for row in csv.reader(fh)]
+    if not rows:
+        raise ValidationError("empty file")
+    return rows
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
@@ -40,12 +55,16 @@ def ingest_survey(
 ) -> SurveyRound:
     """Parse a survey CSV into a typed round, validating every field.
 
-    Errors carry the 1-based line number and the offending column so a bad
-    row in a large file can be found immediately.
+    Errors carry the path, the 1-based line number and the offending column
+    so a bad row in a large file can be found immediately.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"empty survey file: {path}")
+    with _naming("survey", path):
+        return _parse_survey(_read_rows(path), classes, round_index)
+
+
+def _parse_survey(
+    rows: list[list[str]], classes: Sequence[RespondentClass], round_index: int
+) -> SurveyRound:
     header = [h.strip().lower() for h in rows[0]]
     if tuple(header) not in (SURVEY_HEADER, SURVEY_HEADER[:4]):
         raise ValidationError(
@@ -91,9 +110,11 @@ def ingest_survey(
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     """Parse a decision-matrix CSV into typed non-negative observations."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"empty decision matrix file: {path}")
+    with _naming("decision matrix", path):
+        return _parse_decision_matrix(_read_rows(path))
+
+
+def _parse_decision_matrix(rows: list[list[str]]) -> DecisionMatrix:
     header = [h.strip() for h in rows[0]]
     if not header or header[0].lower() != "alternative" or len(header) < 2:
         raise ValidationError(

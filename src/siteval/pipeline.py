@@ -5,7 +5,8 @@ membership matrix and the objective-weight source. `run_pipeline` chains the
 stages (optional survey screening, eigenvector weighting with consistency
 checks, entropy or adopted objective weights, convex fusion, two-level fuzzy
 composition, verdict) into a single report; `sweep_alpha` reuses the fixed
-stages and evaluates the alpha-dependent tail once over its whole grid. The
+stages, evaluates the alpha-dependent tail and the verdict once over its whole
+grid, and keeps the result columnar (`AlphaSweep`) until it is serialised. The
 screening and AHP stages (`screen_stage`, `ahp_stage`) and the serialisers of
 their results are shared with the CLI's single-stage commands. Runs are pure
 functions of their inputs, so identical configs produce identical reports, and
@@ -17,7 +18,7 @@ import hashlib
 import importlib.metadata
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
@@ -50,8 +51,9 @@ from .fuzzy import (
     WEIGHTED_AVERAGE,
     FuzzyVector,
     Verdict,
+    check_vectors,
     compose,
-    verdict,
+    verdicts,
 )
 
 try:
@@ -554,8 +556,8 @@ def screening_to_json_dict(section: ScreeningSection) -> dict[str, object]:
     return out
 
 
-def verdict_to_json_dict(v: Verdict) -> dict[str, object]:
-    return {"grade": v.grade, "membership": v.membership, "tied": v.tied}
+def verdict_to_json_dict(grade: str, membership: float, tied: bool) -> dict[str, object]:
+    return {"grade": grade, "membership": membership, "tied": tied}
 
 
 @dataclass(frozen=True)
@@ -608,7 +610,9 @@ class EvaluationReport:
             },
             "first_level": {crit: fv.as_dict() for crit, fv in self.first_level.items()},
             "second_level": self.second_level.as_dict(),
-            "verdict": verdict_to_json_dict(self.verdict),
+            "verdict": verdict_to_json_dict(
+                self.verdict.grade, self.verdict.membership, self.verdict.tied
+            ),
             "warnings": [{"code": w.code, "message": w.message} for w in self.warnings],
             "provenance": {
                 "tool_version": TOOL_VERSION,
@@ -625,6 +629,86 @@ class SweepRow:
     alpha: float
     second_level: FuzzyVector
     verdict: Verdict
+
+
+@dataclass(frozen=True, eq=False)
+class AlphaSweep:
+    """Second-level vectors and verdicts over an alpha grid, one read-only column each.
+
+    Built from the grades, the alphas (A,) and the second-level vectors (A, G)
+    in grade order; the constructor copies both arrays, applies FuzzyVector's
+    range check to every vector (a failure raises a `fuzzy:` error naming the
+    first offending row) and derives the verdict columns with `verdicts`.
+    `len`, indexing and iteration give `SweepRow`s, each built on access.
+    """
+
+    grades: tuple[str, ...]
+    alphas: np.ndarray  # (A,) float64
+    second_level: np.ndarray  # (A, G) float64, grades in `grades` order
+    scale: InitVar[GradeScale]
+    verdict_grade: np.ndarray = field(init=False)  # (A,) str objects
+    verdict_membership: np.ndarray = field(init=False)  # (A,) float64
+    verdict_tied: np.ndarray = field(init=False)  # (A,) bool
+
+    def __post_init__(self, scale: GradeScale) -> None:
+        grades = tuple(self.grades)
+        alphas = np.array(self.alphas, dtype=np.float64)
+        second = np.array(self.second_level, dtype=np.float64)
+        if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
+            raise ValidationError(
+                f"sweep shape mismatch: alphas {alphas.shape}, second level "
+                f"{second.shape}, {len(grades)} grades"
+            )
+        with _stage("fuzzy"):
+            check_vectors(second, grades)
+            winner, membership, tied = verdicts(second, grades, scale)
+        object.__setattr__(self, "grades", grades)
+        for name, column in (
+            ("alphas", alphas),
+            ("second_level", second),
+            ("verdict_grade", np.array(scale.labels, dtype=object)[winner]),
+            ("verdict_membership", membership),
+            ("verdict_tied", tied),
+        ):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __getitem__(self, k: int) -> SweepRow:
+        # `item` takes integer k only, counts negative k from the end and raises
+        # IndexError past either end, as a list does.
+        return self._row(
+            self.alphas.item(k),
+            self.second_level[k].tolist(),
+            self.verdict_grade.item(k),
+            self.verdict_membership.item(k),
+            self.verdict_tied.item(k),
+        )
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        for row in zip(*self._columns()):
+            yield self._row(*row)
+
+    def _columns(self) -> tuple[list[Any], ...]:
+        """(alpha, second-level values, grade, membership, tied) as Python lists."""
+        return (
+            self.alphas.tolist(),
+            self.second_level.tolist(),
+            self.verdict_grade.tolist(),
+            self.verdict_membership.tolist(),
+            self.verdict_tied.tolist(),
+        )
+
+    def _row(
+        self, alpha: float, values: list[float], grade: str, membership: float, tied: bool
+    ) -> SweepRow:
+        return SweepRow(
+            alpha=alpha,
+            second_level=FuzzyVector(dict(zip(self.grades, values))),
+            verdict=Verdict(grade=grade, membership=membership, tied=tied),
+        )
 
 
 @dataclass(frozen=True)
@@ -789,7 +873,12 @@ def run_pipeline(
                         f"second-level vector sums to {second.total():.4f}, expected 1",
                     )
                 )
-        final = verdict(second, cfg.scale)
+        winner, membership, tied = verdicts(tail.second, grades, cfg.scale)
+        final = Verdict(
+            grade=cfg.scale.labels[winner[0]],
+            membership=float(membership[0]),
+            tied=bool(tied[0]),
+        )
     return EvaluationReport(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
@@ -822,12 +911,13 @@ def sweep_alpha(
     grid: Sequence[float],
     survey: SurveyRound | None = None,
     allow_inconsistent: bool = False,
-) -> list[SweepRow]:
-    """Evaluate the alpha-dependent tail over the whole grid, rows sorted by alpha.
+) -> AlphaSweep:
+    """Evaluate the alpha-dependent tail over the whole grid, sorted by alpha.
 
     Screening, the eigenvector weights and the objective weights are computed
-    once; the tail runs once, batched over the grid. Each row's second-level
-    vector and verdict equal those of `run_pipeline` at that alpha exactly.
+    once; the tail and the verdict run once, batched over the grid. Each row's
+    second-level vector and verdict equal those of `run_pipeline` at that alpha
+    exactly.
     """
     alphas = sorted(grid)
     if not alphas:
@@ -836,32 +926,22 @@ def sweep_alpha(
         if not 0.0 <= a <= 1.0:
             raise ValidationError(f"sweep grid value out of [0, 1]: {a}")
     prep = _prepare(cfg, survey, allow_inconsistent)
-    # Only the second-level array outlives this line, so the other grid arrays
-    # are freed before the rows are built. Rows keep no first-level vectors, and
-    # their range check cannot fail: each is a combination of membership rows in
-    # [0, 1] with weights summing to 1 within rounding, or a max of mins of those.
-    second_level = _evaluate_tail(cfg, prep, np.array(alphas, dtype=np.float64)).second
-    grades = cfg.membership.grades
-    rows: list[SweepRow] = []
-    with _stage("fuzzy"):
-        for a, vec in zip(alphas, second_level):
-            second = FuzzyVector(dict(zip(grades, vec.tolist())))
-            rows.append(
-                SweepRow(alpha=float(a), second_level=second, verdict=verdict(second, cfg.scale))
-            )
-    return rows
+    alphas_arr = np.array(alphas, dtype=np.float64)
+    second_level = _evaluate_tail(cfg, prep, alphas_arr).second
+    return AlphaSweep(cfg.membership.grades, alphas_arr, second_level, cfg.scale)
 
 
-def sweep_to_json_dict(rows: Sequence[SweepRow]) -> dict[str, object]:
+def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
+    grades = sweep.grades
     return {
         "schema_version": SCHEMA_VERSION,
         "rows": [
             {
-                "alpha": r.alpha,
-                "second_level": r.second_level.as_dict(),
-                "verdict": verdict_to_json_dict(r.verdict),
+                "alpha": alpha,
+                "second_level": dict(zip(grades, values)),
+                "verdict": verdict_to_json_dict(grade, membership, tied),
             }
-            for r in rows
+            for alpha, values, grade, membership, tied in zip(*sweep._columns())
         ],
     }
 
@@ -997,14 +1077,13 @@ def render_markdown(report: EvaluationReport) -> str:
     return "\n".join(lines)
 
 
-def render_sweep_markdown(rows: Sequence[SweepRow]) -> str:
-    grades = list(rows[0].second_level.grades)
+def render_sweep_markdown(sweep: AlphaSweep) -> str:
     lines = ["# Alpha sweep", ""]
     lines += _md_table(
-        ["Alpha"] + grades + ["Verdict", "Membership"],
+        ["Alpha", *sweep.grades, "Verdict", "Membership"],
         [
-            [r.alpha] + [r.second_level[g] for g in grades] + [r.verdict.grade, r.verdict.membership]
-            for r in rows
+            [alpha, *values, grade, membership]
+            for alpha, values, grade, membership, _ in zip(*sweep._columns())
         ],
     )
     lines.append("")

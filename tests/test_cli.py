@@ -280,6 +280,29 @@ class TestAhpCommand:
         report = run_pipeline(cfg, allow_inconsistent=True)
         assert payload["global_subjective"] == report.indicator_subjective.as_dict()
 
+    def test_allow_inconsistent_prints_warnings_to_stderr(self, capsys, fixture_dir, tmp_path):
+        path, cfg = self._inconsistent_config(fixture_dir, tmp_path)
+        expected = [
+            f"warning: {w.code}: {w.message}"
+            for w in run_pipeline(cfg, allow_inconsistent=True).warnings
+            if w.code == "inconsistent-judgment-matrix"
+        ]
+        assert len(expected) == 1 and "'goal'" in expected[0]
+        for fmt in ("json", "md"):
+            code, out, err = _run(
+                capsys,
+                ["ahp", "--config", str(path), "--allow-inconsistent", "--format", fmt],
+            )
+            assert code == 0 and out
+            assert err.splitlines() == expected
+
+    def test_consistent_config_prints_no_warnings(self, capsys, fixture_dir):
+        code, _, err = _run(
+            capsys,
+            ["ahp", "--config", str(fixture_dir / "campus_bikeshare.json"), "--allow-inconsistent"],
+        )
+        assert code == 0 and err == ""
+
 
 class TestEntropyCommand:
     def test_weights_from_matrix(self, capsys, fixture_dir):

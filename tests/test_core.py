@@ -194,3 +194,20 @@ class TestMembershipMatrix:
         m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}})
         with pytest.raises(ValidationError, match="C9"):
             m.row("C9")
+
+
+class TestFloatConversion:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: WeightVector({"a": v}), r"^weight for 'a': "),
+            (lambda v: MembershipMatrix({"C1": {"Good": v}}), r"^membership row 'C1', grade 'Good': "),
+        ],
+    )
+    def test_unconvertible_value_names_key(self, build, message):
+        with pytest.raises(ValidationError, match=message + "number too large for a float"):
+            build(10**400)
+        with pytest.raises(ValidationError, match=message + "not a number: 'x'"):
+            build("x")
+        with pytest.raises(ValidationError, match=message + "not a number: None"):
+            build(None)

@@ -16,7 +16,7 @@ from siteval import (
     second_level,
     verdict,
 )
-from siteval.fuzzy import MIN_MAX, WEIGHTED_AVERAGE, compose
+from siteval.fuzzy import MIN_MAX, TIE_TOL, WEIGHTED_AVERAGE, compose, verdicts
 
 SCALE = GradeScale(("Excellent", "Good", "Poor"))
 
@@ -250,3 +250,60 @@ class TestComposeKernel:
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValidationError, match="unknown fuzzy operator"):
             compose(np.ones((1, 2)), np.ones((2, 3)), "mean")
+
+
+def _reference_verdict(values, grades, labels):
+    """The documented rule in plain Python: contenders within TIE_TOL of the peak, in
+    scale order; the first wins, and more than one means tied."""
+    by_grade = dict(zip(grades, values))
+    peak = max(values)
+    contenders = [g for g in labels if g in by_grade and by_grade[g] >= peak - TIE_TOL]
+    return labels.index(contenders[0]), by_grade[contenders[0]], len(contenders) > 1
+
+
+# Offsets below a row's first value: exact ties, gaps just inside and just
+# outside TIE_TOL, and clear gaps.
+_OFFSETS = (0.0, 0.5 * TIE_TOL, TIE_TOL, 1.01 * TIE_TOL, 2 * TIE_TOL, 0.1)
+
+
+@st.composite
+def _verdict_cases(draw):
+    labels = tuple(f"L{k}" for k in range(draw(st.integers(2, 6))))
+    # Membership grades: a subset of the scale, in an order of their own.
+    grades = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        lead = draw(st.floats(0, 1))
+        rows.append(
+            [lead]
+            + [
+                draw(st.floats(0, 1) | st.sampled_from(_OFFSETS).map(lambda d: lead - d))
+                for _ in grades[1:]
+            ]
+        )
+    return GradeScale(labels), grades, rows
+
+
+class TestBatchedVerdict:
+    @given(_verdict_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_matches_the_reference_rule(self, case):
+        scale, grades, rows = case
+        winner, membership, tied = verdicts(np.array(rows), grades, scale)
+        got = list(zip(winner.tolist(), membership.tolist(), tied.tolist()))
+        assert got == [_reference_verdict(r, grades, scale.labels) for r in rows]
+
+    def test_tie_tolerance_boundary(self):
+        # Poor sits exactly TIE_TOL below the peak (a contender), Good just beyond it.
+        peak = 0.5
+        rows = np.array([[peak - 1.01 * TIE_TOL, peak - TIE_TOL, peak]])
+        winner, membership, tied = verdicts(rows, ("Good", "Poor", "Excellent"), SCALE)
+        assert (winner.tolist(), membership.tolist(), tied.tolist()) == ([0], [peak], [True])
+        winner, membership, tied = verdicts(rows[:, [0, 2]], ("Good", "Excellent"), SCALE)
+        assert (winner.tolist(), tied.tolist()) == ([0], [False])
+
+    def test_unknown_or_no_grades_rejected(self):
+        with pytest.raises(ValidationError, match="unknown grade 'Great'"):
+            verdicts(np.ones((2, 2)), ("Good", "Great"), SCALE)
+        with pytest.raises(ValidationError, match="empty fuzzy vector"):
+            verdicts(np.ones((2, 0)), (), SCALE)

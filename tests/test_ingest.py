@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from siteval import (
@@ -70,6 +72,15 @@ class TestIngestSurvey:
         with pytest.raises(ValidationError, match="not found"):
             ingest_survey(tmp_path / "nope.csv", CLASSES)
 
+    def test_errors_name_the_survey_file(self, tmp_path):
+        path = _write(tmp_path, "C3,r07,alien,4,5\n", name="bad.csv")
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(path, CLASSES)
+        assert str(info.value) == f"survey {path}: line 2: unknown class label 'alien'"
+        missing = tmp_path / "nope.csv"
+        with pytest.raises(ValidationError, match=f"^survey {re.escape(str(missing))}: file not found$"):
+            ingest_survey(missing, CLASSES)
+
     def test_fixture_round_parses(self, fixture_dir):
         survey = ingest_survey(fixture_dir / "survey_round2.csv", CLASSES)
         assert len(survey.responses) == 30
@@ -101,6 +112,13 @@ class TestReadDecisionMatrix:
         p.write_text("alternative,X1\nS1,abc\nS2,2\n")
         with pytest.raises(ValidationError, match="line 2, column 'X1'"):
             read_decision_matrix(p)
+
+    def test_errors_name_the_matrix_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("alternative,X1\nS1,abc\nS2,2\n")
+        with pytest.raises(ValidationError) as info:
+            read_decision_matrix(p)
+        assert str(info.value) == f"decision matrix {p}: line 2, column 'X1': not a number: 'abc'"
 
     def test_header_must_start_with_alternative(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siteval import (
+    AlphaSweep,
+    FuzzyVector,
+    GradeScale,
     MembershipMatrix,
     ProjectConfig,
     ValidationError,
@@ -341,10 +344,11 @@ class TestSweepAlpha:
                 cfg = base.with_overrides(operator=operator, weights_policy=policy)
                 rows = sweep_alpha(cfg, grid)
                 assert [r.alpha for r in rows] == sorted(grid)
-                for row in rows:
+                for k, row in enumerate(rows):
                     report = run_pipeline(cfg.with_overrides(alpha=row.alpha))
                     assert row.second_level.as_dict() == report.second_level.as_dict()
                     assert row.verdict == report.verdict
+                    assert rows[k] == row
 
     def test_fused_both_sweep_through_zero_rejects_degenerate_criterion(
         self, campus_config_dict
@@ -363,6 +367,45 @@ class TestSweepAlpha:
             sweep_alpha(cfg, [1.0, 0.5, 0.0])
         with pytest.raises(ValidationError, match="^fuzzy: degenerate weight vector"):
             run_pipeline(cfg.with_overrides(alpha=0.0))
+
+    def test_row_api(self, campus_config):
+        sweep = sweep_alpha(campus_config, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert isinstance(sweep, AlphaSweep) and len(sweep) == 5
+        rows = list(sweep)
+        assert [sweep[k] for k in range(-5, 0)] == rows
+        assert sweep[-1].alpha == 1.0 and sweep[-5].alpha == 0.0
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                sweep[k]
+        assert [r.second_level.as_dict() for r in rows] == [
+            dict(zip(sweep.grades, v)) for v in sweep.second_level.tolist()
+        ]
+        assert [r.verdict.grade for r in rows] == sweep.verdict_grade.tolist()
+        assert [r.verdict.membership for r in rows] == sweep.verdict_membership.tolist()
+        assert [r.verdict.tied for r in rows] == sweep.verdict_tied.tolist()
+
+    def test_columns_read_only(self, campus_config):
+        sweep = sweep_alpha(campus_config, [0.0, 1.0])
+        for column in (sweep.alphas, sweep.second_level, sweep.verdict_membership):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_out_of_range_vector_rejected_like_fuzzy_vector(self, bad):
+        scale = GradeScale(("Excellent", "Good", "Poor"))
+        vectors = [[0.2, 0.5, 0.3], [0.1, bad, 0.2], [bad, 0.0, 0.0]]
+        with pytest.raises(ValidationError) as expected:
+            FuzzyVector(dict(zip(scale.labels, vectors[1])))
+        with pytest.raises(ValidationError, match="^fuzzy: ") as info:
+            AlphaSweep(scale.labels, [0.0, 0.5, 1.0], vectors, scale)
+        assert str(info.value) == f"fuzzy: {expected.value}"
+
+    def test_column_shapes_must_agree(self):
+        scale = GradeScale(("Excellent", "Good", "Poor"))
+        with pytest.raises(ValidationError, match="sweep shape mismatch"):
+            AlphaSweep(scale.labels, [0.0, 1.0], [[0.2, 0.5, 0.3]], scale)
+        with pytest.raises(ValidationError, match="sweep shape mismatch"):
+            AlphaSweep(scale.labels[:2], [0.0], [[0.2, 0.5, 0.3]], scale)
 
     def test_sweep_reproducible(self, campus_config):
         grid = [round(0.1 * k, 10) for k in range(11)]
