@@ -13,6 +13,7 @@ from .ahp import (
     ri_lookup,
     synthesize_global,
 )
+from .config import ProjectConfig
 from .core import (
     Criterion,
     GradeScale,
@@ -38,17 +39,8 @@ from .entropy import DecisionMatrix, column_shares, entropy_weights, information
 from .fusion import fuse
 from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
 from .ingest import ingest_survey, read_decision_matrix
-from .pipeline import (
-    AlphaSweep,
-    EvaluationReport,
-    ProjectConfig,
-    ReportWarning,
-    SweepRow,
-    emit_report,
-    load_config,
-    run_pipeline,
-    sweep_alpha,
-)
+from .pipeline import AlphaSweep, SweepRow, emit_report, load_config, run_pipeline, sweep_alpha
+from .report import EvaluationReport, ReportWarning
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import IndicatorHierarchy, ValidationError, WeightVector
+from .core import IndicatorHierarchy, ValidationError, WeightVector, check_same_ids
 
 # Average random index by matrix order.
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45}
@@ -198,22 +198,17 @@ def synthesize_global(
     Inputs must cover the hierarchy exactly; with normalized inputs the output
     sums to 1 and the globals under one criterion sum to that criterion's weight.
     """
-    crit_ids = set(h.criterion_ids())
-    if set(criterion_weights.ids) != crit_ids:
-        diff = sorted(set(criterion_weights.ids) ^ crit_ids)
-        raise ValidationError(f"criterion weights do not match hierarchy: {diff}")
-    if set(per_criterion) != crit_ids:
-        diff = sorted(set(per_criterion) ^ crit_ids)
-        raise ValidationError(f"per-criterion weights do not match hierarchy: {diff}")
+    crit_ids = h.criterion_ids()
+    check_same_ids(criterion_weights.ids, crit_ids, "criterion weights do not match hierarchy")
+    check_same_ids(per_criterion, crit_ids, "per-criterion weights do not match hierarchy")
 
     out: dict[str, float] = {}
     for crit in h.criteria:
         relative = per_criterion[crit.id]
-        if set(relative.ids) != set(crit.children):
-            diff = sorted(set(relative.ids) ^ set(crit.children))
-            raise ValidationError(
-                f"weights for criterion {crit.id!r} do not match its indicators: {diff}"
-            )
+        check_same_ids(
+            relative.ids, crit.children,
+            "weights for criterion {!r} do not match its indicators", crit.id,
+        )
         for ind in crit.children:
             out[ind] = criterion_weights[crit.id] * relative[ind]
     return WeightVector(out)

@@ -13,27 +13,26 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import ValidationError, WeightVector
+from .config import POLICIES, as_object, read_json
+from .core import ValidationError, WeightVector, parse_float
 from .entropy import entropy_weights
 from .fusion import fuse
+from .fuzzy import OPERATORS
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import (
-    SCHEMA_VERSION,
-    OPERATORS,
-    POLICIES,
-    _md_table,
-    _number,
-    _object,
-    _read_json,
     ahp_stage,
     emit_report,
     load_config,
-    render_sweep_markdown,
     run_pipeline,
     screen_stage,
+    sweep_alpha,
+)
+from .report import (
+    SCHEMA_VERSION,
+    md_table,
+    render_sweep_markdown,
     screening_table,
     screening_to_json_dict,
-    sweep_alpha,
     sweep_to_json_dict,
 )
 
@@ -46,12 +45,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _weights_table(weights: WeightVector) -> str:
-    return "\n".join(_md_table(["Id", "Weight"], [[k, weights[k]] for k in weights.ids]))
+    return "\n".join(md_table(["Id", "Weight"], [[k, weights[k]] for k in weights.ids]))
 
 
 def _load_weight_file(path: str) -> WeightVector:
-    data = _object(_read_json(path, "weight file"), f"weight file {path}")
-    return WeightVector({str(k): _number(v, f"weight file {path}: {k}") for k, v in data.items()})
+    data = as_object(read_json(path, "weight file"), "weight file {}", path)
+    return WeightVector(
+        {str(k): parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
+    )
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:

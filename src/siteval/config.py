@@ -1,0 +1,406 @@
+"""Project config: parsing, cross-validation, canonical encoding and hashing.
+
+A project config bundles the hierarchy, grade scale, respondent classes,
+screening thresholds, judgment matrices, membership matrix and the
+objective-weight source. `ProjectConfig.from_dict` parses a JSON-shaped
+mapping and names the key path of every malformed value, with the `config:`
+prefix; constructing a `ProjectConfig` cross-checks every id against the
+hierarchy, so every config that exists is consistent.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Any, Mapping, Sequence
+
+from .ahp import JudgmentMatrix
+from .core import (
+    Criterion,
+    GradeScale,
+    Indicator,
+    IndicatorHierarchy,
+    MembershipMatrix,
+    ValidationError,
+    WeightVector,
+    check_same_ids,
+    error_prefix,
+    parse_float,
+    validate_hierarchy,
+)
+from .delphi import RespondentClass, ScreeningCriteria
+from .entropy import DecisionMatrix
+from .fuzzy import OPERATORS, WEIGHTED_AVERAGE
+
+POLICY_PAPER = "paper"
+POLICY_FUSED_BOTH = "fused-both"
+POLICIES = (POLICY_PAPER, POLICY_FUSED_BOTH)
+
+DEFAULT_CLASSES = (
+    RespondentClass("expert", 0.8),
+    RespondentClass("end_user", 0.2),
+)
+
+_CONFIG_KEYS = {
+    "goal",
+    "grades",
+    "criteria",
+    "respondent_classes",
+    "screening",
+    "judgment_matrices",
+    "membership",
+    "objective_weights",
+    "decision_matrix",
+    "alpha",
+    "operator",
+    "weights_policy",
+}
+
+
+def _list(value: object, where: str, *args: object) -> Sequence[Any]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"{where.format(*args)}: expected a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def as_object(value: object, where: str, *args: object) -> Mapping[str, Any]:
+    """`value` if it is a mapping, else a ValidationError at `where.format(*args)`."""
+    if not isinstance(value, (dict, Mapping)):  # dict first: the Mapping check is slow
+        raise ValidationError(
+            f"{where.format(*args)}: expected an object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _field(entry: object, key: str, where: str, *args: object) -> Any:
+    entry = as_object(entry, where, *args)
+    if key not in entry:
+        raise ValidationError(f"{where.format(*args)}: missing key {key!r}")
+    return entry[key]
+
+
+@dataclass(frozen=True)
+class ProjectConfig:
+    """Everything one evaluation run needs, parsed and cross-validated."""
+
+    hierarchy: IndicatorHierarchy
+    scale: GradeScale
+    classes: tuple[RespondentClass, ...]
+    screening: ScreeningCriteria
+    matrices: Mapping[str, JudgmentMatrix]
+    membership: MembershipMatrix
+    objective_weights: WeightVector | None
+    decision_matrix: DecisionMatrix | None
+    alpha: float = 0.5
+    operator: str = WEIGHTED_AVERAGE
+    weights_policy: str = POLICY_PAPER
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "matrices", dict(self.matrices))
+        if (self.objective_weights is None) == (self.decision_matrix is None):
+            raise ValidationError(
+                "config must provide exactly one of objective_weights and decision_matrix"
+            )
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.operator not in OPERATORS:
+            raise ValidationError(
+                f"unknown operator {self.operator!r}; expected one of {OPERATORS}"
+            )
+        if self.weights_policy not in POLICIES:
+            raise ValidationError(
+                f"unknown weights_policy {self.weights_policy!r}; expected one of {POLICIES}"
+            )
+        self.validate()
+
+    def validate(self) -> None:
+        """Cross-check all referenced ids against the hierarchy."""
+        violations = validate_hierarchy(self.hierarchy)
+        if violations:
+            raise ValidationError("invalid hierarchy: " + "; ".join(violations))
+
+        node_ids = ("goal",) + self.hierarchy.criterion_ids()
+        missing = [n for n in node_ids if n not in self.matrices]
+        if missing:
+            raise ValidationError(f"missing judgment matrices for nodes: {missing}")
+        extra = sorted(set(self.matrices) - set(node_ids))
+        if extra:
+            raise ValidationError(f"judgment matrices for unknown nodes: {extra}")
+
+        goal = self.matrices["goal"]
+        if tuple(goal.labels) != self.hierarchy.criterion_ids():
+            raise ValidationError(
+                f"goal matrix labels {list(goal.labels)} do not match criteria "
+                f"{list(self.hierarchy.criterion_ids())}"
+            )
+        for crit in self.hierarchy.criteria:
+            m = self.matrices[crit.id]
+            if tuple(m.labels) != tuple(crit.children):
+                raise ValidationError(
+                    f"matrix {crit.id!r} labels {list(m.labels)} do not match "
+                    f"indicators {list(crit.children)}"
+                )
+
+        indicator_ids = self.hierarchy.indicator_ids()
+        check_same_ids(
+            self.membership.indicator_ids, indicator_ids,
+            "membership rows do not match indicators",
+        )
+        if set(self.membership.grades) != set(self.scale.labels):
+            raise ValidationError(
+                f"membership grades {sorted(self.membership.grades)} do not match "
+                f"scale {list(self.scale.labels)}"
+            )
+        if self.objective_weights is not None:
+            check_same_ids(
+                self.objective_weights.ids, indicator_ids,
+                "objective weights do not match indicators",
+            )
+        if self.decision_matrix is not None:
+            check_same_ids(
+                self.decision_matrix.indicators, indicator_ids,
+                "decision matrix columns do not match indicators",
+            )
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "ProjectConfig":
+        with error_prefix("config"):
+            return cls._parse(data)
+
+    @classmethod
+    def _parse(cls, data: Mapping[str, object]) -> "ProjectConfig":
+        if not isinstance(data, (dict, Mapping)):
+            raise ValidationError(f"expected an object, got {type(data).__name__}")
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown config keys: {unknown}")
+        for key in ("goal", "grades", "criteria", "judgment_matrices", "membership"):
+            if key not in data:
+                raise ValidationError(f"missing config key {key!r}")
+
+        scale = GradeScale(tuple(str(g) for g in _list(data["grades"], "grades")))
+
+        criteria: list[Criterion] = []
+        indicators: list[Indicator] = []
+        for k, entry in enumerate(_list(data["criteria"], "criteria")):
+            crit_id = _field(entry, "id", "criteria[{}]", k)
+            child_ids = []
+            kids = _list(entry.get("indicators", []), "criteria[{}].indicators", k)
+            for m, ind in enumerate(kids):
+                ind_id = _field(ind, "id", "criteria[{}].indicators[{}]", k, m)
+                indicators.append(
+                    Indicator(
+                        id=str(ind_id),
+                        name=str(ind.get("name", ind_id)),
+                        kind=str(ind.get("kind", "qualitative")),
+                    )
+                )
+                child_ids.append(str(ind_id))
+            criteria.append(
+                Criterion(
+                    id=str(crit_id),
+                    name=str(entry.get("name", crit_id)),
+                    children=tuple(child_ids),
+                )
+            )
+        hierarchy = IndicatorHierarchy(
+            goal_name=str(data["goal"]),
+            criteria=tuple(criteria),
+            indicators=tuple(indicators),
+        )
+
+        classes = tuple(
+            RespondentClass(
+                str(_field(c, "label", "respondent_classes[{}]", k)),
+                parse_float(
+                    _field(c, "score_weight", "respondent_classes[{}]", k),
+                    "respondent_classes[{}].score_weight", k,
+                ),
+            )
+            for k, c in enumerate(_list(data.get("respondent_classes", []), "respondent_classes"))
+        ) or DEFAULT_CLASSES
+        labels = [c.label for c in classes]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")
+
+        sc = as_object(data.get("screening", {}), "screening")
+        min_gcr = sc.get("min_gcr", 3.0)
+        screening = ScreeningCriteria(
+            min_mean=parse_float(sc.get("min_mean", 3.5), "screening.min_mean"),
+            min_full_mark_rate=parse_float(
+                sc.get("min_full_mark_rate", 0.5), "screening.min_full_mark_rate"
+            ),
+            max_cv=parse_float(sc.get("max_cv", 0.25), "screening.max_cv"),
+            min_gcr=None if min_gcr is None else parse_float(min_gcr, "screening.min_gcr"),
+            overrides=frozenset(
+                str(i) for i in _list(sc.get("overrides", []), "screening.overrides")
+            ),
+        )
+
+        matrices: dict[str, JudgmentMatrix] = {}
+        for node, rows in as_object(data["judgment_matrices"], "judgment_matrices").items():
+            node = str(node)
+            if node == "goal":
+                labels = hierarchy.criterion_ids()
+            else:
+                match = [c for c in hierarchy.criteria if c.id == node]
+                if not match:
+                    raise ValidationError(f"judgment matrix for unknown node {node!r}")
+                labels = match[0].children
+            rows = [
+                _list(row, "judgment_matrices.{}[{}]", node, k)
+                for k, row in enumerate(_list(rows, "judgment_matrices.{}", node))
+            ]
+            matrices[node] = JudgmentMatrix.from_rows(node, labels, rows)
+
+        membership_rows: dict[str, dict[str, float]] = {}
+        for ind, row in as_object(data["membership"], "membership").items():
+            row = as_object(row, "membership.{}", ind)
+            missing_grades = [g for g in scale.labels if g not in row]
+            if missing_grades:
+                raise ValidationError(
+                    f"membership row {ind!r}: missing grades {missing_grades}"
+                )
+            extra_grades = sorted(set(row) - set(scale.labels))
+            if extra_grades:
+                raise ValidationError(
+                    f"membership row {ind!r}: unknown grades {extra_grades}"
+                )
+            membership_rows[str(ind)] = {
+                g: parse_float(row[g], "membership.{}.{}", ind, g) for g in scale.labels
+            }
+        membership = MembershipMatrix(membership_rows)
+
+        objective = None
+        if "objective_weights" in data:
+            ow = as_object(data["objective_weights"], "objective_weights")
+            objective = WeightVector(
+                {str(k): parse_float(v, "objective_weights.{}", k) for k, v in ow.items()}
+            )
+        decision = None
+        if "decision_matrix" in data:
+            dm = data["decision_matrix"]
+            ids = {
+                key: tuple(
+                    str(x)
+                    for x in _list(
+                        _field(dm, key, "decision_matrix"), "decision_matrix.{}", key
+                    )
+                )
+                for key in ("alternatives", "indicators")
+            }
+            decision = DecisionMatrix(**ids, values=_field(dm, "values", "decision_matrix"))
+
+        return cls(
+            hierarchy=hierarchy,
+            scale=scale,
+            classes=classes,
+            screening=screening,
+            matrices=matrices,
+            membership=membership,
+            objective_weights=objective,
+            decision_matrix=decision,
+            alpha=parse_float(data.get("alpha", 0.5), "alpha"),
+            operator=str(data.get("operator", WEIGHTED_AVERAGE)),
+            weights_policy=str(data.get("weights_policy", POLICY_PAPER)),
+        )
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-ready dict that parses back to an equivalent config.
+
+        Judgment-matrix entries are emitted from their raw tokens, so
+        fractional inputs like "1/3" round-trip exactly.
+        """
+        out = self._dict_without_values()
+        if self.decision_matrix is not None:
+            out["decision_matrix"]["values"] = self.decision_matrix.values.tolist()
+        return out
+
+    def config_hash(self) -> str:
+        """SHA-256 of the config in a canonical encoding.
+
+        The digest covers the canonical JSON of `to_dict()`, with the decision
+        matrix's values replaced by their shape and dtype, followed by the
+        matrix's C-order little-endian float64 bytes.
+        """
+        out = self._dict_without_values()
+        matrix = None
+        if self.decision_matrix is not None:
+            matrix = self.decision_matrix.values
+            out["decision_matrix"]["values"] = {"shape": list(matrix.shape), "dtype": "<f8"}
+        canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8"))
+        if matrix is not None:
+            digest.update(matrix.astype("<f8", copy=False).tobytes(order="C"))
+        return digest.hexdigest()
+
+    def _dict_without_values(self) -> dict[str, Any]:
+        """`to_dict()` minus the decision matrix's values, which its callers encode."""
+        out: dict[str, Any] = {
+            "goal": self.hierarchy.goal_name,
+            "grades": list(self.scale.labels),
+            "criteria": [
+                {
+                    "id": c.id,
+                    "name": c.name,
+                    "indicators": [
+                        {"id": i.id, "name": i.name, "kind": i.kind}
+                        for i in self.hierarchy.indicators
+                        if i.id in c.children
+                    ],
+                }
+                for c in self.hierarchy.criteria
+            ],
+            "respondent_classes": [
+                {"label": c.label, "score_weight": c.score_weight} for c in self.classes
+            ],
+            "screening": {
+                "min_mean": self.screening.min_mean,
+                "min_full_mark_rate": self.screening.min_full_mark_rate,
+                "max_cv": self.screening.max_cv,
+                "min_gcr": self.screening.min_gcr,
+                "overrides": sorted(self.screening.overrides),
+            },
+            "judgment_matrices": {
+                node: [list(row) for row in m.raw] for node, m in self.matrices.items()
+            },
+            "membership": {
+                ind: dict(self.membership.row(ind))
+                for ind in self.membership.indicator_ids
+            },
+            "alpha": self.alpha,
+            "operator": self.operator,
+            "weights_policy": self.weights_policy,
+        }
+        if self.objective_weights is not None:
+            out["objective_weights"] = self.objective_weights.as_dict()
+        if self.decision_matrix is not None:
+            out["decision_matrix"] = {
+                "alternatives": list(self.decision_matrix.alternatives),
+                "indicators": list(self.decision_matrix.indicators),
+            }
+        return out
+
+    def with_overrides(
+        self,
+        alpha: float | None = None,
+        operator: str | None = None,
+        weights_policy: str | None = None,
+    ) -> "ProjectConfig":
+        changes = {"alpha": alpha, "operator": operator, "weights_policy": weights_policy}
+        return replace(self, **{k: v for k, v in changes.items() if v is not None})
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """Parsed JSON of a file; a missing file or invalid JSON raises a ValidationError."""
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"{what} not found: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also the int-digit limit, which JSONDecodeError misses
+        raise ValidationError(f"{what} {p}: invalid JSON: {exc}") from exc

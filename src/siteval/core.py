@@ -5,8 +5,9 @@ Everything here is immutable after construction and safe to share across threads
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,14 +21,36 @@ class ValidationError(ValueError):
     """Input data violates a structural or numeric contract."""
 
 
-def _float(value: object, label: str, key: str) -> float:
-    """float(value), or a ValidationError naming `label` and `key` (never OverflowError)."""
+@contextmanager
+def error_prefix(where: str) -> Iterator[None]:
+    """Prefix every ValidationError raised in the block with `where: `."""
     try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{label} {key!r}: not a number: {value!r}") from None
-    except OverflowError:
-        raise ValidationError(f"{label} {key!r}: number too large for a float") from None
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def parse_float(value: object, where: str, *args: object) -> float:
+    """`value` as a float, or a ValidationError at `where.format(*args)`.
+
+    A bool is not a number here, though Python counts it as an int. The
+    location is formatted only on failure, so parsing stays cheap.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+        except OverflowError:
+            raise ValidationError(f"{where.format(*args)}: number too large for a float") from None
+    raise ValidationError(f"{where.format(*args)}: not a number: {value!r}")
+
+
+def check_same_ids(a: Iterable[str], b: Iterable[str], text: str, *args: object) -> None:
+    """Raise `<text.format(*args)>: <sorted symmetric difference>` unless `a` and `b` match."""
+    a, b = set(a), set(b)
+    if a != b:
+        raise ValidationError(f"{text.format(*args)}: {sorted(a ^ b)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +164,9 @@ class WeightVector:
     weights: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        cleaned = {str(k): _float(v, "weight for", str(k)) for k, v in self.weights.items()}
+        cleaned = {
+            str(k): parse_float(v, "weight for {!r}", str(k)) for k, v in self.weights.items()
+        }
         for k, v in cleaned.items():
             if not 0.0 <= v < math.inf:  # also false for NaN
                 kind = "negative" if v < 0 else "non-finite"
@@ -190,8 +215,10 @@ class MembershipMatrix:
         cleaned: dict[str, dict[str, float]] = {}
         grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
-            label = f"membership row {str(ind)!r}, grade"
-            row_f = {str(g): _float(v, label, str(g)) for g, v in row.items()}
+            row_f = {
+                str(g): parse_float(v, "membership row {!r}, grade {!r}", str(ind), str(g))
+                for g, v in row.items()
+            }
             row_grades = tuple(row_f)
             if grades is None:
                 grades = row_grades

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SUM_TOL, ValidationError, WeightVector
+from .core import SUM_TOL, ValidationError, WeightVector, check_same_ids
 
 
 def fuse(
@@ -23,9 +23,7 @@ def fuse(
     bad = a[~((a >= 0.0) & (a <= 1.0))]  # NaN fails both comparisons
     if bad.size:
         raise ValidationError(f"alpha must be in [0, 1], got {float(bad[0])}")
-    if set(subjective.ids) != set(objective.ids):
-        diff = sorted(set(subjective.ids) ^ set(objective.ids))
-        raise ValidationError(f"weight vectors cover different ids: {diff}")
+    check_same_ids(subjective.ids, objective.ids, "weight vectors cover different ids")
     for name, vec in (("subjective", subjective), ("objective", objective)):
         if abs(vec.total() - 1.0) > SUM_TOL:
             raise ValidationError(

@@ -28,6 +28,7 @@ from .core import (
     MembershipMatrix,
     ValidationError,
     WeightVector,
+    check_same_ids,
 )
 
 WEIGHTED_AVERAGE = "weighted-average"
@@ -126,11 +127,10 @@ def first_level(
     out: dict[str, FuzzyVector] = {}
     for crit in h.criteria:
         weights = within_criterion_weights[crit.id]
-        if set(weights.ids) != set(crit.children):
-            diff = sorted(set(weights.ids) ^ set(crit.children))
-            raise ValidationError(
-                f"weights for criterion {crit.id!r} do not match its indicators: {diff}"
-            )
+        check_same_ids(
+            weights.ids, crit.children,
+            "weights for criterion {!r} do not match its indicators", crit.id,
+        )
         w = np.array([weights.values(crit.children)])
         values = compose(w, r.to_array(crit.children), operator)[0]
         out[crit.id] = FuzzyVector(dict(zip(grades, values.tolist())))
@@ -143,9 +143,9 @@ def second_level(
     operator: str = WEIGHTED_AVERAGE,
 ) -> FuzzyVector:
     """Goal-level fuzzy vector from criterion weights and level-one vectors."""
-    if set(criterion_weights.ids) != set(first):
-        diff = sorted(set(criterion_weights.ids) ^ set(first))
-        raise ValidationError(f"criterion weights do not match first-level vectors: {diff}")
+    check_same_ids(
+        criterion_weights.ids, first, "criterion weights do not match first-level vectors"
+    )
 
     crit_ids = list(criterion_weights.ids)
     grades = first[crit_ids[0]].grades

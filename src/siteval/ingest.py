@@ -10,24 +10,14 @@ error names the file it came from: `survey <path>: line N: ...` or
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import ValidationError
+from .core import ValidationError, error_prefix
 from .delphi import RespondentClass, Response, SurveyRound
 from .entropy import DecisionMatrix
 
 SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
-
-
-@contextmanager
-def _naming(what: str, path: str | Path) -> Iterator[None]:
-    """Prefix validation errors with the kind of file and its path."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{what} {path}: {exc}") from exc
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
@@ -58,7 +48,7 @@ def ingest_survey(
     Errors carry the path, the 1-based line number and the offending column
     so a bad row in a large file can be found immediately.
     """
-    with _naming("survey", path):
+    with error_prefix(f"survey {path}"):
         return _parse_survey(_read_rows(path), classes, round_index)
 
 
@@ -110,7 +100,7 @@ def _parse_survey(
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     """Parse a decision-matrix CSV into typed non-negative observations."""
-    with _naming("decision matrix", path):
+    with error_prefix(f"decision matrix {path}"):
         return _parse_decision_matrix(_read_rows(path))
 
 

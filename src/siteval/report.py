@@ -1,0 +1,284 @@
+"""Report types and their serialisers: JSON-ready dicts and Markdown.
+
+The stage results (`ScreeningSection`, `AhpSection`) and the full
+`EvaluationReport` are plain frozen records; every figure in the Markdown
+renderings also exists in the JSON. One serialiser per result is shared by
+the report and the CLI's single-stage commands, and the alpha-sweep
+serialisers read `AlphaSweep`'s columns without building rows.
+"""
+from __future__ import annotations
+
+import importlib.metadata
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+from .ahp import ConsistencyReport
+from .core import WeightVector
+from .delphi import IndicatorStats, ScreeningResult
+from .fuzzy import FuzzyVector, Verdict
+
+if TYPE_CHECKING:
+    from .pipeline import AlphaSweep
+
+try:
+    TOOL_VERSION = importlib.metadata.version("siteval")
+except importlib.metadata.PackageNotFoundError:  # running from a source tree
+    TOOL_VERSION = "0.1.0"
+
+SCHEMA_VERSION = 2
+
+
+@dataclass(frozen=True)
+class ReportWarning:
+    code: str
+    message: str
+
+
+@dataclass(frozen=True)
+class ScreeningSection:
+    stats: tuple[IndicatorStats, ...]
+    result: ScreeningResult
+
+
+@dataclass(frozen=True)
+class AhpSection:
+    """Eigenvector weights of every judgment matrix, goal first, and their synthesis."""
+
+    criterion: WeightVector  # the goal matrix's weights over the criteria
+    relative: Mapping[str, WeightVector]  # each criterion's weights over its indicators
+    indicator: WeightVector  # global subjective indicator weights
+    consistency: Mapping[str, ConsistencyReport]
+    warnings: tuple[ReportWarning, ...]
+
+
+def screening_to_json_dict(section: ScreeningSection) -> dict[str, object]:
+    out: dict[str, object] = {
+        "stats": [
+            {
+                "indicator": s.indicator,
+                "mean": s.mean,
+                "std_dev": s.std_dev,
+                "cv": s.cv,
+                "full_mark_rate": s.full_mark_rate,
+                "gcr": s.gcr,
+                "respondent_count": s.respondent_count,
+            }
+            for s in section.stats
+        ]
+    }
+    for key in ("selected", "rejected", "overridden"):
+        out[key] = [
+            {"indicator": d.indicator, "failed": list(d.failed)}
+            for d in getattr(section.result, key)
+        ]
+    return out
+
+
+def verdict_to_json_dict(grade: str, membership: float, tied: bool) -> dict[str, object]:
+    return {"grade": grade, "membership": membership, "tied": tied}
+
+
+@dataclass(frozen=True)
+class EvaluationReport:
+    """Structured output of one pipeline run."""
+
+    goal: str
+    grades: tuple[str, ...]
+    screening: ScreeningSection | None
+    consistency: Mapping[str, ConsistencyReport]
+    relative_weights: Mapping[str, WeightVector]
+    criterion_subjective: WeightVector
+    criterion_objective: WeightVector
+    criterion_comprehensive: WeightVector
+    indicator_subjective: WeightVector
+    indicator_objective: WeightVector
+    indicator_comprehensive: WeightVector
+    first_level: Mapping[str, FuzzyVector]
+    second_level: FuzzyVector
+    verdict: Verdict
+    warnings: tuple[ReportWarning, ...]
+    alpha: float
+    operator: str
+    weights_policy: str
+    config_sha256: str
+
+    def to_json_dict(self) -> dict[str, object]:
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "goal": self.goal,
+            "grades": list(self.grades),
+            "screening": (
+                None if self.screening is None else screening_to_json_dict(self.screening)
+            ),
+            "consistency": {node: asdict(rep) for node, rep in self.consistency.items()},
+            "weights": {
+                "criterion": {
+                    "subjective": self.criterion_subjective.as_dict(),
+                    "objective": self.criterion_objective.as_dict(),
+                    "comprehensive": self.criterion_comprehensive.as_dict(),
+                },
+                "indicator": {
+                    "relative": {
+                        crit: wv.as_dict() for crit, wv in self.relative_weights.items()
+                    },
+                    "subjective": self.indicator_subjective.as_dict(),
+                    "objective": self.indicator_objective.as_dict(),
+                    "comprehensive": self.indicator_comprehensive.as_dict(),
+                },
+            },
+            "first_level": {crit: fv.as_dict() for crit, fv in self.first_level.items()},
+            "second_level": self.second_level.as_dict(),
+            "verdict": verdict_to_json_dict(
+                self.verdict.grade, self.verdict.membership, self.verdict.tied
+            ),
+            "warnings": [{"code": w.code, "message": w.message} for w in self.warnings],
+            "provenance": {
+                "tool_version": TOOL_VERSION,
+                "config_sha256": self.config_sha256,
+                "alpha": self.alpha,
+                "operator": self.operator,
+                "weights_policy": self.weights_policy,
+            },
+        }
+
+
+def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
+    grades = sweep.grades
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "rows": [
+            {
+                "alpha": alpha,
+                "second_level": dict(zip(grades, values)),
+                "verdict": verdict_to_json_dict(grade, membership, tied),
+            }
+            for alpha, values, grade, membership, tied in zip(
+                sweep.alphas.tolist(),
+                sweep.second_level.tolist(),
+                sweep.verdict_grade.tolist(),
+                sweep.verdict_membership.tolist(),
+                sweep.verdict_tied.tolist(),
+            )
+        ],
+    }
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (int, float)):
+        return f"{value:.4f}" if isinstance(value, float) else str(value)
+    if value is None:
+        return "-"
+    return str(value)
+
+
+def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
+    """Markdown table lines; floats get 4 decimals and bools read yes/no."""
+    lines = ["| " + " | ".join(headers) + " |"]
+    lines.append("|" + "|".join("---" for _ in headers) + "|")
+    for row in rows:
+        lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
+    return lines
+
+
+def screening_table(section: ScreeningSection) -> list[str]:
+    """Markdown table lines: one row per indicator with its statistics and decision."""
+    decisions = section.result.selected + section.result.rejected + section.result.overridden
+    status_of = {d.indicator: (d.status, d.failed) for d in decisions}
+    return md_table(
+        ["Indicator", "Mean", "Std dev", "CV", "Full-mark rate", "GCR", "Count", "Status", "Failed"],
+        [
+            [
+                s.indicator,
+                s.mean,
+                s.std_dev,
+                s.cv,
+                s.full_mark_rate,
+                s.gcr,
+                s.respondent_count,
+                status_of[s.indicator][0],
+                ", ".join(status_of[s.indicator][1]) or "-",
+            ]
+            for s in section.stats
+        ],
+    )
+
+
+def render_markdown(report: EvaluationReport) -> str:
+    """Markdown projection of the report: every figure also exists in the JSON."""
+    grades = list(report.grades)
+    sections = {
+        "Verdict": md_table(
+            ["Grade", "Membership", "Tied"],
+            [[report.verdict.grade, report.verdict.membership, report.verdict.tied]],
+        ),
+        "Run parameters": md_table(
+            ["Alpha", "Operator", "Weights policy"],
+            [[report.alpha, report.operator, report.weights_policy]],
+        ),
+        "Consistency": md_table(
+            ["Node", "lambda_max", "CI", "RI", "CR", "CR < 0.1"],
+            [
+                [node, rep.lambda_max, rep.ci, rep.ri, rep.cr, rep.consistent]
+                for node, rep in report.consistency.items()
+            ],
+        ),
+        "Criterion weights": md_table(
+            ["Criterion", "Subjective", "Objective", "Comprehensive"],
+            [
+                [
+                    cid,
+                    report.criterion_subjective[cid],
+                    report.criterion_objective[cid],
+                    report.criterion_comprehensive[cid],
+                ]
+                for cid in report.criterion_subjective.ids
+            ],
+        ),
+        "Indicator weights": md_table(
+            ["Indicator", "Criterion", "Relative", "Subjective", "Objective", "Comprehensive"],
+            [
+                [
+                    ind,
+                    crit_id,
+                    rel[ind],
+                    report.indicator_subjective[ind],
+                    report.indicator_objective[ind],
+                    report.indicator_comprehensive[ind],
+                ]
+                for crit_id, rel in report.relative_weights.items()
+                for ind in rel.ids
+            ],
+        ),
+        "First-level evaluation": md_table(
+            ["Criterion"] + grades,
+            [[cid] + [vec[g] for g in grades] for cid, vec in report.first_level.items()],
+        ),
+        "Second-level evaluation": md_table(grades, [[report.second_level[g] for g in grades]]),
+    }
+    if report.screening is not None:
+        sections["Screening"] = screening_table(report.screening)
+    sections["Warnings"] = [f"- {w.code}: {w.message}" for w in report.warnings] or ["None."]
+    lines = [f"# Evaluation report: {report.goal}", ""]
+    for title, body in sections.items():
+        lines += [f"## {title}", *body, ""]
+    return "\n".join(lines)
+
+
+def render_sweep_markdown(sweep: AlphaSweep) -> str:
+    lines = ["# Alpha sweep", ""]
+    lines += md_table(
+        ["Alpha", *sweep.grades, "Verdict", "Membership"],
+        [
+            [alpha, *values, grade, membership]
+            for alpha, values, grade, membership in zip(
+                sweep.alphas.tolist(),
+                sweep.second_level.tolist(),
+                sweep.verdict_grade.tolist(),
+                sweep.verdict_membership.tolist(),
+            )
+        ],
+    )
+    lines.append("")
+    return "\n".join(lines)

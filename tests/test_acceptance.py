@@ -30,7 +30,7 @@ from siteval import (
     verdict,
 )
 from siteval.entropy import DecisionMatrix, entropy_weights
-from siteval.pipeline import sweep_to_json_dict
+from siteval.report import sweep_to_json_dict
 
 
 @contextmanager

@@ -131,6 +131,20 @@ class TestEvaluate:
                 huge_decision_cell,
                 "config: decision matrix (S2, C1): number too large for a float",
             ),
+            # JSON true is a bool, not the number 1.
+            (lambda d: d.update(alpha=True), "config: alpha: not a number: True"),
+            (
+                lambda d: d["membership"]["C1"].update(Good=True),
+                "config: membership.C1.Good: not a number: True",
+            ),
+            (
+                lambda d: d["screening"].update(min_mean=True),
+                "config: screening.min_mean: not a number: True",
+            ),
+            (
+                lambda d: d["objective_weights"].update(C1=True),
+                "config: objective_weights.C1: not a number: True",
+            ),
         ]
         for corrupt, message in cases:
             data = json.loads((fixture_dir / "campus_bikeshare.json").read_text())

@@ -211,3 +211,5 @@ class TestFloatConversion:
             build("x")
         with pytest.raises(ValidationError, match=message + "not a number: None"):
             build(None)
+        with pytest.raises(ValidationError, match=message + "not a number: True"):
+            build(True)

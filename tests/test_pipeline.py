@@ -20,7 +20,7 @@ from siteval import (
     run_pipeline,
     sweep_alpha,
 )
-from siteval.pipeline import render_markdown, sweep_to_json_dict
+from siteval.report import render_markdown, sweep_to_json_dict
 
 
 def _variant(config_dict, **edits):
@@ -273,6 +273,10 @@ class TestMalformedConfig:
             (
                 lambda d: d["judgment_matrices"].update(goal=5),
                 "judgment_matrices.goal: expected a list",
+            ),
+            (
+                lambda d: d["judgment_matrices"]["goal"].pop(),
+                "matrix 'goal': not square of order 4",
             ),
             (lambda d: d.update(alpha="half"), "alpha: not a number: 'half'"),
             (lambda d: d.update(screening=[]), "screening: expected an object, got list"),
