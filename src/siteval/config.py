@@ -396,11 +396,21 @@ class ProjectConfig:
 
 
 def read_json(path: str | Path, what: str) -> Any:
-    """Parsed JSON of a file; a missing file or invalid JSON raises a ValidationError."""
+    """Parsed JSON of a file; a missing, unreadable or invalid file raises a ValidationError."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"{what} not found: {p}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also the int-digit limit, which JSONDecodeError misses
+    except OSError as exc:
+        raise ValidationError(f"{what} {p}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:  # also bad UTF-8 and the int-digit limit
         raise ValidationError(f"{what} {p}: invalid JSON: {exc}") from exc
+
+
+def read_weight_file(path: str | Path) -> WeightVector:
+    """A JSON file holding one object of id -> weight."""
+    data = as_object(read_json(path, "weight file"), "weight file {}", path)
+    return WeightVector(
+        {str(k): parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
+    )

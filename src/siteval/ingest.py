@@ -5,7 +5,8 @@ Survey files carry one response per line with the header
 optional. Decision matrices carry one alternative per line with `alternative`
 as the first header field and indicator ids as the remaining ones. Every
 error names the file it came from: `survey <path>: line N: ...` or
-`decision matrix <path>: line N: ...`.
+`decision matrix <path>: line N: ...`, where N is the file line the record
+starts on.
 """
 from __future__ import annotations
 
@@ -20,12 +21,25 @@ from .entropy import DecisionMatrix
 SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """Every non-blank CSV record with the file line it starts on (a quoted cell
+    may span lines)."""
     p = Path(path)
     if not p.exists():
         raise ValidationError("file not found")
-    with p.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh)]
+    rows = []
+    try:
+        with p.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            start = 1
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append((start, row))
+                start = reader.line_num + 1
+    except OSError as exc:
+        raise ValidationError(f"cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text: {exc.reason}") from exc
     if not rows:
         raise ValidationError("empty file")
     return rows
@@ -53,20 +67,18 @@ def ingest_survey(
 
 
 def _parse_survey(
-    rows: list[list[str]], classes: Sequence[RespondentClass], round_index: int
+    rows: list[tuple[int, list[str]]], classes: Sequence[RespondentClass], round_index: int
 ) -> SurveyRound:
-    header = [h.strip().lower() for h in rows[0]]
+    header = [h.strip().lower() for h in rows[0][1]]
     if tuple(header) not in (SURVEY_HEADER, SURVEY_HEADER[:4]):
         raise ValidationError(
-            f"line 1: expected header {','.join(SURVEY_HEADER)} (confidence optional), "
+            f"line {rows[0][0]}: expected header {','.join(SURVEY_HEADER)} (confidence optional), "
             f"got {','.join(header)}"
         )
     known = {c.label for c in classes}
 
     responses: list[Response] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line_no, row in rows[1:]:
         if len(row) not in (4, 5):
             raise ValidationError(
                 f"line {line_no}: expected 4 or 5 columns, got {len(row)}"
@@ -104,19 +116,18 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
         return _parse_decision_matrix(_read_rows(path))
 
 
-def _parse_decision_matrix(rows: list[list[str]]) -> DecisionMatrix:
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0].lower() != "alternative" or len(header) < 2:
+def _parse_decision_matrix(rows: list[tuple[int, list[str]]]) -> DecisionMatrix:
+    header = [h.strip() for h in rows[0][1]]
+    if header[0].lower() != "alternative" or len(header) < 2:
         raise ValidationError(
-            "line 1: expected header starting with 'alternative' followed by indicator ids"
+            f"line {rows[0][0]}: expected header starting with 'alternative' "
+            "followed by indicator ids"
         )
     indicators = tuple(header[1:])
 
     alternatives: list[str] = []
     values: list[tuple[float, ...]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line_no, row in rows[1:]:
         if len(row) != len(header):
             raise ValidationError(
                 f"line {line_no}: expected {len(header)} columns, got {len(row)}"

@@ -2,9 +2,10 @@
 
 The stage results (`ScreeningSection`, `AhpSection`) and the full
 `EvaluationReport` are plain frozen records; every figure in the Markdown
-renderings also exists in the JSON. One serialiser per result is shared by
-the report and the CLI's single-stage commands, and the alpha-sweep
-serialisers read `AlphaSweep`'s columns without building rows.
+renderings also exists in the JSON. Every serialiser and renderer lives
+here, one per result, shared by the report and the CLI's single-stage
+commands; the alpha-sweep serialisers read `AlphaSweep`'s columns without
+building rows.
 """
 from __future__ import annotations
 
@@ -72,6 +73,16 @@ def screening_to_json_dict(section: ScreeningSection) -> dict[str, object]:
             for d in getattr(section.result, key)
         ]
     return out
+
+
+def ahp_to_json_dict(ahp: AhpSection) -> dict[str, object]:
+    return {
+        "nodes": {
+            node: {"weights": w.as_dict(), "consistency": asdict(ahp.consistency[node])}
+            for node, w in {"goal": ahp.criterion, **ahp.relative}.items()
+        },
+        "global_subjective": ahp.indicator.as_dict(),
+    }
 
 
 def verdict_to_json_dict(grade: str, membership: float, tied: bool) -> dict[str, object]:
@@ -182,6 +193,16 @@ def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> list[s
     return lines
 
 
+def markdown_page(title: str, body: Sequence[str]) -> str:
+    """A Markdown document: the `# title` heading, a blank line, then `body`."""
+    return "\n".join([f"# {title}", "", *body])
+
+
+def weights_table(weights: WeightVector) -> list[str]:
+    """Markdown table lines: one row per id with its weight."""
+    return md_table(["Id", "Weight"], [[k, weights[k]] for k in weights.ids])
+
+
 def screening_table(section: ScreeningSection) -> list[str]:
     """Markdown table lines: one row per indicator with its statistics and decision."""
     decisions = section.result.selected + section.result.rejected + section.result.overridden
@@ -266,9 +287,25 @@ def render_markdown(report: EvaluationReport) -> str:
     return "\n".join(lines)
 
 
+def render_ahp_markdown(ahp: AhpSection) -> str:
+    """Each matrix's weights and consistency figures, goal first, then the global weights."""
+    lines = []
+    for node, w in {"goal": ahp.criterion, **ahp.relative}.items():
+        rep = ahp.consistency[node]
+        lines += [
+            f"## {node}",
+            *weights_table(w),
+            "",
+            f"lambda_max {rep.lambda_max:.4f}, CI {rep.ci:.4f}, "
+            f"RI {rep.ri:.4f}, CR {rep.cr:.4f}",
+            "",
+        ]
+    lines += ["## Global indicator weights", *weights_table(ahp.indicator)]
+    return markdown_page("Subjective weights", lines)
+
+
 def render_sweep_markdown(sweep: AlphaSweep) -> str:
-    lines = ["# Alpha sweep", ""]
-    lines += md_table(
+    table = md_table(
         ["Alpha", *sweep.grades, "Verdict", "Membership"],
         [
             [alpha, *values, grade, membership]
@@ -280,5 +317,4 @@ def render_sweep_markdown(sweep: AlphaSweep) -> str:
             )
         ],
     )
-    lines.append("")
-    return "\n".join(lines)
+    return markdown_page("Alpha sweep", [*table, ""])

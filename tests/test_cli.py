@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from siteval import ProjectConfig, run_pipeline
+from siteval import ProjectConfig, emit_report, load_config, run_pipeline
 from siteval.cli import main
 
 
@@ -51,6 +51,12 @@ class TestEvaluate:
         payload = json.loads(out)
         weights = payload["weights"]["indicator"]
         assert weights["comprehensive"] == pytest.approx(weights["subjective"])
+
+    def test_json_is_emit_report_plus_newline(self, capsys, fixture_dir):
+        config = fixture_dir / "campus_bikeshare.json"
+        code, out, _ = _run(capsys, ["evaluate", "--config", str(config)])
+        assert code == 0
+        assert out == emit_report(run_pipeline(load_config(config)), "json") + "\n"
 
     def test_survey_flag_adds_screening(self, capsys, fixture_dir):
         code, out, _ = _run(
@@ -438,6 +444,16 @@ class TestSweepCommand:
         assert payload["rows"][0]["alpha"] == 0.0
         assert payload["rows"][-1]["alpha"] == 1.0
 
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_grid_exits_one(self, capsys, fixture_dir, grid):
+        code, out, err = _run(
+            capsys,
+            ["sweep-alpha", "--config", str(fixture_dir / "campus_bikeshare.json"), "--grid", grid],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: sweep grid is empty\n"
+
     def test_markdown_table(self, capsys, fixture_dir):
         code, out, _ = _run(
             capsys,
@@ -455,16 +471,39 @@ class TestSweepCommand:
         assert "| Alpha |" in out
 
 
-def _drop_column(markdown, index):
-    """The Markdown text with column `index` removed from every table line."""
-    lines = []
-    for line in markdown.split("\n"):
-        if line.startswith("|"):
-            cells = line.split("|")
-            del cells[index + 1]
-            line = "|".join(cells)
-        lines.append(line)
-    return "\n".join(lines)
+class TestFileErrors:
+    """A file that cannot be read or written is an `error:` line and exit 1, not a traceback."""
+
+    def _assert_names(self, capsys, argv, path, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"{path}: {message}" in err
+
+    def test_config_is_a_directory(self, capsys, tmp_path):
+        argv = ["evaluate", "--config", str(tmp_path)]
+        self._assert_names(capsys, argv, f"config file {tmp_path}", "cannot read")
+
+    def test_matrix_is_a_directory(self, capsys, tmp_path):
+        argv = ["entropy", "--matrix", str(tmp_path)]
+        self._assert_names(capsys, argv, f"decision matrix {tmp_path}", "cannot read")
+
+    def test_csv_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"alternative,X1\nS1,\xff\n")
+        argv = ["entropy", "--matrix", str(path)]
+        self._assert_names(capsys, argv, f"decision matrix {path}", "not UTF-8 text")
+
+    def test_output_in_missing_directory(self, capsys, fixture_dir, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        config = str(fixture_dir / "campus_bikeshare.json")
+        argv = ["evaluate", "--config", config, "--output", str(target)]
+        self._assert_names(capsys, argv, f"output file {target}", "cannot write")
+
+
+CONFIG = ["--config", "campus_bikeshare.json"]
+WEIGHT_FILES = ["--subjective", "weights_subjective.json", "--objective", "weights_objective.json"]
 
 
 class TestGoldenOutputs:
@@ -473,30 +512,20 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "argv, golden",
         [
-            (["ahp"], "ahp"),
-            (["sweep-alpha", "--step", "0.05"], "sweep_alpha"),
-            (["screen", "--survey", "survey_round2.csv"], "screen"),
+            (["ahp", *CONFIG], "ahp"),
+            (["sweep-alpha", *CONFIG, "--step", "0.05"], "sweep_alpha"),
+            (["screen", *CONFIG, "--survey", "survey_round2.csv"], "screen"),
             (
-                ["screen", "--survey", "survey_round2.csv", "--override", "C2,C3"],
+                ["screen", *CONFIG, "--survey", "survey_round2.csv", "--override", "C2,C3"],
                 "screen_override",
             ),
+            (["entropy", "--matrix", "decision_small.csv"], "entropy"),
+            (["fuse", *WEIGHT_FILES, "--alpha", "0.3"], "fuse"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "md"])
     def test_matches_golden(self, capsys, fixture_dir, argv, golden, fmt):
-        argv = [str(fixture_dir / a) if a.endswith(".csv") else a for a in argv]
-        code, out, _ = _run(
-            capsys,
-            argv + ["--config", str(fixture_dir / "campus_bikeshare.json"), "--format", fmt],
-        )
+        argv = [str(fixture_dir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
         assert code == 0
-        expected = (fixture_dir / "golden" / f"{golden}.{fmt}").read_text(encoding="utf-8")
-        if golden.startswith("screen") and fmt == "md":
-            # The table gained the report's Count column; nothing else changed.
-            count_column = 6
-            stats = json.loads((fixture_dir / "golden" / f"{golden}.json").read_text())["stats"]
-            rows = [line.split(" | ") for line in out.split("\n") if line.startswith("| C")]
-            assert "| GCR | Count | Status |" in out
-            assert [r[count_column] for r in rows] == [str(s["respondent_count"]) for s in stats]
-            out = _drop_column(out, count_column)
-        assert out == expected
+        assert out == (fixture_dir / "golden" / f"{golden}.{fmt}").read_text(encoding="utf-8")

@@ -81,6 +81,13 @@ class TestIngestSurvey:
         with pytest.raises(ValidationError, match=f"^survey {re.escape(str(missing))}: file not found$"):
             ingest_survey(missing, CLASSES)
 
+    def test_line_numbers_count_file_lines(self, tmp_path):
+        # The second record's quoted respondent id spans file lines 2 and 3.
+        path = _write(tmp_path, 'C3,"r07\nlate",expert,4,5\nC3,r08,alien,4,5\n')
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(path, CLASSES)
+        assert str(info.value) == f"survey {path}: line 4: unknown class label 'alien'"
+
     def test_fixture_round_parses(self, fixture_dir):
         survey = ingest_survey(fixture_dir / "survey_round2.csv", CLASSES)
         assert len(survey.responses) == 30
@@ -119,6 +126,13 @@ class TestReadDecisionMatrix:
         with pytest.raises(ValidationError) as info:
             read_decision_matrix(p)
         assert str(info.value) == f"decision matrix {p}: line 2, column 'X1': not a number: 'abc'"
+
+    def test_line_numbers_count_file_lines(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text('alternative,X1\nA,1\n"B\nb",2\nC,x\n')
+        with pytest.raises(ValidationError) as info:
+            read_decision_matrix(p)
+        assert str(info.value) == f"decision matrix {p}: line 5, column 'X1': not a number: 'x'"
 
     def test_header_must_start_with_alternative(self, tmp_path):
         p = tmp_path / "m.csv"
