@@ -40,9 +40,8 @@ from .fusion import fuse
 from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import AlphaSweep, SweepRow, emit_report, load_config, run_pipeline, sweep_alpha
+from .report import TOOL_VERSION as __version__
 from .report import EvaluationReport, ReportWarning
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AlphaSweep",

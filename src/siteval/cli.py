@@ -4,13 +4,14 @@ Subcommands cover the individual stages (screen, ahp, entropy, fuse) and the
 orchestrated runs (evaluate, sweep-alpha). Each command returns a JSON payload
 and a Markdown renderer built by `report`; `main` stamps `schema_version`,
 picks the format and writes to stdout or `--output`. Exit codes: 0 on
-success, 1 when input data fails validation or a file cannot be read or
-written, 2 on usage errors.
+success, 1 when input data fails validation, a file cannot be read or
+written, or the reader closes stdout early (silently), 2 on usage errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -212,7 +213,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"output file {args.output}: cannot write: {exc.strerror}"
                 ) from exc
         else:
-            print(text)
+            try:
+                print(text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader closed stdout early. Point it at devnull so the
+                # interpreter's flush at exit does not raise again.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,8 @@ class DecisionMatrix:
     """Non-negative finite observations: rows are alternatives, columns are indicators.
 
     `values` is stored as one read-only float64 array of shape
-    (alternatives, indicators); any nested sequence of numbers is accepted.
+    (alternatives, indicators); any nested sequence of numbers is accepted,
+    but not bools.
     """
 
     alternatives: tuple[str, ...]
@@ -47,6 +48,14 @@ class DecisionMatrix:
             v = vals[i, j]
             kind = "negative value" if np.isfinite(v) else "non-finite value"
             raise ValidationError(f"decision matrix ({alts[i]}, {inds[j]}): {kind} {v}")
+        # float64 reads True and False as 1.0 and 0.0, so only those cells can be bools.
+        for k in np.flatnonzero((vals == 0.0) | (vals == 1.0)).tolist():
+            i, j = divmod(k, len(inds))
+            cell = self.values[i][j]
+            if isinstance(cell, (bool, np.bool_)):
+                raise ValidationError(
+                    f"decision matrix ({alts[i]}, {inds[j]}): not a number: {cell!r}"
+                )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -92,10 +101,13 @@ def _conversion_error(
 def column_shares(m: DecisionMatrix) -> np.ndarray:
     """Per-column shares p_ij = x_ij / column sum. Columns sum to 1."""
     x = m.values
-    sums = x.sum(axis=0)
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, reported below
+        sums = x.sum(axis=0)
     for ind, s in zip(m.indicators, sums):
         if s <= 0:
             raise ValidationError(f"degenerate indicator column {ind!r}: sum is zero")
+        if s == np.inf:
+            raise ValidationError(f"indicator column {ind!r}: sum too large for a float")
     return x / sums
 
 

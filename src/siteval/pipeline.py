@@ -1,15 +1,17 @@
 """The evaluation stages and the four entry points that chain them.
 
-`load_config` reads a project config (see `config`). `run_pipeline` runs the
-stages on it: optional survey screening (`screen_stage`), eigenvector weights
-with consistency checks (`ahp_stage`), entropy or adopted objective weights,
-convex fusion, two-level fuzzy composition and the max-membership verdict.
-`sweep_alpha` runs the alpha-independent stages once, evaluates the
-alpha-dependent tail and the verdict once over its whole grid, and keeps the
-result columnar (`AlphaSweep`). `emit_report` renders a report (see `report`).
-Every stage prefixes its errors with its name (`ahp: ...`). Runs are pure
-functions of their inputs, so identical configs produce identical reports, and
-a sweep row equals the report at the same alpha bit for bit.
+`load_config` reads a project config (see `config`). One private pass runs
+every stage once, in order: the membership checks, optional survey screening
+(`screen_stage`), eigenvector weights with consistency checks (`ahp_stage`),
+entropy or adopted objective weights, then convex fusion and two-level fuzzy
+composition batched over a 1-D array of alphas. `run_pipeline` runs it at the
+config's alpha and adds the max-membership verdict; `sweep_alpha` runs it over
+a whole grid, takes the verdicts in one batch and keeps the result columnar
+(`AlphaSweep`; `report.sweep_rows` reads its rows). `emit_report` renders a
+report (see `report`). Every stage prefixes its errors with its name
+(`ahp: ...`). Runs are pure functions of their inputs, so identical configs
+produce identical reports, and a sweep row equals the report at the same alpha
+bit for bit.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .report import (
     ReportWarning,
     ScreeningSection,
     render_markdown,
+    sweep_rows,
 )
 
 # Membership rows may drift from sum 1 by this much before the run aborts;
@@ -156,15 +159,7 @@ class AlphaSweep:
         )
 
     def __iter__(self) -> Iterator[SweepRow]:
-        # Whole columns to lists first: per-row `item` calls are slower.
-        for row in zip(
-            self.alphas.tolist(),
-            self.second_level.tolist(),
-            self.verdict_grade.tolist(),
-            self.verdict_membership.tolist(),
-            self.verdict_tied.tolist(),
-        ):
-            yield self._row(*row)
+        return (self._row(*row) for row in sweep_rows(self))
 
     def _row(
         self, alpha: float, values: list[float], grade: str, membership: float, tied: bool
@@ -176,36 +171,27 @@ class AlphaSweep:
         )
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Alpha-independent stage outputs, computed once per config."""
+class _Run(NamedTuple):
+    """Every stage's output for one config over a 1-D array of A alphas, in hierarchy order."""
 
-    warnings: tuple[ReportWarning, ...]
+    warnings: list[ReportWarning]
     screening: ScreeningSection | None
     ahp: AhpSection
     criterion_objective: WeightVector
     indicator_objective: WeightVector
-    # Criterion c's j-th indicator sits in slot (c, j); slots past a criterion's
-    # last indicator are unused and hold zero weight and zero membership.
-    slots: np.ndarray  # (C, n) bool: slot holds an indicator
-    relative_slots: np.ndarray  # (C, n) within-criterion subjective weights
-    membership: np.ndarray  # (C, n, G) membership rows, grades in membership order
-
-
-class _Tail(NamedTuple):
-    """Alpha-dependent stage outputs over a grid of A alphas, in hierarchy order."""
-
     criterion: np.ndarray  # (A, C) comprehensive criterion weights
     indicator: np.ndarray  # (A, I) comprehensive indicator weights
     first: np.ndarray  # (A, C, G) first-level vectors; (1, C, G) if they ignore alpha
     second: np.ndarray  # (A, G) second-level vectors
 
 
-def _prepare(
+def _evaluate(
     cfg: ProjectConfig,
     survey: SurveyRound | None,
     allow_inconsistent: bool,
-) -> _Prepared:
+    alphas: np.ndarray,
+) -> _Run:
+    """Every stage once, in order; fusion and both fuzzy levels batched over `alphas`."""
     warnings: list[ReportWarning] = []
 
     with error_prefix("config"):
@@ -222,9 +208,11 @@ def _prepare(
                     f"membership row {ind!r} sums to {total:.4f}, expected 1",
                 )
             )
+        # Criterion c's j-th indicator sits in slot (c, j); slots past a criterion's
+        # last indicator are unused and hold zero weight and zero membership.
         sizes = [len(c.children) for c in cfg.hierarchy.criteria]
-        slots = np.arange(max(sizes)) < np.array(sizes)[:, None]
-        membership = np.zeros(slots.shape + (len(cfg.membership.grades),))
+        slots = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (C, n)
+        membership = np.zeros(slots.shape + (len(cfg.membership.grades),))  # (C, n, G)
         membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
 
     screening = None
@@ -243,10 +231,6 @@ def _prepare(
 
     ahp = ahp_stage(cfg, allow_inconsistent)
     warnings += ahp.warnings
-    relative_slots = np.zeros(slots.shape)
-    relative_slots[slots] = [
-        w for c in cfg.hierarchy.criteria for w in ahp.relative[c.id].values(c.children)
-    ]
 
     with error_prefix("entropy"):
         dm = cfg.decision_matrix
@@ -261,42 +245,34 @@ def _prepare(
             }
         )
 
-    return _Prepared(
-        warnings=tuple(warnings),
-        screening=screening,
-        ahp=ahp,
-        criterion_objective=criterion_objective,
-        indicator_objective=indicator_objective,
-        slots=slots,
-        relative_slots=relative_slots,
-        membership=membership,
-    )
-
-
-def _evaluate_tail(cfg: ProjectConfig, prep: _Prepared, alphas: np.ndarray) -> _Tail:
-    """Fusion and both fuzzy levels at every alpha of a 1-D array, in one pass."""
     with error_prefix("fuse"):
-        criterion = fuse(prep.ahp.criterion, prep.criterion_objective, alphas)
-        indicator = fuse(prep.ahp.indicator, prep.indicator_objective, alphas)
+        criterion = fuse(ahp.criterion, criterion_objective, alphas)
+        indicator = fuse(ahp.indicator, indicator_objective, alphas)
 
     with error_prefix("fuzzy"):
         if cfg.weights_policy == POLICY_FUSED_BOTH:
-            w = np.zeros((len(alphas),) + prep.slots.shape)
-            w[:, prep.slots] = indicator
+            w = np.zeros((len(alphas),) + slots.shape)
+            w[:, slots] = indicator
             total = 0.0
             for j in range(w.shape[-1]):
                 total = total + w[..., j]
             if np.any(total <= 0):
                 raise ValidationError("degenerate weight vector: all entries zero")
             w /= total[..., None]
-        else:
-            w = prep.relative_slots[None]  # the paper policy's level-one weights ignore alpha
+        else:  # the paper's level-one weights are the relative ones, which ignore alpha
+            w = np.zeros((1,) + slots.shape)
+            w[0, slots] = [
+                x for c in cfg.hierarchy.criteria for x in ahp.relative[c.id].values(c.children)
+            ]
         # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
         # max over non-negative values, so every composed value stays bit-exact.
-        first = compose(w, prep.membership, cfg.operator)
+        first = compose(w, membership, cfg.operator)
         second = compose(criterion, first, cfg.operator)
 
-    return _Tail(criterion=criterion, indicator=indicator, first=first, second=second)
+    return _Run(
+        warnings, screening, ahp, criterion_objective, indicator_objective,
+        criterion, indicator, first, second,
+    )
 
 
 def run_pipeline(
@@ -305,21 +281,19 @@ def run_pipeline(
     allow_inconsistent: bool = False,
 ) -> EvaluationReport:
     """Run every stage on one config and collect the full report."""
-    prep = _prepare(cfg, survey, allow_inconsistent)
-    tail = _evaluate_tail(cfg, prep, np.array([cfg.alpha], dtype=np.float64))
+    run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     grades = cfg.membership.grades
-    warnings = list(prep.warnings)
     with error_prefix("fuzzy"):
         first = {
             c.id: FuzzyVector(dict(zip(grades, vec.tolist())))
-            for c, vec in zip(cfg.hierarchy.criteria, tail.first[0])
+            for c, vec in zip(cfg.hierarchy.criteria, run.first[0])
         }
-        second = FuzzyVector(dict(zip(grades, tail.second[0].tolist())))
+        second = FuzzyVector(dict(zip(grades, run.second[0].tolist())))
         if cfg.operator == WEIGHTED_AVERAGE:
             named = [(f"first-level vector for {c!r}", vec) for c, vec in first.items()]
             for what, vec in named + [("second-level vector", second)]:
                 if abs(vec.total() - 1.0) > VECTOR_SUM_WARN_TOL:
-                    warnings.append(
+                    run.warnings.append(
                         ReportWarning(
                             "fuzzy-vector-sum", f"{what} sums to {vec.total():.4f}, expected 1"
                         )
@@ -328,23 +302,23 @@ def run_pipeline(
     return EvaluationReport(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
-        screening=prep.screening,
-        consistency=prep.ahp.consistency,
-        relative_weights=prep.ahp.relative,
-        criterion_subjective=prep.ahp.criterion,
-        criterion_objective=prep.criterion_objective,
+        screening=run.screening,
+        consistency=run.ahp.consistency,
+        relative_weights=run.ahp.relative,
+        criterion_subjective=run.ahp.criterion,
+        criterion_objective=run.criterion_objective,
         criterion_comprehensive=WeightVector(
-            dict(zip(prep.ahp.criterion.ids, tail.criterion[0].tolist()))
+            dict(zip(run.ahp.criterion.ids, run.criterion[0].tolist()))
         ),
-        indicator_subjective=prep.ahp.indicator,
-        indicator_objective=prep.indicator_objective,
+        indicator_subjective=run.ahp.indicator,
+        indicator_objective=run.indicator_objective,
         indicator_comprehensive=WeightVector(
-            dict(zip(prep.ahp.indicator.ids, tail.indicator[0].tolist()))
+            dict(zip(run.ahp.indicator.ids, run.indicator[0].tolist()))
         ),
         first_level=first,
         second_level=second,
         verdict=final,
-        warnings=tuple(warnings),
+        warnings=tuple(run.warnings),
         alpha=cfg.alpha,
         operator=cfg.operator,
         weights_policy=cfg.weights_policy,
@@ -358,12 +332,11 @@ def sweep_alpha(
     survey: SurveyRound | None = None,
     allow_inconsistent: bool = False,
 ) -> AlphaSweep:
-    """Evaluate the alpha-dependent tail over the whole grid, sorted by alpha.
+    """Second-level vectors and verdicts over the whole grid, sorted by alpha.
 
-    Screening, the eigenvector weights and the objective weights are computed
-    once; the tail and the verdict run once, batched over the grid. Each row's
-    second-level vector and verdict equal those of `run_pipeline` at that alpha
-    exactly.
+    Every stage runs once, with fusion, both fuzzy levels and the verdict
+    batched over the grid. Each row's second-level vector and verdict equal
+    those of `run_pipeline` at that alpha exactly.
     """
     alphas = sorted(grid)
     if not alphas:
@@ -371,9 +344,8 @@ def sweep_alpha(
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValidationError(f"sweep grid value out of [0, 1]: {a}")
-    prep = _prepare(cfg, survey, allow_inconsistent)
     alphas_arr = np.array(alphas, dtype=np.float64)
-    second_level = _evaluate_tail(cfg, prep, alphas_arr).second
+    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas_arr).second
     return AlphaSweep(cfg.membership.grades, alphas_arr, second_level, cfg.scale)
 
 

@@ -4,14 +4,13 @@ The stage results (`ScreeningSection`, `AhpSection`) and the full
 `EvaluationReport` are plain frozen records; every figure in the Markdown
 renderings also exists in the JSON. Every serialiser and renderer lives
 here, one per result, shared by the report and the CLI's single-stage
-commands; the alpha-sweep serialisers read `AlphaSweep`'s columns without
-building rows.
+commands. `sweep_rows` is the one reader of `AlphaSweep`'s columns: it
+yields plain tuples, so the sweep serialisers build no row objects.
 """
 from __future__ import annotations
 
-import importlib.metadata
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .ahp import ConsistencyReport
 from .core import WeightVector
@@ -21,10 +20,7 @@ from .fuzzy import FuzzyVector, Verdict
 if TYPE_CHECKING:
     from .pipeline import AlphaSweep
 
-try:
-    TOOL_VERSION = importlib.metadata.version("siteval")
-except importlib.metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # also `siteval.__version__`; equals pyproject.toml's version
 
 SCHEMA_VERSION = 2
 
@@ -153,23 +149,28 @@ class EvaluationReport:
         }
 
 
+def sweep_rows(sweep: AlphaSweep) -> Iterator[tuple[float, list[float], str, float, bool]]:
+    """Each row as (alpha, second-level values in grade order, grade, membership, tied)."""
+    # Whole columns to lists first: per-row `item` calls are slower.
+    return zip(
+        sweep.alphas.tolist(),
+        sweep.second_level.tolist(),
+        sweep.verdict_grade.tolist(),
+        sweep.verdict_membership.tolist(),
+        sweep.verdict_tied.tolist(),
+    )
+
+
 def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
-    grades = sweep.grades
     return {
         "schema_version": SCHEMA_VERSION,
         "rows": [
             {
                 "alpha": alpha,
-                "second_level": dict(zip(grades, values)),
+                "second_level": dict(zip(sweep.grades, values)),
                 "verdict": verdict_to_json_dict(grade, membership, tied),
             }
-            for alpha, values, grade, membership, tied in zip(
-                sweep.alphas.tolist(),
-                sweep.second_level.tolist(),
-                sweep.verdict_grade.tolist(),
-                sweep.verdict_membership.tolist(),
-                sweep.verdict_tied.tolist(),
-            )
+            for alpha, values, grade, membership, tied in sweep_rows(sweep)
         ],
     }
 
@@ -281,10 +282,10 @@ def render_markdown(report: EvaluationReport) -> str:
     if report.screening is not None:
         sections["Screening"] = screening_table(report.screening)
     sections["Warnings"] = [f"- {w.code}: {w.message}" for w in report.warnings] or ["None."]
-    lines = [f"# Evaluation report: {report.goal}", ""]
+    lines: list[str] = []
     for title, body in sections.items():
         lines += [f"## {title}", *body, ""]
-    return "\n".join(lines)
+    return markdown_page(f"Evaluation report: {report.goal}", lines)
 
 
 def render_ahp_markdown(ahp: AhpSection) -> str:
@@ -309,12 +310,7 @@ def render_sweep_markdown(sweep: AlphaSweep) -> str:
         ["Alpha", *sweep.grades, "Verdict", "Membership"],
         [
             [alpha, *values, grade, membership]
-            for alpha, values, grade, membership in zip(
-                sweep.alphas.tolist(),
-                sweep.second_level.tolist(),
-                sweep.verdict_grade.tolist(),
-                sweep.verdict_membership.tolist(),
-            )
+            for alpha, values, grade, membership, _ in sweep_rows(sweep)
         ],
     )
     return markdown_page("Alpha sweep", [*table, ""])

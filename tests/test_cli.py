@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -469,6 +473,25 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "| Alpha |" in out
+
+    def test_closed_stdout_exits_one_silently(self, fixture_dir):
+        # 1001 rows are far more than a pipe buffer holds, so a write must fail.
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        config = str(fixture_dir / "campus_bikeshare.json")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "siteval.cli", "sweep-alpha", "--config", config, "--step",
+             "0.001"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""  # no traceback, no message
 
 
 class TestFileErrors:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -44,6 +45,12 @@ class TestColumnShares:
     def test_zero_column_named(self):
         with pytest.raises(ValidationError, match="degenerate indicator column 'X2'"):
             column_shares(_matrix({"X1": [1, 1], "X2": [0, 0]}))
+
+    def test_overflowing_column_sum_named_without_numpy_warning(self):
+        # pytest turns any warning into an error, so a numpy overflow warning fails here.
+        message = "^indicator column 'X1': sum too large for a float$"
+        with pytest.raises(ValidationError, match=message):
+            column_shares(_matrix({"X1": [1e308, 1e308], "X2": [1, 2]}))
 
     def test_columns_sum_to_one(self):
         m = _matrix({"X1": [1, 2, 3], "X2": [5, 0.5, 1]})
@@ -135,6 +142,14 @@ class TestDecisionMatrixContract:
     def test_non_numeric_cell_is_not_a_number(self):
         with pytest.raises(ValidationError, match=r"\(S2, X1\): not a number: 'abc'"):
             DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1.0, 2.0), ("abc", 4.0)))
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_bool_cell_is_not_a_number(self, flag):
+        with pytest.raises(
+            ValidationError,
+            match=rf"^decision matrix \(S2, X1\): not a number: {re.escape(repr(flag))}$",
+        ):
+            DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1.0, 0.0), (flag, 4.0)))
 
     def test_int_beyond_float_range_names_cell(self):
         with pytest.raises(ValidationError, match=r"\(S1, X2\): number too large for a float"):

@@ -20,7 +20,7 @@ from siteval import (
     run_pipeline,
     sweep_alpha,
 )
-from siteval.report import render_markdown, sweep_to_json_dict
+from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
 
 def _variant(config_dict, **edits):
@@ -219,6 +219,14 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match=r"^config: .*\(S3, C1\): non-finite value nan"):
             ProjectConfig.from_dict(data)
 
+    def test_bool_observation_rejected_at_config(self, campus_config_dict):
+        data = _with_decision_matrix(campus_config_dict)
+        data["decision_matrix"]["values"][0][0] = True
+        with pytest.raises(
+            ValidationError, match=r"^config: decision matrix \(S1, C1\): not a number: True$"
+        ):
+            ProjectConfig.from_dict(data)
+
     def test_nan_objective_weight_rejected_at_config(self, campus_config_dict):
         data = copy.deepcopy(campus_config_dict)
         data["objective_weights"]["C4"] = float("nan")
@@ -387,6 +395,11 @@ class TestSweepAlpha:
         assert [r.verdict.grade for r in rows] == sweep.verdict_grade.tolist()
         assert [r.verdict.membership for r in rows] == sweep.verdict_membership.tolist()
         assert [r.verdict.tied for r in rows] == sweep.verdict_tied.tolist()
+        assert list(sweep_rows(sweep)) == [
+            (r.alpha, [r.second_level[g] for g in sweep.grades], r.verdict.grade,
+             r.verdict.membership, r.verdict.tied)
+            for r in rows
+        ]
 
     def test_columns_read_only(self, campus_config):
         sweep = sweep_alpha(campus_config, [0.0, 1.0])

@@ -1,8 +1,12 @@
 import ast
 import importlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import siteval
+from siteval.report import TOOL_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "siteval"
@@ -15,6 +19,18 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from siteval import *", namespace)
     assert set(siteval.__all__) <= set(namespace)
+
+
+def test_one_version_string():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == TOOL_VERSION == siteval.__version__
+
+
+def test_import_does_not_load_package_metadata():
+    code = "import siteval, sys; assert 'importlib.metadata' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT / "src")
 
 
 def test_benchmark_tracer_finds_every_target(monkeypatch, fixture_dir):
