@@ -25,13 +25,21 @@ CR_LIMIT = 0.10
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 1000
 
+# The 17 Saaty-scale tokens, '1'..'9' and '1/2'..'1/9', each parsed once.
+SAATY_TOKENS = {
+    t: float(Fraction(t)) for t in [*map(str, range(1, 10)), *(f"1/{n}" for n in range(2, 10))]
+}
+
 
 def parse_ratio(value: object) -> float:
     """Parse a comparison entry: a number, or a string like '3', '0.5' or '1/3'.
 
     Fraction strings are converted exactly before float storage so that
     reciprocal pairs written as '3' and '1/3' survive the reciprocity check.
+    A Saaty-scale token, stripped, is read from the `SAATY_TOKENS` table instead.
     """
+    if isinstance(value, str) and (ratio := SAATY_TOKENS.get(value.strip())) is not None:
+        return ratio
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationError(f"invalid comparison entry {value!r}")
     try:
@@ -60,12 +68,8 @@ class JudgmentMatrix:
         entries = tuple(tuple(float(v) for v in row) for row in self.entries)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
-        if not self.raw:
-            object.__setattr__(
-                self, "raw", tuple(tuple(repr(v) for v in row) for row in entries)
-            )
-        else:
-            object.__setattr__(self, "raw", tuple(tuple(row) for row in self.raw))
+        raw = self.raw or tuple(tuple(repr(v) for v in row) for row in entries)
+        object.__setattr__(self, "raw", tuple(tuple(row) for row in raw))
 
         n = len(labels)
         if n == 0:

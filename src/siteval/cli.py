@@ -10,7 +10,6 @@ written, or the reader closes stdout early (silently), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .config import POLICIES, read_weight_file
-from .core import ValidationError, WeightVector
+from .core import ValidationError, WeightVector, error_prefix
 from .entropy import entropy_weights
 from .fusion import fuse
 from .fuzzy import OPERATORS
@@ -27,6 +26,7 @@ from .pipeline import ahp_stage, load_config, run_pipeline, screen_stage, sweep_
 from .report import (
     SCHEMA_VERSION,
     ahp_to_json_dict,
+    json_text,
     markdown_page,
     render_ahp_markdown,
     render_markdown,
@@ -62,7 +62,9 @@ def _cmd_ahp(args: argparse.Namespace) -> Result:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> Result:
-    weights = entropy_weights(read_decision_matrix(args.matrix))
+    matrix = read_decision_matrix(args.matrix)
+    with error_prefix("entropy"):
+        weights = entropy_weights(matrix)
     return {"weights": weights.as_dict()}, lambda: markdown_page(
         "Entropy weights", weights_table(weights)
     )
@@ -202,7 +204,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, render = args.func(args)
         if args.format == "json":
             # The report and sweep payloads carry the stamp already; it stays first.
-            text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+            text = json_text({"schema_version": SCHEMA_VERSION, **payload})
         else:
             text = render()
         if args.output:

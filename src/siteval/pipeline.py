@@ -15,7 +15,6 @@ bit for bit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -42,6 +41,7 @@ from .report import (
     EvaluationReport,
     ReportWarning,
     ScreeningSection,
+    json_text,
     render_markdown,
     sweep_rows,
 )
@@ -352,7 +352,7 @@ def sweep_alpha(
 def emit_report(report: EvaluationReport, format: str) -> str:
     """Render a report as 'json' (full precision) or 'markdown' (4 decimals)."""
     if format == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
+        return json_text(report.to_json_dict())
     if format in ("markdown", "md"):
         return render_markdown(report)
     raise ValidationError(f"unknown report format {format!r}; expected json or markdown")

@@ -9,7 +9,10 @@ yields plain tuples, so the sweep serialisers build no row objects.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .ahp import ConsistencyReport
@@ -175,14 +178,50 @@ def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
     }
 
 
+def json_text(obj: object) -> str:
+    """`obj` as `json.dumps` writes it with indent 2, without the stdlib's pure-Python encoder.
+
+    Lays out an exact `dict` (str keys), `list` or `tuple`; every scalar but a
+    str or finite float goes to `json.dumps` (NaN, inf, bool, None, int, TypeError).
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj: object, newline: str, out: list[str]) -> None:
+    # Not a closure: one that calls itself is a reference cycle holding `out` until gen-2 gc.
+    cls = type(obj)
+    if cls is str:
+        out.append(encode_basestring_ascii(obj))
+    elif cls is float and -inf < obj < inf:  # NaN compares false
+        out.append(float.__repr__(obj))
+    elif cls is dict and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif (cls is list or cls is tuple) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, (int, float)):
-        return f"{value:.4f}" if isinstance(value, float) else str(value)
-    if value is None:
-        return "-"
-    return str(value)
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return "-" if value is None else str(value)
 
 
 def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:

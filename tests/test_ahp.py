@@ -64,6 +64,56 @@ class TestParseRatio:
                 parse_ratio(huge)
 
 
+SAATY = [Fraction(k) for k in range(1, 10)] + [Fraction(1, k) for k in range(2, 10)]
+
+
+def _spellings(f: Fraction) -> list[object]:
+    """Ways a config may write `f`: its token, padded, unreduced, as a decimal, as a number."""
+    tok = str(f)
+    out = [tok, f" {tok} ", f"\t{tok}", f"{2 * f.numerator}/{2 * f.denominator}", float(f)]
+    if Fraction(str(float(f))) == f:
+        out.append(str(float(f)))
+    if f.denominator == 1:
+        out.append(f.numerator)
+    return out
+
+
+@st.composite
+def mixed_rows(draw):
+    """A reciprocal matrix of Saaty values, each cell spelled in a random way."""
+    n = draw(st.integers(1, 6))
+    rows: list[list[object]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from(_spellings(Fraction(1))))
+        for j in range(i + 1, n):
+            f = draw(st.sampled_from(SAATY))
+            rows[i][j] = draw(st.sampled_from(_spellings(f)))
+            rows[j][i] = draw(st.sampled_from(_spellings(1 / f)))
+    return rows
+
+
+class TestSaatyTokens:
+    def test_table_holds_the_17_tokens(self):
+        assert ahp.SAATY_TOKENS == {str(f): float(f) for f in SAATY}
+        assert len(ahp.SAATY_TOKENS) == 17
+
+    @pytest.mark.parametrize("tok", [str(f) for f in SAATY])
+    def test_token_with_and_without_whitespace(self, tok):
+        for text in (tok, f" {tok}", f"{tok}\t", f"\n {tok} "):
+            assert parse_ratio(text) == float(Fraction(tok))
+
+    @given(mixed_rows())
+    @example([["1", " 3", "2/6", "0.5"], ["1/3", 1, 2.0, "1/9"], [3, "1/2", "1.0", "4/2"], ["2", " 9 ", 0.5, 1.0]])
+    def test_from_rows_matches_fraction_oracle(self, rows):
+        def exact(v):
+            return float(Fraction(v.strip()) if isinstance(v, str) else v)
+
+        labels = [f"x{i}" for i in range(len(rows))]
+        m = JudgmentMatrix.from_rows("node", labels, rows)
+        assert m.entries == tuple(tuple(exact(v) for v in row) for row in rows)
+        assert m.raw == tuple(tuple(str(v) for v in row) for row in rows)
+
+
 class TestJudgmentMatrixValidation:
     def test_non_reciprocal_names_cell(self):
         rows = [[1, 2], [0.6, 1]]

@@ -346,6 +346,20 @@ class TestEntropyCommand:
         assert out == ""
         assert "(S2, X2): non-finite value inf" in err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("S1,2,0\nS2,1,0\nS3,1,0\n", "degenerate indicator column 'X2': sum is zero"),
+            ("S1,1e308,1\nS2,1e308,2\nS3,1,1\n", "indicator column 'X1': sum too large for a float"),
+        ],
+    )
+    def test_entropy_errors_name_the_stage(self, capsys, tmp_path, rows, message):
+        p = tmp_path / "m.csv"
+        p.write_text("alternative,X1,X2\n" + rows)
+        code, out, err = _run(capsys, ["entropy", "--matrix", str(p)])
+        assert (code, out) == (1, "")
+        assert err == f"error: entropy: {message}\n"
+
 
 class TestFuseCommand:
     def test_fuse_files(self, capsys, tmp_path):
