@@ -31,4 +31,6 @@ def fuse(
             )
     s = np.array(subjective.values(), dtype=np.float64)
     o = np.array(objective.values(subjective.ids), dtype=np.float64)
-    return a[:, None] * s + (1.0 - a[:, None]) * o
+    # Built as (n, A) so each blend runs over the contiguous alphas; the (A, n) view
+    # holds the same floats, since a * s == s * a bit for bit.
+    return (s[:, None] * a + o[:, None] * (1.0 - a)).T

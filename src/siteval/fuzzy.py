@@ -12,7 +12,8 @@ stays visible in the output.
 Both operators run on a batch of weight vectors at once (`compose`), and the
 verdict is read off a batch of result vectors at once (`verdicts`), so the
 alpha sweep evaluates its whole grid in one pass; a single evaluation is a
-batch of one.
+batch of one. `compose` keeps the batch (alpha) axis last, so each
+elementwise step runs over the whole contiguous grid.
 """
 from __future__ import annotations
 
@@ -83,26 +84,27 @@ class Verdict:
 
 
 def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
-    """Compose weights (..., n) with membership rows (..., n, G) into vectors (..., G).
+    """Compose weights (..., n, A) with rows (..., n, G, A or 1) into vectors (..., G, A).
 
-    Leading axes broadcast, so (A, n) weights with (n, G) rows give A vectors,
-    and (A, C, n) weights with (C, n, G) rows give A vectors per criterion.
-    The reduction over n runs one term at a time, in index order, so every
-    entry is the same float as the scalar left-to-right sum (or max of mins);
-    only the leading axes are vectorised.
+    The last axis is the batch: column k composes weights[..., :, k] with
+    rows[..., :, :, k], or with the shared rows when their batch axis is 1.
+    Leading axes broadcast, so (C, n, A) weights with (C, n, G, 1) rows give
+    A vectors per criterion. The reduction over n runs one term at a time, in
+    index order, so every entry is the same float as the scalar left-to-right
+    sum (or max of mins); only the other axes are vectorised.
     """
-    if weights.shape[-1] == 0:
+    if weights.shape[-2] == 0:
         raise ValidationError("nothing to compose: no weights")
-    terms = range(weights.shape[-1])
+    terms = range(weights.shape[-2])
     if operator == WEIGHTED_AVERAGE:
         acc = 0.0  # as sum() starts from 0, so 0.0 + -0.0 gives 0.0 here too
         for j in terms:
-            acc += weights[..., j, None] * rows[..., j, :]  # in place from j = 1 on
+            acc += weights[..., j, None, :] * rows[..., j, :, :]  # in place from j = 1 on
         return acc
     if operator == MIN_MAX:
         acc = None
         for j in terms:
-            w, r = weights[..., j, None], rows[..., j, :]
+            w, r = weights[..., j, None, :], rows[..., j, :, :]
             low = np.where(r < w, r, w)  # min(w, r)
             if acc is None:
                 acc = low
@@ -132,7 +134,7 @@ def first_level(
             "weights for criterion {!r} do not match its indicators", crit.id,
         )
         w = np.array([weights.values(crit.children)])
-        values = compose(w, r.to_array(crit.children), operator)[0]
+        values = compose(w.T, r.to_array(crit.children)[..., None], operator)[:, 0]
         out[crit.id] = FuzzyVector(dict(zip(grades, values.tolist())))
     return out
 
@@ -156,7 +158,7 @@ def second_level(
             )
     w = np.array([criterion_weights.values(crit_ids)])
     rows = np.array([[first[cid][g] for g in grades] for cid in crit_ids])
-    values = compose(w, rows, operator)[0]
+    values = compose(w.T, rows[..., None], operator)[:, 0]
     return FuzzyVector(dict(zip(grades, values.tolist())))
 
 

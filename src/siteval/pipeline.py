@@ -124,7 +124,8 @@ class AlphaSweep:
     def __post_init__(self, scale: GradeScale) -> None:
         grades = tuple(self.grades)
         alphas = np.array(self.alphas, dtype=np.float64)
-        second = np.array(self.second_level, dtype=np.float64)
+        # order="C": a transposed view would otherwise keep its F order.
+        second = np.array(self.second_level, dtype=np.float64, order="C")
         if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
             raise ValidationError(
                 f"sweep shape mismatch: alphas {alphas.shape}, second level "
@@ -181,8 +182,8 @@ class _Run(NamedTuple):
     indicator_objective: WeightVector
     criterion: np.ndarray  # (A, C) comprehensive criterion weights
     indicator: np.ndarray  # (A, I) comprehensive indicator weights
-    first: np.ndarray  # (A, C, G) first-level vectors; (1, C, G) if they ignore alpha
-    second: np.ndarray  # (A, G) second-level vectors
+    first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
+    second: np.ndarray  # (G, A) second-level vectors
 
 
 def _evaluate(
@@ -250,24 +251,25 @@ def _evaluate(
         indicator = fuse(ahp.indicator, indicator_objective, alphas)
 
     with error_prefix("fuzzy"):
+        # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
         if cfg.weights_policy == POLICY_FUSED_BOTH:
-            w = np.zeros((len(alphas),) + slots.shape)
-            w[:, slots] = indicator
+            w = np.zeros(slots.shape + (len(alphas),))  # (C, n, A)
+            w[slots] = indicator.T
             total = 0.0
-            for j in range(w.shape[-1]):
-                total = total + w[..., j]
+            for j in range(w.shape[1]):
+                total = total + w[:, j]
             if np.any(total <= 0):
                 raise ValidationError("degenerate weight vector: all entries zero")
-            w /= total[..., None]
+            w /= total[:, None]
         else:  # the paper's level-one weights are the relative ones, which ignore alpha
-            w = np.zeros((1,) + slots.shape)
-            w[0, slots] = [
+            w = np.zeros(slots.shape + (1,))  # (C, n, 1)
+            w[slots, 0] = [
                 x for c in cfg.hierarchy.criteria for x in ahp.relative[c.id].values(c.children)
             ]
         # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
         # max over non-negative values, so every composed value stays bit-exact.
-        first = compose(w, membership, cfg.operator)
-        second = compose(criterion, first, cfg.operator)
+        first = compose(w, membership[..., None], cfg.operator)
+        second = compose(criterion.T, first, cfg.operator)
 
     return _Run(
         warnings, screening, ahp, criterion_objective, indicator_objective,
@@ -286,9 +288,9 @@ def run_pipeline(
     with error_prefix("fuzzy"):
         first = {
             c.id: FuzzyVector(dict(zip(grades, vec.tolist())))
-            for c, vec in zip(cfg.hierarchy.criteria, run.first[0])
+            for c, vec in zip(cfg.hierarchy.criteria, run.first[..., 0])
         }
-        second = FuzzyVector(dict(zip(grades, run.second[0].tolist())))
+        second = FuzzyVector(dict(zip(grades, run.second[:, 0].tolist())))
         if cfg.operator == WEIGHTED_AVERAGE:
             named = [(f"first-level vector for {c!r}", vec) for c, vec in first.items()]
             for what, vec in named + [("second-level vector", second)]:
@@ -345,7 +347,7 @@ def sweep_alpha(
         if not 0.0 <= a <= 1.0:
             raise ValidationError(f"sweep grid value out of [0, 1]: {a}")
     alphas_arr = np.array(alphas, dtype=np.float64)
-    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas_arr).second
+    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas_arr).second.T
     return AlphaSweep(cfg.membership.grades, alphas_arr, second_level, cfg.scale)
 
 

@@ -558,6 +558,13 @@ class TestGoldenOutputs:
             ),
             (["entropy", "--matrix", "decision_small.csv"], "entropy"),
             (["fuse", *WEIGHT_FILES, "--alpha", "0.3"], "fuse"),
+            (
+                [
+                    "sweep-alpha", *CONFIG, "--operator", "min-max",
+                    "--weights-policy", "fused-both", "--step", "0.01",
+                ],
+                "sweep_alpha_minmax_fused",
+            ),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "md"])

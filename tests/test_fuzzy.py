@@ -237,19 +237,33 @@ class TestComposeKernel:
     @settings(max_examples=80, deadline=None)
     def test_batch_rows_equal_scalar_reference(self, case, operator):
         weights, rows, other_rows = case
-        shared = compose(np.array(weights), np.array(rows), operator)
+        w = np.array(weights).T  # (n, A): batch column k is weights[k]
+        # (n, G, 1) rows: every column composes with the same rows.
+        shared = compose(w, np.array(rows)[..., None], operator)
         # repr tells -0.0 from 0.0, which == does not
-        assert repr(shared.tolist()) == repr([_scalar_compose(w, rows, operator) for w in weights])
-        # (A, n, G) rows: batch entry k composes weights[k] with its own rows.
-        per_row = [rows if k % 2 else other_rows for k in range(len(weights))]
-        batched = compose(np.array(weights), np.array(per_row), operator)
-        assert repr(batched.tolist()) == repr(
-            [_scalar_compose(w, r, operator) for w, r in zip(weights, per_row)]
+        assert repr(shared.T.tolist()) == repr(
+            [_scalar_compose(v, rows, operator) for v in weights]
+        )
+        # (n, G, A) rows: batch column k composes weights[k] with its own rows.
+        per_column = [rows if k % 2 else other_rows for k in range(len(weights))]
+        batched = compose(w, np.stack(per_column, axis=-1), operator)
+        assert repr(batched.T.tolist()) == repr(
+            [_scalar_compose(v, r, operator) for v, r in zip(weights, per_column)]
+        )
+        # A leading criterion axis: (C, n, A) weights with (C, n, G, 1) rows.
+        by_criterion = compose(
+            np.stack([w, w[::-1]]), np.array([rows, other_rows])[..., None], operator
+        )
+        assert repr(by_criterion.transpose(0, 2, 1).tolist()) == repr(
+            [
+                [_scalar_compose(v, rows, operator) for v in weights],
+                [_scalar_compose(v[::-1], other_rows, operator) for v in weights],
+            ]
         )
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValidationError, match="unknown fuzzy operator"):
-            compose(np.ones((1, 2)), np.ones((2, 3)), "mean")
+            compose(np.ones((2, 1)), np.ones((2, 3, 1)), "mean")
 
 
 def _reference_verdict(values, grades, labels):

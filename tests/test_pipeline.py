@@ -319,6 +319,38 @@ class TestDeterminism:
         assert a == b and len(a) == 64
 
 
+def _scalar_second_levels(cfg, alphas):
+    """Fusion and both fuzzy levels in plain Python, one alpha and one scalar at a time.
+
+    Only the alpha-free inputs (AHP and objective weights) come from the pipeline;
+    every sum and max of mins runs left to right, as the scalar formulas read.
+    """
+    report = run_pipeline(cfg)
+    crit_s, crit_o = report.criterion_subjective, report.criterion_objective
+    ind_s, ind_o = report.indicator_subjective, report.indicator_objective
+    rows, grades = cfg.membership.rows, cfg.membership.grades
+
+    def compose(weights, vectors):
+        if cfg.operator == "weighted-average":
+            return [sum(w * v[g] for w, v in zip(weights, vectors)) for g in grades]
+        return [max(min(w, v[g]) for w, v in zip(weights, vectors)) for g in grades]
+
+    out = []
+    for a in alphas:
+        first = []
+        for c in cfg.hierarchy.criteria:
+            if cfg.weights_policy == "fused-both":
+                fused = [a * ind_s[i] + (1.0 - a) * ind_o[i] for i in c.children]
+                total = sum(fused)
+                weights = [w / total for w in fused]
+            else:
+                weights = [report.relative_weights[c.id][i] for i in c.children]
+            first.append(dict(zip(grades, compose(weights, [rows[i] for i in c.children]))))
+        criterion = [a * crit_s[c.id] + (1.0 - a) * crit_o[c.id] for c in cfg.hierarchy.criteria]
+        out.append(compose(criterion, first))
+    return out
+
+
 class TestSweepAlpha:
     def test_rows_sorted_and_endpoint_behaviour(self, campus_config):
         rows = sweep_alpha(campus_config, [1.0, 0.0, 0.5])
@@ -361,6 +393,20 @@ class TestSweepAlpha:
                     assert row.second_level.as_dict() == report.second_level.as_dict()
                     assert row.verdict == report.verdict
                     assert rows[k] == row
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_second_level_equals_scalar_oracle(self, campus_config_dict, grid):
+        # Independent of `_evaluate`'s array layout: the oracle never touches numpy.
+        base = ProjectConfig.from_dict(campus_config_dict)
+        for operator in ("weighted-average", "min-max"):
+            for policy in ("paper", "fused-both"):
+                cfg = base.with_overrides(operator=operator, weights_policy=policy)
+                sweep = sweep_alpha(cfg, grid)
+                # repr tells -0.0 from 0.0, which == does not
+                assert repr(sweep.second_level.tolist()) == repr(
+                    _scalar_second_levels(cfg, sorted(grid))
+                )
 
     def test_fused_both_sweep_through_zero_rejects_degenerate_criterion(
         self, campus_config_dict
@@ -406,6 +452,19 @@ class TestSweepAlpha:
         for column in (sweep.alphas, sweep.second_level, sweep.verdict_membership):
             with pytest.raises(ValueError):
                 column[0] = 0.5
+
+    def test_columns_c_contiguous_and_read_only(self, campus_config):
+        scale = campus_config.scale
+        cfg = campus_config.with_overrides(operator="min-max", weights_policy="fused-both")
+        f_ordered = np.asfortranarray([[0.2, 0.5, 0.3], [0.1, 0.6, 0.3]])
+        built = AlphaSweep(scale.labels, [0.0, 1.0], f_ordered, scale)
+        for sweep in (sweep_alpha(cfg, [0.0, 0.3, 1.0]), built):
+            for name in (
+                "alphas", "second_level", "verdict_grade", "verdict_membership", "verdict_tied"
+            ):
+                column = getattr(sweep, name)
+                assert column.flags.c_contiguous, name
+                assert not column.flags.writeable, name
 
     @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
     def test_out_of_range_vector_rejected_like_fuzzy_vector(self, bad):
