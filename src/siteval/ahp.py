@@ -6,9 +6,11 @@ CI / RI / CR chain; a matrix passes when CR < 0.10.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,62 +68,44 @@ class JudgmentMatrix:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         entries = tuple(tuple(float(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
         raw = self.raw or tuple(tuple(repr(v) for v in row) for row in entries)
-        object.__setattr__(self, "raw", tuple(tuple(row) for row in raw))
-
         n = len(labels)
-        if n == 0:
-            raise ValidationError(f"matrix {self.node!r}: empty")
-        if len(set(labels)) != n:
-            raise ValidationError(f"matrix {self.node!r}: duplicate labels")
+        _check_labels(self.node, labels)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValidationError(f"matrix {self.node!r}: not square of order {n}")
-        for i in range(n):
-            for j in range(n):
-                a = entries[i][j]
-                if a <= 0:
-                    raise ValidationError(
-                        f"matrix {self.node!r}: entry ({labels[i]}, {labels[j]}) "
-                        f"must be positive, got {a}"
-                    )
-                if not SCALE_MIN - 1e-12 <= a <= SCALE_MAX + 1e-12:
-                    raise ValidationError(
-                        f"matrix {self.node!r}: entry ({labels[i]}, {labels[j]}) = {a:g} "
-                        f"outside the 1/9..9 scale"
-                    )
-            if abs(entries[i][i] - 1.0) > RECIPROCITY_TOL:
-                raise ValidationError(
-                    f"matrix {self.node!r}: diagonal ({labels[i]}, {labels[i]}) must be 1"
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(entries[i][j] * entries[j][i] - 1.0) > RECIPROCITY_TOL:
-                    raise ValidationError(
-                        f"matrix {self.node!r}: reciprocity violated at "
-                        f"({labels[i]}, {labels[j]})"
-                    )
+        _, problem = _walk_cells(self.node, labels, entries, lambda v, i, j: v)
+        if problem:
+            raise ValidationError(problem)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "raw", tuple(tuple(row) for row in raw))
 
     @classmethod
     def from_rows(
         cls, node: str, labels: Sequence[str], rows: Sequence[Sequence[object]]
     ) -> "JudgmentMatrix":
+        """Parses and checks each cell once, raising the first error the constructor would."""
+        labels = tuple(labels)
         n = len(labels)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValidationError(f"matrix {node!r}: not square of order {n}")
 
-        def entry(i: int, j: int) -> float:
+        def entry(v: object, i: int, j: int) -> float:
             try:
-                return parse_ratio(rows[i][j])
+                return parse_ratio(v)
             except ValidationError as exc:
                 raise ValidationError(
                     f"matrix {node!r}: entry ({labels[i]}, {labels[j]}): {exc}"
                 ) from None
 
-        entries = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
-        raw = tuple(tuple(str(v) for v in row) for row in rows)
-        return cls(node=node, labels=tuple(labels), entries=entries, raw=raw)
+        raw: list[tuple[str, ...]] = []
+        entries, problem = _walk_cells(node, labels, rows, entry, raw)
+        _check_labels(node, labels)
+        if problem:
+            raise ValidationError(problem)
+        m = cls.__new__(cls)  # every check has run: no second walk in __post_init__
+        m.__dict__.update(node=node, labels=labels, entries=entries, raw=tuple(raw))
+        return m
 
     @property
     def order(self) -> int:
@@ -129,6 +113,61 @@ class JudgmentMatrix:
 
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The entries as a read-only float64 array, built on first use."""
+        a = self.to_array()
+        a.flags.writeable = False
+        return a
+
+
+def _check_labels(node: str, labels: tuple[str, ...]) -> None:
+    if not labels:
+        raise ValidationError(f"matrix {node!r}: empty")
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"matrix {node!r}: duplicate labels")
+
+
+def _walk_cells(
+    node: str,
+    labels: tuple[str, ...],
+    rows: Sequence[Sequence[object]],
+    parse: Callable[[object, int, int], float],
+    raw: list[tuple[str, ...]] | None = None,
+) -> tuple[tuple[tuple[float, ...], ...], str]:
+    """Parses and checks the cells of a square matrix in one row-major walk.
+
+    Returns the parsed rows and the first problem, or "". A cell that `parse`
+    rejects raises at once. Otherwise the problem is the first cell that is
+    not positive or is off the 1/9..9 scale, or the first diagonal that is
+    not 1 (each row's diagonal after its cells); failing those, the first
+    pair (i, j), i < j, in row-major order that breaks reciprocity. Each
+    row's cells are also appended to `raw` as strings, when given.
+    """
+    entries: list[tuple[float, ...]] = []
+    bad = ""
+    broken: tuple[int, int] | None = None
+    for i, cells in enumerate(rows):
+        row: list[float] = []
+        for j, v in enumerate(cells):
+            a = parse(v, i, j)
+            if not bad and not (a > 0 and SCALE_MIN - 1e-12 <= a <= SCALE_MAX + 1e-12):
+                where = f"matrix {node!r}: entry ({labels[i]}, {labels[j]})"
+                bad = (f"{where} must be positive, got {a}" if a <= 0
+                       else f"{where} = {a:g} outside the 1/9..9 scale")
+            # Cell (i, j) below the diagonal closes pair (j, i); keep the smallest.
+            if j < i and abs(entries[j][i] * a - 1.0) > RECIPROCITY_TOL:
+                broken = min(broken or (j, i), (j, i))
+            row.append(a)
+        if not bad and abs(row[i] - 1.0) > RECIPROCITY_TOL:
+            bad = f"matrix {node!r}: diagonal ({labels[i]}, {labels[i]}) must be 1"
+        entries.append(tuple(row))
+        if raw is not None:
+            raw.append(tuple(map(str, cells)))
+    if not bad and broken:
+        bad = f"matrix {node!r}: reciprocity violated at ({labels[broken[0]]}, {labels[broken[1]]})"
+    return tuple(entries), bad
 
 
 @dataclass(frozen=True)
@@ -152,16 +191,24 @@ def ri_lookup(n: int) -> float:
 def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
     """Power iteration from the uniform vector, sum-normalized each step.
 
-    Raises ValidationError when POWER_MAX_ITER steps do not converge.
+    Stops at the first step that moves no entry by POWER_TOL or more; a NaN
+    entry never passes. Raises ValidationError when POWER_MAX_ITER steps do
+    not converge.
     """
-    n = a.shape[0]
-    w = np.full(n, 1.0 / n)
+    prev = [1.0 / a.shape[0]] * a.shape[0]
+    w = np.array(prev)
+    # Bare ufuncs and a test on Python floats: numpy's method wrappers and a
+    # reduction over a temporary cost more than the arithmetic at these orders.
+    # The test is all(POWER_TOL > abs(x - y)) over the entries, run in C by map.
+    matmul, total, divide = np.matmul, np.add.reduce, np.divide
+    close, sub = POWER_TOL.__gt__, operator.sub
     for _ in range(POWER_MAX_ITER):
-        nxt = a @ w
-        nxt /= nxt.sum()
-        if abs(nxt - w).max() < POWER_TOL:  # methods skip numpy's Python-level wrappers
-            return nxt
-        w = nxt
+        w = matmul(a, w)
+        divide(w, total(w), w)
+        cur = w.tolist()
+        if all(map(close, map(abs, map(sub, cur, prev)))):
+            return w
+        prev = cur
     raise ValidationError(
         f"power iteration did not converge within {POWER_MAX_ITER} iterations"
     )
@@ -172,23 +219,24 @@ def derive_weights(m: JudgmentMatrix) -> tuple[WeightVector, ConsistencyReport]:
 
     lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
     eigenvector. CR is defined as 0 for orders 1 and 2, which are always
-    consistent.
+    consistent. An order above 9, which has no random index, raises before
+    the iteration runs.
     """
-    a = m.to_array()
+    a = m._array
     n = m.order
     try:
+        ri = ri_lookup(n)
         w = _principal_eigenvector(a)
     except ValidationError as exc:
         raise ValidationError(f"matrix {m.node!r}: {exc}") from exc
-    lambda_max = float(np.mean((a @ w) / w))
+    lambda_max = float(np.add.reduce(np.matmul(a, w) / w)) / n  # the float np.mean gives
 
-    ri = ri_lookup(n)
     ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
     cr = 0.0 if n <= 2 else ci / ri
     report = ConsistencyReport(
         lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
     )
-    weights = WeightVector({label: float(x) for label, x in zip(m.labels, w)})
+    weights = WeightVector(dict(zip(m.labels, w.tolist())))
     return weights, report
 
 

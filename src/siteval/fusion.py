@@ -31,6 +31,10 @@ def fuse(
             )
     s = np.array(subjective.values(), dtype=np.float64)
     o = np.array(objective.values(subjective.ids), dtype=np.float64)
-    # Built as (n, A) so each blend runs over the contiguous alphas; the (A, n) view
-    # holds the same floats, since a * s == s * a bit for bit.
-    return (s[:, None] * a + o[:, None] * (1.0 - a)).T
+    # Built as (n, A) so each blend runs over the contiguous alphas, with one
+    # temporary. The (A, n) view holds the floats of a * s + (1 - a) * o, since
+    # IEEE products and sums do not depend on the order of their operands.
+    blend = np.subtract(1.0, a, out=np.empty((s.size, a.size)))
+    blend *= o[:, None]
+    blend += s[:, None] * a
+    return blend.T

@@ -15,9 +15,10 @@ bit for bit.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,7 +182,6 @@ class _Run(NamedTuple):
     criterion_objective: WeightVector
     indicator_objective: WeightVector
     criterion: np.ndarray  # (A, C) comprehensive criterion weights
-    indicator: np.ndarray  # (A, I) comprehensive indicator weights
     first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
     second: np.ndarray  # (G, A) second-level vectors
 
@@ -246,13 +246,15 @@ def _evaluate(
             }
         )
 
+    fused_both = cfg.weights_policy == POLICY_FUSED_BOTH
     with error_prefix("fuse"):
         criterion = fuse(ahp.criterion, criterion_objective, alphas)
-        indicator = fuse(ahp.indicator, indicator_objective, alphas)
+        # Only fused-both reads the (A, I) indicator blend.
+        indicator = fuse(ahp.indicator, indicator_objective, alphas) if fused_both else None
 
     with error_prefix("fuzzy"):
         # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
-        if cfg.weights_policy == POLICY_FUSED_BOTH:
+        if indicator is not None:
             w = np.zeros(slots.shape + (len(alphas),))  # (C, n, A)
             w[slots] = indicator.T
             total = 0.0
@@ -273,7 +275,7 @@ def _evaluate(
 
     return _Run(
         warnings, screening, ahp, criterion_objective, indicator_objective,
-        criterion, indicator, first, second,
+        criterion, first, second,
     )
 
 
@@ -284,6 +286,8 @@ def run_pipeline(
 ) -> EvaluationReport:
     """Run every stage on one config and collect the full report."""
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
+    with error_prefix("fuse"):
+        indicator = fuse(run.ahp.indicator, run.indicator_objective, [cfg.alpha])[0]
     grades = cfg.membership.grades
     with error_prefix("fuzzy"):
         first = {
@@ -315,7 +319,7 @@ def run_pipeline(
         indicator_subjective=run.ahp.indicator,
         indicator_objective=run.indicator_objective,
         indicator_comprehensive=WeightVector(
-            dict(zip(run.ahp.indicator.ids, run.indicator[0].tolist()))
+            dict(zip(run.ahp.indicator.ids, indicator.tolist()))
         ),
         first_level=first,
         second_level=second,
@@ -328,9 +332,39 @@ def run_pipeline(
     )
 
 
+def _grid_floats(grid: Iterable[object]) -> tuple[np.ndarray, Sequence[object]]:
+    """The grid as a float64 array in input order, and the values it was read from.
+
+    The first value that is a str, None, a bool or anything else that is not a
+    real number raises.
+    """
+    values = grid if isinstance(grid, (list, tuple, np.ndarray)) else list(grid)
+    try:
+        inferred = np.array(values)
+        numeric = inferred.ndim == 1 and inferred.dtype.kind in "fiu"
+    except ValueError:  # ragged, so some value is a sequence
+        numeric = False
+    # A bool beside numbers also infers a numeric dtype, as 0 or 1, so then
+    # only the values equal to 0 or 1 need their type checked.
+    suspects = (
+        [values[k] for k in np.flatnonzero((inferred == 0) | (inferred == 1)).tolist()]
+        if numeric else values
+    )
+    for v in suspects:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+            raise ValidationError(f"sweep grid value is not a number: {v!r}")
+    if numeric:
+        return inferred.astype(np.float64), values
+    try:
+        return np.array(values, dtype=np.float64), values
+    except OverflowError:  # an int too large for a float lies out of range
+        bad = next(v for v in sorted(values) if not 0.0 <= v <= 1.0)  # type: ignore
+        raise ValidationError(f"sweep grid value out of [0, 1]: {bad}") from None
+
+
 def sweep_alpha(
     cfg: ProjectConfig,
-    grid: Sequence[float],
+    grid: Iterable[float],
     survey: SurveyRound | None = None,
     allow_inconsistent: bool = False,
 ) -> AlphaSweep:
@@ -339,16 +373,22 @@ def sweep_alpha(
     Every stage runs once, with fusion, both fuzzy levels and the verdict
     batched over the grid. Each row's second-level vector and verdict equal
     those of `run_pipeline` at that alpha exactly.
+
+    The grid may be any iterable of real numbers, or a 1-D numeric numpy
+    array. An empty grid, a value that is a str, None or bool, and a value
+    outside [0, 1] each raise a ValidationError.
     """
-    alphas = sorted(grid)
-    if not alphas:
+    unsorted, values = _grid_floats(grid)
+    if not unsorted.size:
         raise ValidationError("sweep grid is empty")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValidationError(f"sweep grid value out of [0, 1]: {a}")
-    alphas_arr = np.array(alphas, dtype=np.float64)
-    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas_arr).second.T
-    return AlphaSweep(cfg.membership.grades, alphas_arr, second_level, cfg.scale)
+    # Stable, like `sorted`: equal values (0.0 and -0.0) keep their order; NaN sorts last.
+    alphas = np.sort(unsorted, kind="stable")
+    if not (alphas[0] >= 0.0 and alphas[-1] <= 1.0):
+        first_bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))[0]
+        value = values[np.argsort(unsorted, kind="stable")[first_bad]]
+        raise ValidationError(f"sweep grid value out of [0, 1]: {value}")
+    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas).second.T
+    return AlphaSweep(cfg.membership.grades, alphas, second_level, cfg.scale)
 
 
 def emit_report(report: EvaluationReport, format: str) -> str:

@@ -114,7 +114,123 @@ class TestSaatyTokens:
         assert m.raw == tuple(tuple(str(v) for v in row) for row in rows)
 
 
+# Cells for fuzzing JudgmentMatrix.from_rows: good Saaty values in several
+# spellings, and values that fail parsing, the sign check, the scale or the diagonal.
+CELL_POOL = [
+    "1", "2", "1/2", "3", "1/3", "9", "1/9", 1, 2.0, 0.5, 3, " 1/3",
+    "0", "-1", 0, -2.0, 12, "1/12", "x", "1/0", "", None, True, float("nan"), 0.4, 2.5,
+]
+
+
+def _two_pass_error(node, labels, rows):
+    """The first error of the validation `from_rows` had when it walked every cell twice."""
+    n = len(labels)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        return f"matrix {node!r}: not square of order {n}"
+    entries = []
+    for i in range(n):
+        entries.append([])
+        for j in range(n):
+            try:
+                entries[i].append(parse_ratio(rows[i][j]))
+            except ValidationError as exc:
+                return f"matrix {node!r}: entry ({labels[i]}, {labels[j]}): {exc}"
+    if n == 0:
+        return f"matrix {node!r}: empty"
+    if len(set(labels)) != n:
+        return f"matrix {node!r}: duplicate labels"
+    for i in range(n):
+        for j in range(n):
+            a = entries[i][j]
+            if a <= 0:
+                return (
+                    f"matrix {node!r}: entry ({labels[i]}, {labels[j]}) "
+                    f"must be positive, got {a}"
+                )
+            if not ahp.SCALE_MIN - 1e-12 <= a <= ahp.SCALE_MAX + 1e-12:
+                return (
+                    f"matrix {node!r}: entry ({labels[i]}, {labels[j]}) = {a:g} "
+                    f"outside the 1/9..9 scale"
+                )
+        if abs(entries[i][i] - 1.0) > ahp.RECIPROCITY_TOL:
+            return f"matrix {node!r}: diagonal ({labels[i]}, {labels[i]}) must be 1"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(entries[i][j] * entries[j][i] - 1.0) > ahp.RECIPROCITY_TOL:
+                return f"matrix {node!r}: reciprocity violated at ({labels[i]}, {labels[j]})"
+    return None
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Labels (maybe repeated) and rows (maybe ragged) of pool cells, mostly reciprocal."""
+    n = draw(st.integers(0, 5))
+    labels = [draw(st.sampled_from("abcdef")) for _ in range(n)]
+    rows = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = draw(st.sampled_from(SAATY))
+            rows[i][j], rows[j][i] = str(f), str(1 / f)
+    for _ in range(draw(st.integers(0, 3))):
+        if n:
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from(CELL_POOL)
+            )
+    if n and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))].append("1")
+    return labels, rows
+
+
 class TestJudgmentMatrixValidation:
+    @given(candidate_matrices())
+    @example((["a", "b", "c", "d"], [["1", "2", "3", "4"], ["1/2", "1", "1", "1"],
+                                     ["1/3", "1/2", "1", "1"], ["1", "1", "1", "1"]]))
+    @example((["a", "b"], [["1", "x"], ["12", "1"]]))
+    @example((["a", "a"], [["1", "12"], ["1/12", "1"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_reports_the_two_pass_first_error(self, case):
+        labels, rows = case
+        expected = _two_pass_error("node", labels, rows)
+        try:
+            m = JudgmentMatrix.from_rows("node", labels, rows)
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert m.entries == tuple(tuple(parse_ratio(v) for v in row) for row in rows)
+            assert m.raw == tuple(tuple(str(v) for v in row) for row in rows)
+            assert m == JudgmentMatrix(node="node", labels=tuple(labels), entries=m.entries,
+                                       raw=m.raw)
+
+    @given(candidate_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_reports_the_same_first_error(self, case):
+        labels, rows = case
+        try:
+            entries = [[parse_ratio(v) for v in row] for row in rows]
+        except ValidationError:
+            return
+        if len(rows) != len(labels) or any(len(row) != len(labels) for row in rows):
+            return
+        expected = _two_pass_error("node", labels, rows)
+        try:
+            JudgmentMatrix(node="node", labels=tuple(labels), entries=entries)
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_from_rows_parses_each_cell_once(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return parse_ratio(value)
+
+        monkeypatch.setattr(ahp, "parse_ratio", counting)
+        goal_matrix()
+        assert calls == [v for row in GOAL_ROWS for v in row]
+
     def test_non_reciprocal_names_cell(self):
         rows = [[1, 2], [0.6, 1]]
         with pytest.raises(ValidationError, match=r"reciprocity.*\(a, b\)"):
@@ -189,11 +305,17 @@ class TestDeriveWeights:
         assert weights["c"] == pytest.approx(0.2, abs=1e-9)
         assert report.cr == pytest.approx(0.0, abs=1e-9)
 
-    def test_order_above_nine_needs_override(self):
+    def test_order_above_nine_fails_first_and_names_matrix(self, monkeypatch):
         labels = [f"x{i}" for i in range(10)]
         m = consistent_matrix("big", {k: 1.0 for k in labels})
-        with pytest.raises(ValidationError, match="RI undefined for order > 9"):
+
+        def never(a):
+            raise AssertionError("power iteration ran on a matrix of order 10")
+
+        monkeypatch.setattr(ahp, "_principal_eigenvector", never)
+        with pytest.raises(ValidationError) as info:
             derive_weights(m)
+        assert str(info.value) == "matrix 'big': RI undefined for order > 9"
 
 
 class TestRiLookup:
@@ -302,6 +424,66 @@ def generating_weights(draw):
     values = [draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(n)]
     total = sum(values)
     return {f"n{i}": v / total for i, v in enumerate(values)}
+
+
+def _reference_power_iteration(a: np.ndarray) -> np.ndarray:
+    """Power iteration as written before its step was trimmed; the oracle for the new step."""
+    n = a.shape[0]
+    w = np.full(n, 1.0 / n)
+    for _ in range(ahp.POWER_MAX_ITER):
+        nxt = a @ w
+        nxt /= nxt.sum()
+        if abs(nxt - w).max() < ahp.POWER_TOL:
+            return nxt
+        w = nxt
+    raise AssertionError("the reference did not converge")
+
+
+def _reciprocal_token(tok: str) -> str:
+    return tok[2:] if tok.startswith("1/") else ("1" if tok == "1" else f"1/{tok}")
+
+
+@st.composite
+def jittered_matrices(draw):
+    """Positive reciprocal matrices of orders 1-9: Saaty tokens beside jittered
+    ratios of a random weight vector, each clipped to 1/9..9."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    weights = [draw(st.floats(min_value=0.05, max_value=1.0)) for _ in range(n)]
+    rows: list[list[object]] = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                tok = draw(st.sampled_from(sorted(ahp.SAATY_TOKENS)))
+                rows[i][j], rows[j][i] = tok, _reciprocal_token(tok)
+            else:
+                r = weights[i] / weights[j] * draw(st.floats(min_value=0.5, max_value=2.0))
+                r = min(max(r, 1 / 9), 9.0)
+                rows[i][j], rows[j][i] = r, 1.0 / r
+    return JudgmentMatrix.from_rows("m", [f"x{i}" for i in range(n)], rows)
+
+
+class TestPowerIterationOracle:
+    @given(jittered_matrices())
+    @example(goal_matrix())
+    @example(JudgmentMatrix.from_rows("one", ["a"], [["1"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_reference_loop(self, m):
+        a = m.to_array()
+        n = m.order
+        w = _reference_power_iteration(a)
+        lambda_max = float(np.mean((a @ w) / w))
+        ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
+        cr = 0.0 if n <= 2 else ci / ri_lookup(n)
+
+        weights, report = derive_weights(m)
+        assert np.array(weights.values()).tobytes() == w.tobytes()
+        got = (report.lambda_max, report.ci, report.cr)
+        assert [x.hex() for x in got] == [x.hex() for x in (lambda_max, ci, cr)]
+
+    def test_nan_entries_never_converge(self):
+        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValidationError, match="did not converge"):
+            ahp._principal_eigenvector(a)
 
 
 class TestAhpProperties:

@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siteval import (
@@ -16,10 +17,12 @@ from siteval import (
     ProjectConfig,
     ValidationError,
     emit_report,
+    fuse,
     ingest_survey,
     run_pipeline,
     sweep_alpha,
 )
+from siteval import pipeline
 from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
 
@@ -115,6 +118,46 @@ class TestRunPipeline:
         report = run_pipeline(cfg, allow_inconsistent=True)
         assert any(w.code == "inconsistent-judgment-matrix" for w in report.warnings)
         assert not report.consistency["B4"].consistent
+
+    def test_order_above_nine_names_stage_and_matrix(self, campus_config_dict):
+        data = copy.deepcopy(campus_config_dict)
+        b2 = data["criteria"][1]["indicators"]
+        extra = [f"X{k}" for k in range(10 - len(b2))]
+        b2 += [{"id": i, "name": i, "kind": "qualitative"} for i in extra]
+        for i in extra:
+            data["membership"][i] = dict(data["membership"]["C4"])
+            data["objective_weights"][i] = 0.0
+        data["judgment_matrices"]["B2"] = [["1"] * 10 for _ in range(10)]
+        cfg = ProjectConfig.from_dict(data)
+        with pytest.raises(ValidationError) as err:
+            run_pipeline(cfg)
+        assert str(err.value) == "ahp: matrix 'B2': RI undefined for order > 9"
+
+    def test_only_fused_both_blends_indicator_weights_over_the_grid(
+        self, campus_config, monkeypatch
+    ):
+        calls = []
+
+        def counting_fuse(subjective, objective, alphas):
+            calls.append((subjective.ids, len(alphas)))
+            return fuse(subjective, objective, alphas)
+
+        monkeypatch.setattr(pipeline, "fuse", counting_fuse)
+        criteria, indicators = (
+            campus_config.hierarchy.criterion_ids(),
+            campus_config.hierarchy.indicator_ids(),
+        )
+        grid = [0.0, 0.5, 1.0]
+        sweep_alpha(campus_config, grid)
+        assert calls == [(criteria, 3)]
+        calls.clear()
+        sweep_alpha(campus_config.with_overrides(weights_policy="fused-both"), grid)
+        assert calls == [(criteria, 3), (indicators, 3)]
+        calls.clear()
+        report = run_pipeline(campus_config)
+        assert calls == [(criteria, 1), (indicators, 1)]
+        expected = fuse(report.indicator_subjective, report.indicator_objective, [0.5])[0]
+        assert report.indicator_comprehensive.values() == expected.tolist()
 
     def test_survey_screening_included_when_provided(self, campus_config, fixture_dir):
         survey = ingest_survey(fixture_dir / "survey_round2.csv", campus_config.classes)
@@ -378,6 +421,76 @@ class TestSweepAlpha:
             sweep_alpha(campus_config, [0.5, 1.5])
         with pytest.raises(ValidationError, match="empty"):
             sweep_alpha(campus_config, [])
+
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [
+            (["a"], "'a'"),
+            ([None], "None"),
+            ([True, 0.5], "True"),
+            ([0.5, 0.25, False], "False"),
+            ([0.5, "0.5"], "'0.5'"),
+            ([0.5, np.True_], repr(np.True_)),
+            (np.array([False, True]), repr(np.False_)),
+            ([[0.5], 0.25], "[0.5]"),
+            ([0.5, 1.5, "a"], "'a'"),
+        ],
+    )
+    def test_grid_value_that_is_not_a_number(self, campus_config, grid, shown):
+        with pytest.raises(ValidationError) as info:
+            sweep_alpha(campus_config, grid)
+        assert str(info.value) == f"sweep grid value is not a number: {shown}"
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "sweep grid is empty"),
+            ((), "sweep grid is empty"),
+            (iter([]), "sweep grid is empty"),
+            (np.array([]), "sweep grid is empty"),
+            ([0.5, 1.5, -0.25], "sweep grid value out of [0, 1]: -0.25"),
+            ([2, 0.5], "sweep grid value out of [0, 1]: 2"),
+            (np.array([0.5, 1.5]), "sweep grid value out of [0, 1]: 1.5"),
+            ([0.5, float("nan")], "sweep grid value out of [0, 1]: nan"),
+            ([10**400, 0.5], f"sweep grid value out of [0, 1]: {10**400}"),
+            ([-(10**400), -1.0], f"sweep grid value out of [0, 1]: {-(10**400)}"),
+        ],
+    )
+    def test_grid_errors_keep_their_text(self, campus_config, grid, message):
+        with pytest.raises(ValidationError) as info:
+            sweep_alpha(campus_config, grid)
+        assert str(info.value) == message
+
+    def test_signed_zeros_keep_the_order_sorted_gives(self, campus_config):
+        for grid, signs in (([0.0, -0.0], [1.0, -1.0]), ([-0.0, 0.0], [-1.0, 1.0])):
+            assert [math.copysign(1.0, a) for a in sorted(grid)] == signs
+            sweep = sweep_alpha(campus_config, grid)
+            assert [math.copysign(1.0, a) for a in sweep.alphas.tolist()] == signs
+            assert [math.copysign(1.0, row.alpha) for row in sweep] == signs
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1, -0.0])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([1, 0])
+    @settings(max_examples=40, deadline=None)
+    def test_every_container_sweeps_like_the_sorted_list(self, campus_config_dict, values):
+        cfg = ProjectConfig.from_dict(campus_config_dict)
+        before = np.array(sorted(values), dtype=np.float64)  # the grid as `sorted` orders it
+        expected = sweep_alpha(cfg, [float(v) for v in values])
+        assert expected.alphas.tobytes() == before.tobytes()
+        grids = [tuple(values), (v for v in values), np.array(values, dtype=np.float64)]
+        if all(type(v) is int for v in values):
+            grids.append(np.array(values))
+        for grid in grids:
+            sweep = sweep_alpha(cfg, grid)
+            assert sweep.alphas.tobytes() == before.tobytes()
+            assert sweep.second_level.tobytes() == expected.second_level.tobytes()
+            assert sweep_to_json_dict(sweep) == sweep_to_json_dict(expected)
+            assert all(type(row.alpha) is float for row in sweep)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
     @settings(max_examples=25, deadline=None)
