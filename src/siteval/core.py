@@ -53,6 +53,16 @@ def check_same_ids(a: Iterable[str], b: Iterable[str], text: str, *args: object)
         raise ValidationError(f"{text.format(*args)}: {sorted(a ^ b)}")
 
 
+def check_str_ids(ids: Iterable[object], what: str) -> None:
+    """Raise if two of `ids` are the same text, which would merge them under `str()`."""
+    seen: dict[str, object] = {}
+    for k in ids:
+        text = str(k)
+        if text in seen:
+            raise ValidationError(f"{what} {text!r} given twice: as {seen[text]!r} and as {k!r}")
+        seen[text] = k
+
+
 @dataclass(frozen=True)
 class GradeScale:
     """Ordered evaluation grades, best grade first."""
@@ -164,9 +174,19 @@ class WeightVector:
     weights: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        weights = self.weights
+        if type(weights) is dict:  # the stages' own dicts: str ids, float values
+            for k, v in weights.items():
+                if type(k) is not str or type(v) is not float or not 0.0 <= v < math.inf:
+                    break
+            else:
+                object.__setattr__(self, "weights", dict(weights))
+                return
         cleaned = {
-            str(k): parse_float(v, "weight for {!r}", str(k)) for k, v in self.weights.items()
+            str(k): parse_float(v, "weight for {!r}", str(k)) for k, v in weights.items()
         }
+        if len(cleaned) != len(weights):
+            check_str_ids(weights, "weight id")
         for k, v in cleaned.items():
             if not 0.0 <= v < math.inf:  # also false for NaN
                 kind = "negative" if v < 0 else "non-finite"
@@ -219,6 +239,8 @@ class MembershipMatrix:
                 str(g): parse_float(v, "membership row {!r}, grade {!r}", str(ind), str(g))
                 for g, v in row.items()
             }
+            if len(row_f) != len(row):
+                check_str_ids(row, f"membership row {str(ind)!r}: grade")
             row_grades = tuple(row_f)
             if grades is None:
                 grades = row_grades
@@ -240,6 +262,8 @@ class MembershipMatrix:
             cleaned[str(ind)] = row_f
         if grades is None:
             raise ValidationError("membership matrix has no rows")
+        if len(cleaned) != len(self.rows):
+            check_str_ids(self.rows, "membership row")
         object.__setattr__(self, "rows", cleaned)
         object.__setattr__(self, "_grades", grades)
 
@@ -261,11 +285,15 @@ class MembershipMatrix:
 
     def to_array(self, indicator_ids: Sequence[str]) -> np.ndarray:
         """Rows of `indicator_ids`, in that order, as an (I, G) float64 array in grade order."""
-        grades = self.grades
-        return np.array(
-            [[row[g] for g in grades] for row in map(self.row, indicator_ids)],
-            dtype=np.float64,
-        )
+        grades, rows = self.grades, self.rows
+        try:
+            return np.array(
+                [[row[g] for g in grades] for row in map(rows.__getitem__, indicator_ids)],
+                dtype=np.float64,
+            )
+        except KeyError:
+            missing = next(i for i in indicator_ids if i not in rows)
+            raise ValidationError(f"missing membership row for indicator {missing!r}") from None
 
     def row_sum_deviations(self) -> dict[str, float]:
         """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1)."""

@@ -30,6 +30,7 @@ from .core import (
     ValidationError,
     WeightVector,
     check_same_ids,
+    check_str_ids,
 )
 
 WEIGHTED_AVERAGE = "weighted-average"
@@ -57,6 +58,8 @@ class FuzzyVector:
         cleaned = {str(g): float(v) for g, v in self.memberships.items()}
         if not cleaned:
             raise ValidationError("empty fuzzy vector")
+        if len(cleaned) != len(self.memberships):
+            check_str_ids(self.memberships, "grade")
         for g, v in cleaned.items():
             if not MEMBERSHIP_LO <= v <= MEMBERSHIP_HI:  # also false for NaN
                 raise _out_of_range(g, v)

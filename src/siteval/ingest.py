@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import ValidationError, error_prefix
-from .delphi import RespondentClass, Response, SurveyRound
+from .delphi import SCORE_MAX, SCORE_MIN, RespondentClass, Response, SurveyRound
 from .entropy import DecisionMatrix
 
 SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
@@ -33,7 +33,7 @@ def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
             reader = csv.reader(fh)
             start = 1
             for row in reader:
-                if any(cell.strip() for cell in row):
+                if "".join(row).strip():  # some cell is not blank
                     rows.append((start, row))
                 start = reader.line_num + 1
     except OSError as exc:
@@ -46,8 +46,9 @@ def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
+    """`token` (already stripped) as an int, or an error that quotes it."""
     try:
-        return int(token.strip())
+        return int(token)
     except ValueError:
         raise ValidationError(f"line {line_no}: {what} must be an integer, got {token!r}") from None
 
@@ -77,36 +78,45 @@ def _parse_survey(
         )
     known = {c.label for c in classes}
 
+    # Each record is checked here, then built without the dataclass `__init__`
+    # and `__post_init__`, whose range checks the ones below repeat.
+    new_response = Response.__new__
     responses: list[Response] = []
     for line_no, row in rows[1:]:
-        if len(row) not in (4, 5):
-            raise ValidationError(
-                f"line {line_no}: expected 4 or 5 columns, got {len(row)}"
-            )
-        indicator, respondent, cls, score_tok = (cell.strip() for cell in row[:4])
+        n = len(row)
+        if n != 4 and n != 5:
+            raise ValidationError(f"line {line_no}: expected 4 or 5 columns, got {n}")
+        indicator = row[0].strip()
+        respondent = row[1].strip()
         if not indicator or not respondent:
             raise ValidationError(f"line {line_no}: empty indicator or respondent id")
+        cls = row[2].strip()
         if cls not in known:
             raise ValidationError(f"line {line_no}: unknown class label {cls!r}")
-        score = _parse_int(score_tok, "score", line_no)
-        if not 1 <= score <= 5:
-            raise ValidationError(f"line {line_no}: score out of range 1-5, got {score}")
-        confidence: int | None = None
-        if len(row) == 5 and row[4].strip():
-            confidence = _parse_int(row[4], "confidence", line_no)
-            if not 1 <= confidence <= 5:
-                raise ValidationError(
-                    f"line {line_no}: confidence out of range 1-5, got {confidence}"
-                )
-        responses.append(
-            Response(
-                respondent=respondent,
-                respondent_class=cls,
-                indicator=indicator,
-                score=score,
-                confidence=confidence,
+        score = _parse_int(row[3].strip(), "score", line_no)
+        if not SCORE_MIN <= score <= SCORE_MAX:
+            raise ValidationError(
+                f"line {line_no}: score out of range {SCORE_MIN}-{SCORE_MAX}, got {score}"
             )
+        confidence: int | None = None
+        if n == 5:
+            token = row[4].strip()
+            if token:
+                confidence = _parse_int(token, "confidence", line_no)
+                if not SCORE_MIN <= confidence <= SCORE_MAX:
+                    raise ValidationError(
+                        f"line {line_no}: confidence out of range {SCORE_MIN}-{SCORE_MAX}, "
+                        f"got {confidence}"
+                    )
+        response = new_response(Response)
+        response.__dict__.update(
+            respondent=respondent,
+            respondent_class=cls,
+            indicator=indicator,
+            score=score,
+            confidence=confidence,
         )
+        responses.append(response)
     return SurveyRound(round_index=round_index, responses=tuple(responses))
 
 

@@ -10,10 +10,10 @@ yields plain tuples, so the sweep serialisers build no row objects.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import inf
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .ahp import ConsistencyReport
 from .core import WeightVector
@@ -74,10 +74,23 @@ def screening_to_json_dict(section: ScreeningSection) -> dict[str, object]:
     return out
 
 
+def consistency_to_json_dict(rep: ConsistencyReport) -> dict[str, object]:
+    return {
+        "lambda_max": rep.lambda_max,
+        "ci": rep.ci,
+        "ri": rep.ri,
+        "cr": rep.cr,
+        "consistent": rep.consistent,
+    }
+
+
 def ahp_to_json_dict(ahp: AhpSection) -> dict[str, object]:
     return {
         "nodes": {
-            node: {"weights": w.as_dict(), "consistency": asdict(ahp.consistency[node])}
+            node: {
+                "weights": w.as_dict(),
+                "consistency": consistency_to_json_dict(ahp.consistency[node]),
+            }
             for node, w in {"goal": ahp.criterion, **ahp.relative}.items()
         },
         "global_subjective": ahp.indicator.as_dict(),
@@ -120,7 +133,9 @@ class EvaluationReport:
             "screening": (
                 None if self.screening is None else screening_to_json_dict(self.screening)
             ),
-            "consistency": {node: asdict(rep) for node, rep in self.consistency.items()},
+            "consistency": {
+                node: consistency_to_json_dict(rep) for node, rep in self.consistency.items()
+            },
             "weights": {
                 "criterion": {
                     "subjective": self.criterion_subjective.as_dict(),
@@ -181,39 +196,55 @@ def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
 def json_text(obj: object) -> str:
     """`obj` as `json.dumps` writes it with indent 2, without the stdlib's pure-Python encoder.
 
-    Lays out an exact `dict` (str keys), `list` or `tuple`; every scalar but a
-    str or finite float goes to `json.dumps` (NaN, inf, bool, None, int, TypeError).
+    Lays out an exact `dict` (str keys), `list` or `tuple` and writes its
+    str, finite float, bool, None, exact int and empty-container leaves
+    itself; only NaN, inf and other types reach `json.dumps`.
     """
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj: object, newline: str, out: list[str]) -> None:
-    # Not a closure: one that calls itself is a reference cycle holding `out` until gen-2 gc.
     cls = type(obj)
-    if cls is str:
-        out.append(encode_basestring_ascii(obj))
-    elif cls is float and -inf < obj < inf:  # NaN compares false
-        out.append(float.__repr__(obj))
-    elif cls is dict and obj:
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif (cls is list or cls is tuple) and obj:
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+    if (cls is dict or cls is list or cls is tuple) and obj:
+        out: list[str] = []
+        _write_json(obj, "\n", out)
+        return "".join(out)
+    return json.dumps(obj)
+
+
+def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
+    # Not a closure: one that calls itself is a reference cycle holding `out` until gen-2 gc.
+    # `obj` is a non-empty exact container; each leaf is written in the loop, without a call.
+    inner = newline + "  "
+    comma = "," + inner
+    if type(obj) is dict:
+        heads = [comma + encode_basestring_ascii(key) + ": " for key in obj]
+        heads[0] = "{" + heads[0][1:]
+        values: Iterable[object] = obj.values()
+        close = newline + "}"
     else:
-        out.append(json.dumps(obj))
+        heads = [comma] * len(obj)
+        heads[0] = "[" + inner
+        values = obj
+        close = newline + "]"
+    for head, value in zip(heads, values):
+        cls = type(value)
+        if cls is float and -inf < value < inf:  # NaN compares false
+            out.append(head + float.__repr__(value))
+        elif cls is str:
+            out.append(head + encode_basestring_ascii(value))
+        elif (cls is dict or cls is list or cls is tuple) and value:
+            out.append(head)
+            _write_json(value, inner, out)
+        elif value is None:
+            out.append(head + "null")
+        elif cls is bool:
+            out.append(head + ("true" if value else "false"))
+        elif cls is int:
+            out.append(head + int.__repr__(value))
+        elif cls is dict:
+            out.append(head + "{}")
+        elif cls is list or cls is tuple:
+            out.append(head + "[]")
+        else:
+            out.append(head + json.dumps(value))
+    out.append(close)
 
 
 def _fmt(value: object) -> str:
@@ -229,7 +260,10 @@ def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> list[s
     lines = ["| " + " | ".join(headers) + " |"]
     lines.append("|" + "|".join("---" for _ in headers) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
+        cells = [
+            f"{v:.4f}" if type(v) is float else v if type(v) is str else _fmt(v) for v in row
+        ]
+        lines.append("| " + " | ".join(cells) + " |")
     return lines
 
 

@@ -1,7 +1,10 @@
 import math
+import struct
+from types import MappingProxyType
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siteval import (
@@ -14,6 +17,7 @@ from siteval import (
     WeightVector,
     validate_hierarchy,
 )
+from siteval.fuzzy import FuzzyVector
 
 
 def _hierarchy(criteria_children: dict[str, list[str]], extra_indicators=()) -> IndicatorHierarchy:
@@ -194,6 +198,75 @@ class TestMembershipMatrix:
         m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}})
         with pytest.raises(ValidationError, match="C9"):
             m.row("C9")
+
+    def test_to_array_reads_rows_in_the_given_order(self):
+        m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Poor": 0.75, "Good": 0.25}})
+        a = m.to_array(["C2", "C1"])
+        assert a.dtype == np.float64
+        assert a.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+        with pytest.raises(ValidationError, match="^missing membership row for indicator 'C9'$"):
+            m.to_array(["C1", "C9"])
+
+
+class TestIdsThatCollideAsText:
+    """Ids that differ as keys but not as `str()` are rejected, not merged."""
+
+    def test_weight_vector(self):
+        with pytest.raises(
+            ValidationError, match=r"^weight id '1' given twice: as 1 and as '1'$"
+        ):
+            WeightVector({1: 0.5, "1": 0.25})
+
+    def test_fuzzy_vector(self):
+        with pytest.raises(ValidationError, match=r"^grade '1' given twice: as 1 and as '1'$"):
+            FuzzyVector({1: 0.5, "1": 0.25})
+
+    def test_membership_matrix(self):
+        with pytest.raises(
+            ValidationError, match=r"^membership row '1' given twice: as 1 and as '1'$"
+        ):
+            MembershipMatrix({1: {"Good": 0.5}, "1": {"Good": 0.25}})
+        with pytest.raises(
+            ValidationError,
+            match=r"^membership row 'C1': grade '2' given twice: as 2 and as '2'$",
+        ):
+            MembershipMatrix({"C1": {2: 0.5, "2": 0.25}})
+
+
+# Weight values of every kind a caller may pass: exact floats (NaN, infinities
+# and -0.0 too), numpy floats, ints, bools and text.
+weight_values = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.integers(-(10**400), 10**400)
+    | st.sampled_from([-0.0, 0.0, 5e-324, True, "x", None])
+)
+
+
+def _outcome(weights):
+    try:
+        wv = WeightVector(weights)
+    except ValidationError as exc:
+        return str(exc)
+    assert all(type(v) is float for v in wv.weights.values())
+    # Bit patterns, so -0.0 and 0.0 differ.
+    return [(k, struct.pack("<d", v)) for k, v in wv.weights.items()]
+
+
+class TestWeightVectorPaths:
+    @settings(max_examples=300)
+    @given(st.dictionaries(st.text(max_size=3), weight_values, max_size=5))
+    @example({"a": -0.0, "b": np.float64(0.5), "c": 2})
+    @example({"a": 0.5, "b": float("nan")})
+    def test_one_pass_and_per_entry_agree(self, weights):
+        # An exact dict takes the one-pass check; a read-only view of it, the per-entry path.
+        assert _outcome(weights) == _outcome(MappingProxyType(weights))
+
+    def test_result_does_not_share_the_callers_dict(self):
+        weights = {"a": 0.5}
+        wv = WeightVector(weights)
+        weights["a"] = 0.75
+        assert wv["a"] == 0.5
 
 
 class TestFloatConversion:

@@ -47,6 +47,19 @@ class TestIngestSurvey:
         with pytest.raises(ValidationError, match="line 3: score out of range 1-5"):
             ingest_survey(path, CLASSES)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("C3,r07,expert, x ,5\n", "score must be an integer, got 'x'"),
+            ("C3,r07,expert,4, y \n", "confidence must be an integer, got 'y'"),
+        ],
+    )
+    def test_integer_errors_quote_the_stripped_token(self, tmp_path, body, message):
+        path = _write(tmp_path, body)
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(path, CLASSES)
+        assert str(info.value) == f"survey {path}: line 2: {message}"
+
     def test_duplicate_response_rejected(self, tmp_path):
         path = _write(tmp_path, "C3,r07,expert,4,5\nC3,r07,expert,5,5\n")
         with pytest.raises(ValidationError, match="duplicate response"):

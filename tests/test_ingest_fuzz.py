@@ -6,15 +6,24 @@ A decision-matrix file must end in finite entropy weights that sum to 1, a
 reader error (`decision matrix <path>: ...`) or an entropy error about a
 named column or the whole matrix.
 """
+import dataclasses
 import math
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from siteval import ValidationError, entropy_weights, ingest_survey, read_decision_matrix
+from siteval import (
+    Response,
+    ValidationError,
+    entropy_weights,
+    ingest_survey,
+    read_decision_matrix,
+)
 from siteval.core import SUM_TOL
-from siteval.ingest import SURVEY_HEADER
+from siteval.ingest import SURVEY_HEADER, _parse_survey
 from siteval.pipeline import load_config, screen_stage
 
 CONFIG = load_config(Path(__file__).parent / "fixtures" / "campus_bikeshare.json")
@@ -109,3 +118,46 @@ def test_matrix_reader_gives_weights_summing_to_one_or_a_named_error(tmp_path, t
     values = weights.values(matrix.indicators)
     assert all(math.isfinite(w) for w in values)
     assert abs(sum(values) - 1.0) <= SUM_TOL
+
+
+ids = st.text(st.characters(blacklist_categories=["Cs"]), min_size=1, max_size=4).filter(
+    lambda t: t == t.strip()
+)
+padding = st.sampled_from(["", " ", "\t", " \n "])
+records = st.tuples(
+    ids,
+    ids,
+    st.sampled_from(["expert", "end_user"]),
+    st.integers(1, 5),
+    st.none() | st.integers(1, 5),
+    st.lists(padding, min_size=10, max_size=10),
+)
+
+
+@given(st.lists(records, max_size=8, unique_by=lambda r: r[:2]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parsed_records_equal_responses_built_normally(drawn, four_columns):
+    """The reader builds each `Response` without `__init__`; it must be the same record."""
+    header = list(SURVEY_HEADER[:4] if four_columns else SURVEY_HEADER)
+    rows = [(1, header)]
+    expected = []
+    for line_no, (ind, resp, cls, score, conf, pad) in enumerate(drawn, start=2):
+        if four_columns:
+            conf = None
+        cells = [ind, resp, cls, str(score), "" if conf is None else str(conf)]
+        rows.append((line_no, [pad[2 * k] + c + pad[2 * k + 1] for k, c in enumerate(cells)]))
+        if four_columns:
+            rows[-1][1].pop()
+        expected.append(
+            Response(respondent=resp, respondent_class=cls, indicator=ind, score=score,
+                     confidence=conf)
+        )
+    parsed = _parse_survey(rows, CONFIG.classes, 1).responses
+    assert len(parsed) == len(expected)
+    for got, want in zip(parsed, expected):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.score = 1  # type: ignore[misc]

@@ -38,6 +38,18 @@ trees = st.recursive(
 @example([])
 @example(())
 @example({"a": {}, "b": [[], {}], "c": ({"": None},)})
+@example(  # a screening section: ints, None, empty lists and bools among floats
+    {
+        "stats": [
+            {"indicator": "C1", "mean": 4.2, "cv": 0.0, "gcr": None, "respondent_count": 10},
+            {"indicator": "C2", "mean": 3.0, "cv": -0.0, "gcr": 4.5, "respondent_count": 0},
+        ],
+        "selected": [{"indicator": "C1", "failed": []}],
+        "rejected": [{"indicator": "C2", "failed": ["mean", "cv"]}],
+        "overridden": [],
+        "verdict": {"grade": "Good", "membership": 0.5, "tied": False, "flag": True},
+    }
+)
 def test_matches_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
