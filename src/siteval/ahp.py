@@ -7,10 +7,10 @@ CI / RI / CR chain; a matrix passes when CR < 0.10.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -56,56 +56,68 @@ def parse_ratio(value: object) -> float:
 class JudgmentMatrix:
     """Reciprocal pairwise-comparison matrix for one hierarchy node.
 
-    `raw` keeps the entries as supplied (fraction strings intact) so a parsed
-    config can be re-emitted without rounding drift.
+    `entries` may be given as numbers or ratio strings like '3' or '1/3'; each
+    cell is parsed once with `parse_ratio` and stored as a float. `raw` keeps
+    each cell as supplied, `str(cell)`, so a parsed config can be re-emitted
+    without rounding drift.
     """
 
     node: str
     labels: tuple[str, ...]
     entries: tuple[tuple[float, ...], ...]
-    raw: tuple[tuple[str, ...], ...] = ()
+    raw: tuple[tuple[str, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        entries = tuple(tuple(float(v) for v in row) for row in self.entries)
-        raw = self.raw or tuple(tuple(repr(v) for v in row) for row in entries)
-        n = len(labels)
-        _check_labels(self.node, labels)
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValidationError(f"matrix {self.node!r}: not square of order {n}")
-        _, problem = _walk_cells(self.node, labels, entries, lambda v, i, j: v)
-        if problem:
-            raise ValidationError(problem)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "raw", tuple(tuple(row) for row in raw))
+        """Checks the matrix in one row-major walk and raises the first problem.
 
-    @classmethod
-    def from_rows(
-        cls, node: str, labels: Sequence[str], rows: Sequence[Sequence[object]]
-    ) -> "JudgmentMatrix":
-        """Parses and checks each cell once, raising the first error the constructor would."""
-        labels = tuple(labels)
+        The order: the shape must be square; every cell must parse (the first
+        that does not raises at once); the labels must be non-empty and
+        distinct; every cell must be positive and on the 1/9..9 scale, and
+        each row's diagonal 1 (checked after that row's cells); and, failing
+        none of those, the first pair (i, j), i < j, in row-major order that
+        breaks reciprocity is reported.
+        """
+        node, labels, rows = self.node, tuple(self.labels), self.entries
         n = len(labels)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValidationError(f"matrix {node!r}: not square of order {n}")
-
-        def entry(v: object, i: int, j: int) -> float:
-            try:
-                return parse_ratio(v)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"matrix {node!r}: entry ({labels[i]}, {labels[j]}): {exc}"
-                ) from None
-
-        raw: list[tuple[str, ...]] = []
-        entries, problem = _walk_cells(node, labels, rows, entry, raw)
-        _check_labels(node, labels)
-        if problem:
-            raise ValidationError(problem)
-        m = cls.__new__(cls)  # every check has run: no second walk in __post_init__
-        m.__dict__.update(node=node, labels=labels, entries=entries, raw=tuple(raw))
-        return m
+        entries: list[tuple[float, ...]] = []
+        bad = ""
+        broken: tuple[int, int] | None = None
+        for i, cells in enumerate(rows):
+            row: list[float] = []
+            for j, v in enumerate(cells):
+                try:
+                    a = parse_ratio(v)
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"matrix {node!r}: entry ({labels[i]}, {labels[j]}): {exc}"
+                    ) from None
+                if not bad and not (a > 0 and SCALE_MIN - 1e-12 <= a <= SCALE_MAX + 1e-12):
+                    where = f"matrix {node!r}: entry ({labels[i]}, {labels[j]})"
+                    bad = (f"{where} must be positive, got {a}" if a <= 0
+                           else f"{where} = {a:g} outside the 1/9..9 scale")
+                # Cell (i, j) below the diagonal closes pair (j, i); keep the smallest.
+                if j < i and abs(entries[j][i] * a - 1.0) > RECIPROCITY_TOL:
+                    broken = min(broken or (j, i), (j, i))
+                row.append(a)
+            if not bad and abs(row[i] - 1.0) > RECIPROCITY_TOL:
+                bad = f"matrix {node!r}: diagonal ({labels[i]}, {labels[i]}) must be 1"
+            entries.append(tuple(row))
+        if not labels:
+            raise ValidationError(f"matrix {node!r}: empty")
+        if len(set(labels)) != n:
+            raise ValidationError(f"matrix {node!r}: duplicate labels")
+        if bad:
+            raise ValidationError(bad)
+        if broken:
+            raise ValidationError(
+                f"matrix {node!r}: reciprocity violated at "
+                f"({labels[broken[0]]}, {labels[broken[1]]})"
+            )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "raw", tuple(tuple(map(str, cells)) for cells in rows))
 
     @property
     def order(self) -> int:
@@ -120,54 +132,6 @@ class JudgmentMatrix:
         a = self.to_array()
         a.flags.writeable = False
         return a
-
-
-def _check_labels(node: str, labels: tuple[str, ...]) -> None:
-    if not labels:
-        raise ValidationError(f"matrix {node!r}: empty")
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"matrix {node!r}: duplicate labels")
-
-
-def _walk_cells(
-    node: str,
-    labels: tuple[str, ...],
-    rows: Sequence[Sequence[object]],
-    parse: Callable[[object, int, int], float],
-    raw: list[tuple[str, ...]] | None = None,
-) -> tuple[tuple[tuple[float, ...], ...], str]:
-    """Parses and checks the cells of a square matrix in one row-major walk.
-
-    Returns the parsed rows and the first problem, or "". A cell that `parse`
-    rejects raises at once. Otherwise the problem is the first cell that is
-    not positive or is off the 1/9..9 scale, or the first diagonal that is
-    not 1 (each row's diagonal after its cells); failing those, the first
-    pair (i, j), i < j, in row-major order that breaks reciprocity. Each
-    row's cells are also appended to `raw` as strings, when given.
-    """
-    entries: list[tuple[float, ...]] = []
-    bad = ""
-    broken: tuple[int, int] | None = None
-    for i, cells in enumerate(rows):
-        row: list[float] = []
-        for j, v in enumerate(cells):
-            a = parse(v, i, j)
-            if not bad and not (a > 0 and SCALE_MIN - 1e-12 <= a <= SCALE_MAX + 1e-12):
-                where = f"matrix {node!r}: entry ({labels[i]}, {labels[j]})"
-                bad = (f"{where} must be positive, got {a}" if a <= 0
-                       else f"{where} = {a:g} outside the 1/9..9 scale")
-            # Cell (i, j) below the diagonal closes pair (j, i); keep the smallest.
-            if j < i and abs(entries[j][i] * a - 1.0) > RECIPROCITY_TOL:
-                broken = min(broken or (j, i), (j, i))
-            row.append(a)
-        if not bad and abs(row[i] - 1.0) > RECIPROCITY_TOL:
-            bad = f"matrix {node!r}: diagonal ({labels[i]}, {labels[i]}) must be 1"
-        entries.append(tuple(row))
-        if raw is not None:
-            raw.append(tuple(map(str, cells)))
-    if not bad and broken:
-        bad = f"matrix {node!r}: reciprocity violated at ({labels[broken[0]]}, {labels[broken[1]]})"
-    return tuple(entries), bad
 
 
 @dataclass(frozen=True)

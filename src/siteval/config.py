@@ -101,6 +101,7 @@ class ProjectConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "matrices", dict(self.matrices))
+        object.__setattr__(self, "alpha", parse_float(self.alpha, "alpha"))
         if (self.objective_weights is None) == (self.decision_matrix is None):
             raise ValidationError(
                 "config must provide exactly one of objective_weights and decision_matrix"
@@ -255,7 +256,7 @@ class ProjectConfig:
                 _list(row, "judgment_matrices.{}[{}]", node, k)
                 for k, row in enumerate(_list(rows, "judgment_matrices.{}", node))
             ]
-            matrices[node] = JudgmentMatrix.from_rows(node, labels, rows)
+            matrices[node] = JudgmentMatrix(node, labels, rows)
 
         membership_rows: dict[str, dict[str, float]] = {}
         for ind, row in as_object(data["membership"], "membership").items():
@@ -304,7 +305,7 @@ class ProjectConfig:
             membership=membership,
             objective_weights=objective,
             decision_matrix=decision,
-            alpha=parse_float(data.get("alpha", 0.5), "alpha"),
+            alpha=data.get("alpha", 0.5),
             operator=str(data.get("operator", WEIGHTED_AVERAGE)),
             weights_policy=str(data.get("weights_policy", POLICY_PAPER)),
         )
@@ -340,6 +341,7 @@ class ProjectConfig:
 
     def _dict_without_values(self) -> dict[str, Any]:
         """`to_dict()` minus the decision matrix's values, which its callers encode."""
+        indicators = {i.id: i for i in self.hierarchy.indicators}
         out: dict[str, Any] = {
             "goal": self.hierarchy.goal_name,
             "grades": list(self.scale.labels),
@@ -349,8 +351,7 @@ class ProjectConfig:
                     "name": c.name,
                     "indicators": [
                         {"id": i.id, "name": i.name, "kind": i.kind}
-                        for i in self.hierarchy.indicators
-                        if i.id in c.children
+                        for i in map(indicators.__getitem__, c.children)
                     ],
                 }
                 for c in self.hierarchy.criteria
@@ -368,10 +369,7 @@ class ProjectConfig:
             "judgment_matrices": {
                 node: [list(row) for row in m.raw] for node, m in self.matrices.items()
             },
-            "membership": {
-                ind: dict(self.membership.row(ind))
-                for ind in self.membership.indicator_ids
-            },
+            "membership": {ind: dict(row) for ind, row in self.membership.rows.items()},
             "alpha": self.alpha,
             "operator": self.operator,
             "weights_policy": self.weights_policy,

@@ -236,7 +236,8 @@ class MembershipMatrix:
         grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
             row_f = {
-                str(g): parse_float(v, "membership row {!r}, grade {!r}", str(ind), str(g))
+                str(g): v if type(v) is float
+                else parse_float(v, "membership row {!r}, grade {!r}", str(ind), str(g))
                 for g, v in row.items()
             }
             if len(row_f) != len(row):

@@ -31,6 +31,7 @@ from .core import (
     WeightVector,
     check_same_ids,
     check_str_ids,
+    parse_float,
 )
 
 WEIGHTED_AVERAGE = "weighted-average"
@@ -55,7 +56,11 @@ class FuzzyVector:
     memberships: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        cleaned = {str(g): float(v) for g, v in self.memberships.items()}
+        cleaned = {
+            str(g): v if type(v) is float
+            else parse_float(v, "membership for grade {!r}", str(g))
+            for g, v in self.memberships.items()
+        }
         if not cleaned:
             raise ValidationError("empty fuzzy vector")
         if len(cleaned) != len(self.memberships):

@@ -148,7 +148,7 @@ SCREEN_OVERRIDES = {"business_benefits", "mobile_network_quality"}
 
 def _matrix(node: str) -> JudgmentMatrix:
     labels, rows = MATRICES[node]
-    return JudgmentMatrix.from_rows(node, labels, rows)
+    return JudgmentMatrix(node, labels, rows)
 
 
 def _assert_vector(weights, expected: dict[str, float], tol: float) -> None:

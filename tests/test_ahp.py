@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ SCALE_VALUES = [1 / k for k in range(9, 1, -1)] + [float(k) for k in range(1, 10
 
 
 def goal_matrix() -> JudgmentMatrix:
-    return JudgmentMatrix.from_rows("goal", ["B1", "B2", "B3", "B4"], GOAL_ROWS)
+    return JudgmentMatrix("goal", ["B1", "B2", "B3", "B4"], GOAL_ROWS)
 
 
 def consistent_matrix(node: str, weights: dict[str, float]) -> JudgmentMatrix:
@@ -104,17 +105,17 @@ class TestSaatyTokens:
 
     @given(mixed_rows())
     @example([["1", " 3", "2/6", "0.5"], ["1/3", 1, 2.0, "1/9"], [3, "1/2", "1.0", "4/2"], ["2", " 9 ", 0.5, 1.0]])
-    def test_from_rows_matches_fraction_oracle(self, rows):
+    def test_constructor_matches_fraction_oracle(self, rows):
         def exact(v):
             return float(Fraction(v.strip()) if isinstance(v, str) else v)
 
         labels = [f"x{i}" for i in range(len(rows))]
-        m = JudgmentMatrix.from_rows("node", labels, rows)
+        m = JudgmentMatrix("node", labels, rows)
         assert m.entries == tuple(tuple(exact(v) for v in row) for row in rows)
         assert m.raw == tuple(tuple(str(v) for v in row) for row in rows)
 
 
-# Cells for fuzzing JudgmentMatrix.from_rows: good Saaty values in several
+# Cells for fuzzing the JudgmentMatrix constructor: good Saaty values in several
 # spellings, and values that fail parsing, the sign check, the scale or the diagonal.
 CELL_POOL = [
     "1", "2", "1/2", "3", "1/3", "9", "1/9", 1, 2.0, 0.5, 3, " 1/3",
@@ -123,7 +124,7 @@ CELL_POOL = [
 
 
 def _two_pass_error(node, labels, rows):
-    """The first error of the validation `from_rows` had when it walked every cell twice."""
+    """The first error of the matrix validation that walked every cell twice."""
     n = len(labels)
     if len(rows) != n or any(len(row) != n for row in rows):
         return f"matrix {node!r}: not square of order {n}"
@@ -187,20 +188,22 @@ class TestJudgmentMatrixValidation:
                                      ["1/3", "1/2", "1", "1"], ["1", "1", "1", "1"]]))
     @example((["a", "b"], [["1", "x"], ["12", "1"]]))
     @example((["a", "a"], [["1", "12"], ["1/12", "1"]]))
+    @example((["a", "b"], [[1, True], [1.0, 1]]))
+    @example((["a", "b", "c"], [[1.0, 2, 0.25], [0.5, 1.0, 1.0], [4, 1, 1.0]]))
     @settings(max_examples=300, deadline=None)
     def test_one_walk_reports_the_two_pass_first_error(self, case):
         labels, rows = case
         expected = _two_pass_error("node", labels, rows)
         try:
-            m = JudgmentMatrix.from_rows("node", labels, rows)
+            m = JudgmentMatrix("node", labels, rows)
         except ValidationError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
+            assert m.labels == tuple(labels)
             assert m.entries == tuple(tuple(parse_ratio(v) for v in row) for row in rows)
             assert m.raw == tuple(tuple(str(v) for v in row) for row in rows)
-            assert m == JudgmentMatrix(node="node", labels=tuple(labels), entries=m.entries,
-                                       raw=m.raw)
+            assert JudgmentMatrix("node", m.labels, m.entries).entries == m.entries
 
     @given(candidate_matrices())
     @settings(max_examples=100, deadline=None)
@@ -220,7 +223,7 @@ class TestJudgmentMatrixValidation:
         else:
             assert expected is None
 
-    def test_from_rows_parses_each_cell_once(self, monkeypatch):
+    def test_constructor_parses_each_cell_once(self, monkeypatch):
         calls = []
 
         def counting(value):
@@ -231,23 +234,35 @@ class TestJudgmentMatrixValidation:
         goal_matrix()
         assert calls == [v for row in GOAL_ROWS for v in row]
 
+    def test_raw_is_derived_not_given(self):
+        assert [f.name for f in dataclasses.fields(JudgmentMatrix) if f.init] == [
+            "node", "labels", "entries",
+        ]
+        with pytest.raises(TypeError, match="raw"):
+            JudgmentMatrix("node", ["a"], [["1"]], raw=(("2",),))
+
+    def test_raw_is_each_cell_as_text(self):
+        m = JudgmentMatrix("node", ("a", "b"), ((1, " 3"), ("1/3", 1.0)))
+        assert m.raw == (("1", " 3"), ("1/3", "1.0"))
+        assert m.entries == ((1.0, 3.0), (1 / 3, 1.0))
+
     def test_non_reciprocal_names_cell(self):
         rows = [[1, 2], [0.6, 1]]
         with pytest.raises(ValidationError, match=r"reciprocity.*\(a, b\)"):
-            JudgmentMatrix.from_rows("node", ["a", "b"], rows)
+            JudgmentMatrix("node", ["a", "b"], rows)
 
     def test_out_of_scale_names_cell(self):
         rows = [[1, 12, "1/12"], ["1/12", 1, 1], [12, 1, 1]]
         with pytest.raises(ValidationError, match="scale"):
-            JudgmentMatrix.from_rows("node", ["a", "b", "c"], rows)
+            JudgmentMatrix("node", ["a", "b", "c"], rows)
 
     def test_bad_diagonal_rejected(self):
         rows = [[2, 1], [1, 1]]
         with pytest.raises(ValidationError, match="diagonal"):
-            JudgmentMatrix.from_rows("node", ["a", "b"], rows)
+            JudgmentMatrix("node", ["a", "b"], rows)
 
     def test_fraction_entries_survive_reciprocity_check(self):
-        m = JudgmentMatrix.from_rows("B2", list("abcdef"), [
+        m = JudgmentMatrix("B2", list("abcdef"), [
             ["1", "1/2", "1/3", "1/3", "1/3", "1/3"],
             ["2", "1", "1/2", "1/2", "1/2", "1/2"],
             ["3", "2", "1", "2", "1", "1"],
@@ -281,7 +296,7 @@ class TestDeriveWeights:
             run_pipeline(campus_config)
 
     def test_three_by_three_sublayer(self):
-        m = JudgmentMatrix.from_rows("B1", ["C1", "C2", "C3"], B1_ROWS)
+        m = JudgmentMatrix("B1", ["C1", "C2", "C3"], B1_ROWS)
         weights, report = derive_weights(m)
         assert weights["C1"] == pytest.approx(0.594, abs=0.005)
         assert weights["C2"] == pytest.approx(0.157, abs=0.005)
@@ -289,7 +304,7 @@ class TestDeriveWeights:
         assert report.cr < 0.1
 
     def test_two_by_two_closed_form(self):
-        m = JudgmentMatrix.from_rows("node", ["a", "b"], [["1", "3"], ["1/3", "1"]])
+        m = JudgmentMatrix("node", ["a", "b"], [["1", "3"], ["1/3", "1"]])
         weights, report = derive_weights(m)
         assert weights["a"] == pytest.approx(0.75, abs=1e-12)
         assert weights["b"] == pytest.approx(0.25, abs=1e-12)
@@ -459,13 +474,13 @@ def jittered_matrices(draw):
                 r = weights[i] / weights[j] * draw(st.floats(min_value=0.5, max_value=2.0))
                 r = min(max(r, 1 / 9), 9.0)
                 rows[i][j], rows[j][i] = r, 1.0 / r
-    return JudgmentMatrix.from_rows("m", [f"x{i}" for i in range(n)], rows)
+    return JudgmentMatrix("m", [f"x{i}" for i in range(n)], rows)
 
 
 class TestPowerIterationOracle:
     @given(jittered_matrices())
     @example(goal_matrix())
-    @example(JudgmentMatrix.from_rows("one", ["a"], [["1"]]))
+    @example(JudgmentMatrix("one", ["a"], [["1"]]))
     @settings(max_examples=300, deadline=None)
     def test_same_bits_as_the_reference_loop(self, m):
         a = m.to_array()

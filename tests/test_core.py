@@ -275,6 +275,7 @@ class TestFloatConversion:
         [
             (lambda v: WeightVector({"a": v}), r"^weight for 'a': "),
             (lambda v: MembershipMatrix({"C1": {"Good": v}}), r"^membership row 'C1', grade 'Good': "),
+            (lambda v: FuzzyVector({"Good": v}), r"^membership for grade 'Good': "),
         ],
     )
     def test_unconvertible_value_names_key(self, build, message):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,11 @@ from siteval import (
     emit_report,
     fuse,
     ingest_survey,
+    load_config,
     run_pipeline,
     sweep_alpha,
 )
-from siteval import pipeline
+from siteval import core, pipeline
 from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
 
@@ -704,6 +706,14 @@ class TestConfigRoundTrip:
         reparsed = ProjectConfig.from_dict(campus_config.to_dict())
         assert reparsed.config_hash() == campus_config.config_hash()
 
+    def test_indicators_keep_their_criterion_order(self, campus_config):
+        h = campus_config.hierarchy
+        rev = replace(campus_config, hierarchy=replace(h, indicators=h.indicators[::-1]))
+        reparsed = ProjectConfig.from_dict(rev.to_dict())
+        assert reparsed.hierarchy.indicator_ids() == h.indicator_ids()
+        assert run_pipeline(reparsed).relative_weights == run_pipeline(campus_config).relative_weights
+        assert reparsed.config_hash() == rev.config_hash() == campus_config.config_hash()
+
     def test_decision_matrix_round_trip(self, campus_config_dict):
         cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
         emitted = cfg.to_dict()
@@ -711,6 +721,29 @@ class TestConfigRoundTrip:
         reparsed = ProjectConfig.from_dict(json.loads(json.dumps(emitted)))
         assert reparsed == cfg
         assert reparsed.to_dict() == emitted
+
+
+class TestConfigNumbers:
+    def test_each_number_is_parsed_once(self, monkeypatch, fixture_dir):
+        calls = []
+        parse_float = core.parse_float
+
+        def counting(value, where, *args):
+            calls.append(where)
+            return parse_float(value, where, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("siteval.") and getattr(module, "parse_float", None) is parse_float:
+                monkeypatch.setattr(module, "parse_float", counting)
+        load_config(fixture_dir / "campus_bikeshare.json")
+        # 42 membership cells, 14 objective weights, 4 screening thresholds,
+        # 2 class weights and alpha.
+        assert len(calls) == 63
+
+    def test_alpha_override_is_parsed(self, campus_config):
+        assert campus_config.with_overrides(alpha="0.25").alpha == 0.25
+        with pytest.raises(ValidationError, match=r"^alpha: not a number: True$"):
+            campus_config.with_overrides(alpha=True)
 
 
 class TestConfigHash:

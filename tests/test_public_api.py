@@ -33,6 +33,17 @@ def test_import_does_not_load_package_metadata():
     subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT / "src")
 
 
+def test_readme_python_examples_run(monkeypatch):
+    # The blocks build on each other, so they share one namespace and run in order.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 4
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_benchmark_tracer_finds_every_target(monkeypatch, fixture_dir):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracer = importlib.import_module("tracing").Tracer()
