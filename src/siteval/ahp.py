@@ -10,6 +10,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -42,7 +43,7 @@ def parse_ratio(value: object) -> float:
     """
     if isinstance(value, str) and (ratio := SAATY_TOKENS.get(value.strip())) is not None:
         return ratio
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Integral)):
         raise ValidationError(f"invalid comparison entry {value!r}")
     try:
         return float(Fraction(value.strip()) if isinstance(value, str) else value)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -75,11 +76,36 @@ def as_object(value: object, where: str, *args: object) -> Mapping[str, Any]:
     return value
 
 
-def _field(entry: object, key: str, where: str, *args: object) -> Any:
-    entry = as_object(entry, where, *args)
+@cache
+def _keys(cls: type) -> frozenset[str]:
+    """The constructor arguments of dataclass `cls`: the keys its config object may hold."""
+    return frozenset(f.name for f in fields(cls) if f.init)
+
+
+def _object(value: object, cls: type, where: str, *args: object) -> Mapping[str, Any]:
+    """`value` as a mapping holding only keys that `cls`'s constructor takes."""
+    value = as_object(value, where, *args)
+    if not value.keys() <= _keys(cls):
+        unknown = sorted(value.keys() - _keys(cls), key=str)
+        raise ValidationError(f"{where.format(*args)}: unknown keys {unknown}")
+    return value
+
+
+def _objects(value: object, cls: type, where: str, *args: object) -> list[Mapping[str, Any]]:
+    """`value` as a list of mappings, each checked by `_object` at `where[k]`."""
+    item = where + "[{}]"
+    return [_object(v, cls, item, *args, k) for k, v in enumerate(_list(value, where, *args))]
+
+
+def _field(entry: Mapping[str, Any], key: str, where: str, *args: object) -> Any:
     if key not in entry:
         raise ValidationError(f"{where.format(*args)}: missing key {key!r}")
     return entry[key]
+
+
+def _given(entry: Mapping[str, Any], *keys: str) -> dict[str, Any]:
+    """The values `entry` gives for `keys`; a key it omits keeps its dataclass default."""
+    return {k: entry[k] for k in keys if k in entry}
 
 
 @dataclass(frozen=True)
@@ -176,8 +202,8 @@ class ProjectConfig:
     def _parse(cls, data: Mapping[str, object]) -> "ProjectConfig":
         if not isinstance(data, (dict, Mapping)):
             raise ValidationError(f"expected an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - _CONFIG_KEYS)
-        if unknown:
+        if not data.keys() <= _CONFIG_KEYS:
+            unknown = sorted(data.keys() - _CONFIG_KEYS, key=str)
             raise ValidationError(f"unknown config keys: {unknown}")
         for key in ("goal", "grades", "criteria", "judgment_matrices", "membership"):
             if key not in data:
@@ -186,33 +212,19 @@ class ProjectConfig:
         scale = GradeScale(tuple(str(g) for g in _list(data["grades"], "grades")))
 
         criteria: list[Criterion] = []
-        indicators: list[Indicator] = []
-        for k, entry in enumerate(_list(data["criteria"], "criteria")):
+        for k, entry in enumerate(_objects(data["criteria"], Criterion, "criteria")):
             crit_id = _field(entry, "id", "criteria[{}]", k)
-            child_ids = []
-            kids = _list(entry.get("indicators", []), "criteria[{}].indicators", k)
-            for m, ind in enumerate(kids):
+            indicators = []
+            kids = entry.get("indicators", [])
+            for m, ind in enumerate(_objects(kids, Indicator, "criteria[{}].indicators", k)):
                 ind_id = _field(ind, "id", "criteria[{}].indicators[{}]", k, m)
                 indicators.append(
-                    Indicator(
-                        id=str(ind_id),
-                        name=str(ind.get("name", ind_id)),
-                        kind=str(ind.get("kind", "qualitative")),
-                    )
+                    Indicator(str(ind_id), str(ind.get("name", ind_id)), **_given(ind, "kind"))
                 )
-                child_ids.append(str(ind_id))
             criteria.append(
-                Criterion(
-                    id=str(crit_id),
-                    name=str(entry.get("name", crit_id)),
-                    children=tuple(child_ids),
-                )
+                Criterion(str(crit_id), str(entry.get("name", crit_id)), tuple(indicators))
             )
-        hierarchy = IndicatorHierarchy(
-            goal_name=str(data["goal"]),
-            criteria=tuple(criteria),
-            indicators=tuple(indicators),
-        )
+        hierarchy = IndicatorHierarchy(str(data["goal"]), tuple(criteria))
 
         classes = tuple(
             RespondentClass(
@@ -222,25 +234,24 @@ class ProjectConfig:
                     "respondent_classes[{}].score_weight", k,
                 ),
             )
-            for k, c in enumerate(_list(data.get("respondent_classes", []), "respondent_classes"))
+            for k, c in enumerate(
+                _objects(data.get("respondent_classes", []), RespondentClass, "respondent_classes")
+            )
         ) or DEFAULT_CLASSES
         labels = [c.label for c in classes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")
 
-        sc = as_object(data.get("screening", {}), "screening")
-        min_gcr = sc.get("min_gcr", 3.0)
-        screening = ScreeningCriteria(
-            min_mean=parse_float(sc.get("min_mean", 3.5), "screening.min_mean"),
-            min_full_mark_rate=parse_float(
-                sc.get("min_full_mark_rate", 0.5), "screening.min_full_mark_rate"
-            ),
-            max_cv=parse_float(sc.get("max_cv", 0.25), "screening.max_cv"),
-            min_gcr=None if min_gcr is None else parse_float(min_gcr, "screening.min_gcr"),
-            overrides=frozenset(
-                str(i) for i in _list(sc.get("overrides", []), "screening.overrides")
-            ),
-        )
+        sc = _object(data.get("screening", {}), ScreeningCriteria, "screening")
+        thresholds = {
+            k: None if k == "min_gcr" and v is None else parse_float(v, "screening.{}", k)
+            for k, v in sc.items() if k != "overrides"
+        }
+        if "overrides" in sc:
+            thresholds["overrides"] = frozenset(
+                str(i) for i in _list(sc["overrides"], "screening.overrides")
+            )
+        screening = ScreeningCriteria(**thresholds)
 
         matrices: dict[str, JudgmentMatrix] = {}
         for node, rows in as_object(data["judgment_matrices"], "judgment_matrices").items():
@@ -284,7 +295,7 @@ class ProjectConfig:
             )
         decision = None
         if "decision_matrix" in data:
-            dm = data["decision_matrix"]
+            dm = _object(data["decision_matrix"], DecisionMatrix, "decision_matrix")
             ids = {
                 key: tuple(
                     str(x)
@@ -305,9 +316,7 @@ class ProjectConfig:
             membership=membership,
             objective_weights=objective,
             decision_matrix=decision,
-            alpha=data.get("alpha", 0.5),
-            operator=str(data.get("operator", WEIGHTED_AVERAGE)),
-            weights_policy=str(data.get("weights_policy", POLICY_PAPER)),
+            **_given(data, "alpha", "operator", "weights_policy"),
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -341,7 +350,6 @@ class ProjectConfig:
 
     def _dict_without_values(self) -> dict[str, Any]:
         """`to_dict()` minus the decision matrix's values, which its callers encode."""
-        indicators = {i.id: i for i in self.hierarchy.indicators}
         out: dict[str, Any] = {
             "goal": self.hierarchy.goal_name,
             "grades": list(self.scale.labels),
@@ -351,7 +359,7 @@ class ProjectConfig:
                     "name": c.name,
                     "indicators": [
                         {"id": i.id, "name": i.name, "kind": i.kind}
-                        for i in map(indicators.__getitem__, c.children)
+                        for i in c.indicators
                     ],
                 }
                 for c in self.hierarchy.criteria

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,12 +99,16 @@ class Indicator:
 
 @dataclass(frozen=True)
 class Criterion:
+    """A criterion and its indicators, in order; `children` holds their ids."""
+
     id: str
     name: str
-    children: tuple[str, ...]
+    indicators: tuple[Indicator, ...]
+    children: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "indicators", tuple(self.indicators))
+        object.__setattr__(self, "children", tuple(i.id for i in self.indicators))
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,9 @@ class IndicatorHierarchy:
 
     goal_name: str
     criteria: tuple[Criterion, ...]
-    indicators: tuple[Indicator, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "indicators", tuple(self.indicators))
 
     def criterion_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.criteria)
@@ -144,25 +146,10 @@ def validate_hierarchy(h: IndicatorHierarchy) -> list[str]:
         if not c.children:
             violations.append(f"criterion {c.id!r}: empty children list")
 
-    declared = [i.id for i in h.indicators]
-    declared_set = set(declared)
-    if len(declared) != len(declared_set):
-        dupes = sorted({i for i in declared if declared.count(i) > 1})
+    ids = h.indicator_ids()
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
         violations.append(f"indicators: duplicate ids {dupes}")
-
-    membership_count: dict[str, int] = {}
-    for c in h.criteria:
-        for ind in c.children:
-            membership_count[ind] = membership_count.get(ind, 0) + 1
-            if ind not in declared_set:
-                violations.append(f"criterion {c.id!r} -> {ind!r}: unknown indicator")
-
-    for ind, count in membership_count.items():
-        if count > 1:
-            violations.append(f"indicator {ind!r}: duplicate membership ({count} criteria)")
-    for ind in declared:
-        if ind not in membership_count:
-            violations.append(f"indicator {ind!r}: not attached to any criterion")
 
     return violations
 

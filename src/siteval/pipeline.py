@@ -47,8 +47,9 @@ from .report import (
     sweep_rows,
 )
 
-# Membership rows may drift from sum 1 by this much before the run aborts;
-# smaller deviations above the flagging tolerance become warnings.
+# A membership row may fall short of sum 1 by this much before the run aborts;
+# a smaller shortfall above the flagging tolerance becomes a warning. Only
+# shortfalls reach this band: MembershipMatrix rejects sums above 1 + 1e-9.
 MEMBERSHIP_ERROR_TOL = 0.05
 VECTOR_SUM_WARN_TOL = 1e-6
 

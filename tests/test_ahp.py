@@ -56,6 +56,16 @@ class TestParseRatio:
         assert parse_ratio(3) == 3.0
         assert parse_ratio(0.5) == 0.5
 
+    def test_numpy_integers_accepted_numpy_bools_rejected(self):
+        assert parse_ratio(np.int64(3)) == 3.0
+        assert parse_ratio(np.uint8(1)) == 1.0
+        m = JudgmentMatrix("n", ["a", "b"], [[np.int64(1), np.int32(3)], ["1/3", 1]])
+        assert m.entries == ((1.0, 3.0), (1 / 3, 1.0))
+        assert m.raw == (("1", "3"), ("1/3", "1"))
+        for bad in (True, np.bool_(True)):
+            with pytest.raises(ValidationError, match="invalid comparison entry"):
+                parse_ratio(bad)
+
     def test_garbage_rejected(self):
         for bad in ("three", "1/0", "", None, True):
             with pytest.raises(ValidationError):
@@ -350,14 +360,8 @@ class TestSynthesizeGlobal:
         return IndicatorHierarchy(
             goal_name="goal",
             criteria=(
-                Criterion("B1", "B1", ("C1", "C2")),
-                Criterion("B4", "B4", ("C13", "C14")),
-            ),
-            indicators=(
-                Indicator("C1", "C1"),
-                Indicator("C2", "C2"),
-                Indicator("C13", "C13"),
-                Indicator("C14", "C14"),
+                Criterion("B1", "B1", (Indicator("C1", "C1"), Indicator("C2", "C2"))),
+                Criterion("B4", "B4", (Indicator("C13", "C13"), Indicator("C14", "C14"))),
             ),
         )
 
@@ -377,8 +381,7 @@ class TestSynthesizeGlobal:
     def test_single_criterion_passthrough(self):
         h = IndicatorHierarchy(
             goal_name="g",
-            criteria=(Criterion("B1", "B1", ("C1", "C2")),),
-            indicators=(Indicator("C1", "C1"), Indicator("C2", "C2")),
+            criteria=(Criterion("B1", "B1", (Indicator("C1", "C1"), Indicator("C2", "C2"))),),
         )
         rel = WeightVector({"C1": 0.7, "C2": 0.3})
         out = synthesize_global(h, WeightVector({"B1": 1.0}), {"B1": rel})
@@ -557,10 +560,9 @@ class TestAhpProperties:
         h = IndicatorHierarchy(
             goal_name="g",
             criteria=(
-                Criterion("B1", "B1", ("C1", "C2", "C3")),
-                Criterion("B2", "B2", ("C4", "C5")),
+                Criterion("B1", "B1", tuple(Indicator(f"C{i}", f"C{i}") for i in range(1, 4))),
+                Criterion("B2", "B2", tuple(Indicator(f"C{i}", f"C{i}") for i in range(4, 6))),
             ),
-            indicators=tuple(Indicator(f"C{i}", f"C{i}") for i in range(1, 6)),
         )
         crit = WeightVector({"B1": 0.6, "B2": 0.4})
         rel = {

@@ -20,17 +20,13 @@ from siteval import (
 from siteval.fuzzy import FuzzyVector
 
 
-def _hierarchy(criteria_children: dict[str, list[str]], extra_indicators=()) -> IndicatorHierarchy:
-    indicators = [
-        Indicator(ind, ind) for kids in criteria_children.values() for ind in kids
-    ]
-    indicators += [Indicator(i, i) for i in extra_indicators]
+def _hierarchy(criteria_children: dict[str, list[str]]) -> IndicatorHierarchy:
     return IndicatorHierarchy(
         goal_name="goal",
         criteria=tuple(
-            Criterion(cid, cid, tuple(kids)) for cid, kids in criteria_children.items()
+            Criterion(cid, cid, tuple(Indicator(i, i) for i in kids))
+            for cid, kids in criteria_children.items()
         ),
-        indicators=tuple(indicators),
     )
 
 
@@ -68,31 +64,31 @@ class TestValidateHierarchy:
         assert len(h.indicator_ids()) == 14
 
     def test_duplicate_membership_flagged(self):
-        h = IndicatorHierarchy(
-            goal_name="g",
-            criteria=(
-                Criterion("B1", "B1", ("C1", "C2")),
-                Criterion("B2", "B2", ("C2",)),
-            ),
-            indicators=(Indicator("C1", "C1"), Indicator("C2", "C2")),
-        )
-        violations = validate_hierarchy(h)
-        assert any("duplicate membership" in v for v in violations)
+        h = _hierarchy({"B1": ["C1", "C2"], "B2": ["C2"]})
+        assert validate_hierarchy(h) == ["indicators: duplicate ids ['C2']"]
 
     def test_empty_criteria_flagged(self):
-        h = IndicatorHierarchy(goal_name="g", criteria=(), indicators=())
+        h = IndicatorHierarchy(goal_name="g", criteria=())
         violations = validate_hierarchy(h)
         assert any("empty criteria list" in v for v in violations)
 
-    def test_unknown_and_orphan_indicators_flagged(self):
+    def test_duplicate_criterion_and_empty_children_flagged(self):
         h = IndicatorHierarchy(
             goal_name="g",
-            criteria=(Criterion("B1", "B1", ("C1", "CX")),),
-            indicators=(Indicator("C1", "C1"), Indicator("C9", "C9")),
+            criteria=(
+                Criterion("B1", "B1", (Indicator("C1", "C1"),)),
+                Criterion("B1", "B1", ()),
+            ),
         )
-        violations = validate_hierarchy(h)
-        assert any("unknown indicator" in v for v in violations)
-        assert any("not attached" in v for v in violations)
+        assert validate_hierarchy(h) == [
+            "criterion 'B1': duplicate criterion id",
+            "criterion 'B1': empty children list",
+        ]
+
+    def test_criterion_children_are_its_indicator_ids(self):
+        c = Criterion("B1", "B1", [Indicator("C2", "C2"), Indicator("C1", "C1", "quantitative")])
+        assert c.indicators == (Indicator("C2", "C2"), Indicator("C1", "C1", "quantitative"))
+        assert c.children == ("C2", "C1")
 
     def test_ok_implies_every_indicator_resolves_once(self):
         h = _hierarchy({"B1": ["C1", "C2"], "B2": ["C3"]})

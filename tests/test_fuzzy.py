@@ -24,8 +24,7 @@ SCALE = GradeScale(("Excellent", "Good", "Poor"))
 def _single_criterion(children, rows, weights):
     h = IndicatorHierarchy(
         goal_name="g",
-        criteria=(Criterion("B", "B", tuple(children)),),
-        indicators=tuple(Indicator(c, c) for c in children),
+        criteria=(Criterion("B", "B", tuple(Indicator(c, c) for c in children)),),
     )
     r = MembershipMatrix(
         {c: dict(zip(SCALE.labels, row)) for c, row in zip(children, rows)}
@@ -70,8 +69,7 @@ class TestFirstLevel:
     def test_missing_membership_row_names_indicator(self):
         h = IndicatorHierarchy(
             goal_name="g",
-            criteria=(Criterion("B", "B", ("C1", "C2")),),
-            indicators=(Indicator("C1", "C1"), Indicator("C2", "C2")),
+            criteria=(Criterion("B", "B", (Indicator("C1", "C1"), Indicator("C2", "C2"))),),
         )
         r = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}})
         w = {"B": WeightVector({"C1": 0.5, "C2": 0.5})}

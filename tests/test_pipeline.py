@@ -1,9 +1,10 @@
 import copy
 import json
 import math
+import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from siteval import (
     AlphaSweep,
     FuzzyVector,
     GradeScale,
+    Indicator,
     MembershipMatrix,
     ProjectConfig,
+    ScreeningCriteria,
     ValidationError,
     emit_report,
     fuse,
@@ -344,6 +347,63 @@ class TestMalformedConfig:
         edit(data)
         with pytest.raises(ValidationError, match="^config: " + re.escape(message)):
             ProjectConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["screening"].update(max_CV=0.01), "screening"),
+            (lambda d: d["criteria"][1].update(max_CV=0.01), "criteria[1]"),
+            (
+                lambda d: d["criteria"][0]["indicators"][2].update(max_CV=0.01),
+                "criteria[0].indicators[2]",
+            ),
+            (lambda d: d["respondent_classes"][1].update(max_CV=0.01), "respondent_classes[1]"),
+            (lambda d: d["decision_matrix"].update(max_CV=0.01), "decision_matrix"),
+        ],
+        ids=["screening", "criterion", "indicator", "respondent_class", "decision_matrix"],
+    )
+    def test_unknown_nested_key_rejected(self, campus_config_dict, edit, message):
+        data = _with_decision_matrix(campus_config_dict)
+        ProjectConfig.from_dict(data)
+        edit(data)
+        expected = re.escape(f"config: {message}: unknown keys ['max_CV']")
+        with pytest.raises(ValidationError, match=f"^{expected}$"):
+            ProjectConfig.from_dict(data)
+
+    def test_duplicate_indicator_id_is_one_violation(self, campus_config_dict):
+        data = copy.deepcopy(campus_config_dict)
+        data["criteria"][1]["indicators"][0]["id"] = "C1"
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == "config: invalid hierarchy: indicators: duplicate ids ['C1']"
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("screening", "min_mean"),
+            ("screening", "min_full_mark_rate"),
+            ("screening", "max_cv"),
+            ("screening", "min_gcr"),
+            ("screening", "overrides"),
+            ("criteria", 0, "indicators", 0, "kind"),
+            ("alpha",),
+            ("operator",),
+            ("weights_policy",),
+        ],
+    )
+    def test_omitted_key_takes_the_dataclass_default(self, campus_config_dict, path):
+        data = copy.deepcopy(campus_config_dict)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        cfg = ProjectConfig.from_dict(data)
+        owner, cls = {
+            "screening": (cfg.screening, ScreeningCriteria),
+            "criteria": (cfg.hierarchy.criteria[0].indicators[0], Indicator),
+        }.get(path[0], (cfg, ProjectConfig))
+        default = next(f.default for f in fields(cls) if f.name == path[-1])
+        assert getattr(owner, path[-1]) == default
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ValidationError, match="^config: expected an object, got list"):
@@ -706,13 +766,16 @@ class TestConfigRoundTrip:
         reparsed = ProjectConfig.from_dict(campus_config.to_dict())
         assert reparsed.config_hash() == campus_config.config_hash()
 
-    def test_indicators_keep_their_criterion_order(self, campus_config):
-        h = campus_config.hierarchy
-        rev = replace(campus_config, hierarchy=replace(h, indicators=h.indicators[::-1]))
-        reparsed = ProjectConfig.from_dict(rev.to_dict())
-        assert reparsed.hierarchy.indicator_ids() == h.indicator_ids()
-        assert run_pipeline(reparsed).relative_weights == run_pipeline(campus_config).relative_weights
-        assert reparsed.config_hash() == rev.config_hash() == campus_config.config_hash()
+    def test_shuffled_criteria_and_indicators_round_trip(self, campus_config_dict):
+        data = copy.deepcopy(campus_config_dict)
+        rng = random.Random(1)
+        rng.shuffle(data["criteria"])
+        for c in data["criteria"]:
+            rng.shuffle(c["indicators"])
+        assert data["criteria"] != campus_config_dict["criteria"]
+        cfg = ProjectConfig.from_dict(data)
+        assert cfg.to_dict()["criteria"] == data["criteria"]
+        assert ProjectConfig.from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
 
     def test_decision_matrix_round_trip(self, campus_config_dict):
         cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
