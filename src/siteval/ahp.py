@@ -61,6 +61,11 @@ class JudgmentMatrix:
     cell is parsed once with `parse_ratio` and stored as a float. `raw` keeps
     each cell as supplied, `str(cell)`, so a parsed config can be re-emitted
     without rounding drift.
+
+    The matrix's principal eigenvector is found by power iteration once per
+    matrix object, on the first `derive_weights` call, and kept with its
+    consistency report; later calls on the same object, such as repeated
+    pipeline runs on one config, reuse them. An error is not kept.
     """
 
     node: str
@@ -134,6 +139,31 @@ class JudgmentMatrix:
         a.flags.writeable = False
         return a
 
+    @cached_property
+    def _eigen(self) -> tuple[tuple[float, ...], ConsistencyReport]:
+        """The principal eigenvector and consistency report, computed on first use.
+
+        lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
+        eigenvector. CR is defined as 0 for orders 1 and 2, which are always
+        consistent. An order above 9, which has no random index, raises before
+        the iteration runs; a raise keeps nothing, so the next use raises again.
+        """
+        a = self._array
+        n = self.order
+        try:
+            ri = ri_lookup(n)
+            w = _principal_eigenvector(a)
+        except ValidationError as exc:
+            raise ValidationError(f"matrix {self.node!r}: {exc}") from exc
+        lambda_max = float(np.add.reduce(np.matmul(a, w) / w)) / n  # the float np.mean gives
+
+        ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
+        cr = 0.0 if n <= 2 else ci / ri
+        report = ConsistencyReport(
+            lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
+        )
+        return tuple(w.tolist()), report
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -182,27 +212,14 @@ def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
 def derive_weights(m: JudgmentMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Principal-eigenvector weights plus the consistency report for a matrix.
 
-    lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
-    eigenvector. CR is defined as 0 for orders 1 and 2, which are always
-    consistent. An order above 9, which has no random index, raises before
-    the iteration runs.
+    The power iteration runs once per matrix object, on first use, and its
+    converged weights and frozen report are kept on the matrix; each call
+    builds a new `WeightVector` from them, so a caller that changes one
+    changes nothing kept. An error is not kept: an order above 9 (no random
+    index) or a matrix that does not converge raises on every call.
     """
-    a = m._array
-    n = m.order
-    try:
-        ri = ri_lookup(n)
-        w = _principal_eigenvector(a)
-    except ValidationError as exc:
-        raise ValidationError(f"matrix {m.node!r}: {exc}") from exc
-    lambda_max = float(np.add.reduce(np.matmul(a, w) / w)) / n  # the float np.mean gives
-
-    ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
-    cr = 0.0 if n <= 2 else ci / ri
-    report = ConsistencyReport(
-        lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
-    )
-    weights = WeightVector(dict(zip(m.labels, w.tolist())))
-    return weights, report
+    values, report = m._eigen
+    return WeightVector(dict(zip(m.labels, values))), report
 
 
 def synthesize_global(

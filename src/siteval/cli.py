@@ -73,9 +73,10 @@ def _cmd_entropy(args: argparse.Namespace) -> Result:
 def _cmd_fuse(args: argparse.Namespace) -> Result:
     subjective = read_weight_file(args.subjective)
     objective = read_weight_file(args.objective)
-    fused = WeightVector(
-        dict(zip(subjective.ids, fuse(subjective, objective, [args.alpha])[0].tolist()))
-    )
+    with error_prefix("fuse"):
+        fused = WeightVector(
+            dict(zip(subjective.ids, fuse(subjective, objective, [args.alpha])[0].tolist()))
+        )
     return {"alpha": args.alpha, "fused": fused.as_dict()}, lambda: markdown_page(
         f"Fused weights (alpha = {args.alpha:g})", weights_table(fused)
     )

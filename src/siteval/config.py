@@ -237,7 +237,11 @@ class ProjectConfig:
             for k, c in enumerate(
                 _objects(data.get("respondent_classes", []), RespondentClass, "respondent_classes")
             )
-        ) or DEFAULT_CLASSES
+        )
+        if "respondent_classes" not in data:
+            classes = DEFAULT_CLASSES
+        elif not classes:
+            raise ValidationError("respondent_classes: expected at least one class")
         labels = [c.label for c in classes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")

@@ -343,6 +343,60 @@ class TestDeriveWeights:
         assert str(info.value) == "matrix 'big': RI undefined for order > 9"
 
 
+def _count_iterations(monkeypatch) -> list[int]:
+    """Wrap `ahp._principal_eigenvector` so each call appends to the returned list."""
+    calls: list[int] = []
+    inner = ahp._principal_eigenvector
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(ahp, "_principal_eigenvector", counted)
+    return calls
+
+
+class TestKeptEigenvector:
+    def test_iteration_runs_once_per_matrix_object(self, monkeypatch):
+        calls = _count_iterations(monkeypatch)
+        m = goal_matrix()
+        first = derive_weights(m)
+        second = derive_weights(m)
+        assert calls == [4]
+        assert first[0].as_dict() == second[0].as_dict()
+        assert first[1] == second[1]
+        derive_weights(goal_matrix())
+        assert calls == [4, 4]
+
+    def test_each_call_returns_a_new_weight_vector(self):
+        m = goal_matrix()
+        weights, _ = derive_weights(m)
+        expected = weights.as_dict()
+        weights.weights.clear()
+        again, _ = derive_weights(m)
+        assert again is not weights
+        assert again.as_dict() == expected
+
+    def test_order_above_nine_raises_on_every_call(self):
+        labels = [f"x{i}" for i in range(10)]
+        m = consistent_matrix("big", {k: 1.0 for k in labels})
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                derive_weights(m)
+            assert str(info.value) == "matrix 'big': RI undefined for order > 9"
+
+    def test_non_convergence_is_not_kept(self, monkeypatch):
+        m = goal_matrix()
+        monkeypatch.setattr(ahp, "POWER_MAX_ITER", 1)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="did not converge within 1 iterations"):
+                derive_weights(m)
+        monkeypatch.undo()
+        weights, report = derive_weights(m)
+        assert weights.as_dict() == derive_weights(goal_matrix())[0].as_dict()
+        assert report.consistent
+
+
 class TestRiLookup:
     def test_published_values(self):
         expected = [0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45]

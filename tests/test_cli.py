@@ -387,7 +387,7 @@ class TestFuseCommand:
         )
         assert code == 1
         assert out == ""
-        assert err == "error: alpha must be in [0, 1], got 1.5\n"
+        assert err == "error: fuse: alpha must be in [0, 1], got 1.5\n"
 
     def test_mismatched_ids_exit_one(self, capsys, tmp_path):
         subj = tmp_path / "subj.json"

@@ -27,7 +27,7 @@ from siteval import (
     run_pipeline,
     sweep_alpha,
 )
-from siteval import core, pipeline
+from siteval import ahp, config, core, pipeline
 from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
 
@@ -261,6 +261,21 @@ class TestRunPipeline:
                 _variant(campus_config_dict, respondent_classes=classes)
             )
 
+    def test_empty_respondent_classes_rejected(self, campus_config_dict):
+        with pytest.raises(ValidationError) as info:
+            ProjectConfig.from_dict(_variant(campus_config_dict, respondent_classes=[]))
+        assert str(info.value) == "config: respondent_classes: expected at least one class"
+
+    def test_absent_respondent_classes_take_the_defaults(self, campus_config_dict):
+        data = _variant(campus_config_dict)
+        del data["respondent_classes"]
+        cfg = ProjectConfig.from_dict(data)
+        assert cfg.classes == config.DEFAULT_CLASSES
+        assert cfg.to_dict()["respondent_classes"] == [
+            {"label": "expert", "score_weight": 0.8},
+            {"label": "end_user", "score_weight": 0.2},
+        ]
+
     def test_nan_observation_rejected_at_config(self, campus_config_dict):
         data = _with_decision_matrix(campus_config_dict)
         data["decision_matrix"]["values"][2][0] = float("nan")
@@ -418,6 +433,10 @@ class TestDeterminism:
 
         assert one_pass() == one_pass()
 
+    def test_runs_on_one_config_emit_identical_json(self, campus_config):
+        first = emit_report(run_pipeline(campus_config), "json")
+        assert emit_report(run_pipeline(campus_config), "json") == first
+
     def test_config_hash_stable(self, campus_config_dict):
         a = ProjectConfig.from_dict(copy.deepcopy(campus_config_dict)).config_hash()
         b = ProjectConfig.from_dict(copy.deepcopy(campus_config_dict)).config_hash()
@@ -462,6 +481,19 @@ class TestSweepAlpha:
         assert [r.alpha for r in rows] == [0.0, 0.5, 1.0]
         mid = run_pipeline(campus_config)
         assert rows[1].second_level.as_dict() == mid.second_level.as_dict()
+
+    def test_power_iteration_runs_once_per_loaded_matrix(self, monkeypatch, campus_config_dict):
+        calls = []
+        inner = ahp._principal_eigenvector
+        monkeypatch.setattr(ahp, "_principal_eigenvector", lambda a: calls.append(1) or inner(a))
+        base = ProjectConfig.from_dict(campus_config_dict)
+        grid = [0.0, 0.5, 1.0]
+        plain = sweep_alpha(base.with_overrides(operator="weighted-average"), grid)
+        sweep_alpha(base.with_overrides(operator="min-max", weights_policy="fused-both"), grid)
+        assert len(calls) == 5
+        again = sweep_alpha(ProjectConfig.from_dict(campus_config_dict), grid)
+        assert len(calls) == 10
+        assert sweep_to_json_dict(again) == sweep_to_json_dict(plain)
 
     def test_duplicate_grid_values_repeat_rows(self, campus_config):
         rows = sweep_alpha(campus_config, [0.5, 0.5])
