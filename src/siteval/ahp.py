@@ -133,13 +133,6 @@ class JudgmentMatrix:
         return np.array(self.entries, dtype=float)
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        """The entries as a read-only float64 array, built on first use."""
-        a = self.to_array()
-        a.flags.writeable = False
-        return a
-
-    @cached_property
     def _eigen(self) -> tuple[tuple[float, ...], ConsistencyReport]:
         """The principal eigenvector and consistency report, computed on first use.
 
@@ -148,7 +141,7 @@ class JudgmentMatrix:
         consistent. An order above 9, which has no random index, raises before
         the iteration runs; a raise keeps nothing, so the next use raises again.
         """
-        a = self._array
+        a = self.to_array()
         n = self.order
         try:
             ri = ri_lookup(n)

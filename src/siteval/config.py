@@ -110,7 +110,10 @@ def _given(entry: Mapping[str, Any], *keys: str) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class ProjectConfig:
-    """Everything one evaluation run needs, parsed and cross-validated."""
+    """Everything one evaluation run needs, parsed and cross-validated.
+
+    `scale.labels` is a run's one grade order; `membership` must list its grades in it.
+    """
 
     hierarchy: IndicatorHierarchy
     scale: GradeScale
@@ -128,6 +131,11 @@ class ProjectConfig:
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "matrices", dict(self.matrices))
         object.__setattr__(self, "alpha", parse_float(self.alpha, "alpha"))
+        if not self.classes:
+            raise ValidationError("respondent_classes: expected at least one class")
+        labels = [c.label for c in self.classes]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")
         if (self.objective_weights is None) == (self.decision_matrix is None):
             raise ValidationError(
                 "config must provide exactly one of objective_weights and decision_matrix"
@@ -177,9 +185,9 @@ class ProjectConfig:
             self.membership.indicator_ids, indicator_ids,
             "membership rows do not match indicators",
         )
-        if set(self.membership.grades) != set(self.scale.labels):
+        if self.membership.grades != self.scale.labels:
             raise ValidationError(
-                f"membership grades {sorted(self.membership.grades)} do not match "
+                f"membership grades {list(self.membership.grades)} do not match "
                 f"scale {list(self.scale.labels)}"
             )
         if self.objective_weights is not None:
@@ -226,25 +234,20 @@ class ProjectConfig:
             )
         hierarchy = IndicatorHierarchy(str(data["goal"]), tuple(criteria))
 
-        classes = tuple(
-            RespondentClass(
-                str(_field(c, "label", "respondent_classes[{}]", k)),
-                parse_float(
-                    _field(c, "score_weight", "respondent_classes[{}]", k),
-                    "respondent_classes[{}].score_weight", k,
-                ),
+        classes = DEFAULT_CLASSES
+        if "respondent_classes" in data:
+            classes = tuple(
+                RespondentClass(
+                    str(_field(c, "label", "respondent_classes[{}]", k)),
+                    parse_float(
+                        _field(c, "score_weight", "respondent_classes[{}]", k),
+                        "respondent_classes[{}].score_weight", k,
+                    ),
+                )
+                for k, c in enumerate(
+                    _objects(data["respondent_classes"], RespondentClass, "respondent_classes")
+                )
             )
-            for k, c in enumerate(
-                _objects(data.get("respondent_classes", []), RespondentClass, "respondent_classes")
-            )
-        )
-        if "respondent_classes" not in data:
-            classes = DEFAULT_CLASSES
-        elif not classes:
-            raise ValidationError("respondent_classes: expected at least one class")
-        labels = [c.label for c in classes]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate respondent class labels: {sorted(labels)}")
 
         sc = _object(data.get("screening", {}), ScreeningCriteria, "screening")
         thresholds = {

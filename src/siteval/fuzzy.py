@@ -182,34 +182,29 @@ def check_vectors(vectors: np.ndarray, grades: Sequence[str]) -> None:
         raise _out_of_range(grades[col], float(vectors[row, col]))
 
 
-def verdicts(
-    vectors: np.ndarray, grades: Sequence[str], scale: GradeScale
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-membership verdict of every row of an (A, G) array, grades in `grades` order.
+def verdicts(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-membership verdict of every row of an (A, G) array, columns in scale order.
 
-    Returns, per row, the winner's index in `scale.labels`, its membership and
-    whether it is tied. Grades within TIE_TOL of the row's peak count as
-    contenders, and the winner is the best-ranked of them in scale order,
-    flagged tied=True rather than chosen silently.
+    Returns, per row, the winner's column index, its membership and whether it
+    is tied. Grades within TIE_TOL of the row's peak count as contenders, and
+    the winner is the first of them, the best grade, flagged tied=True rather
+    than chosen silently. The reductions run on a Fortran-ordered array, so
+    each column is contiguous; the sweep's (G, A).T view is one already.
     """
-    ranks = [scale.rank(g) for g in grades]  # raises on unknown grade
-    if not ranks:
-        raise ValidationError("empty fuzzy vector")
-    # Plain-Python sorts: G is small, and numpy's per-call overhead is not.
-    order = sorted(range(len(ranks)), key=ranks.__getitem__)  # columns in scale order
-    ranked = np.asarray(vectors, dtype=np.float64)[:, order]
-    contenders = ranked >= ranked.max(axis=1, keepdims=True) - TIE_TOL
+    vectors = np.asfortranarray(vectors, dtype=np.float64)
+    contenders = vectors >= vectors.max(axis=1, keepdims=True) - TIE_TOL
     first = contenders.argmax(axis=1)  # the first contender in scale order
-    winner = np.array(sorted(ranks))[first]
-    membership = ranked[np.arange(len(ranked)), first]
-    return winner, membership, contenders.sum(axis=1) > 1
+    membership = vectors[np.arange(len(vectors)), first]
+    return first, membership, contenders.sum(axis=1) > 1
 
 
 def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
-    """Grade with the largest membership; ties go to the better grade (see `verdicts`)."""
-    winner, membership, tied = verdicts(
-        np.array([list(b.memberships.values())]), b.grades, scale
-    )
+    """Grade with the largest membership; ties go to the better grade (see `verdicts`).
+
+    `b` may hold any subset of the scale, in any order: it is read in scale order.
+    """
+    grades = sorted(b.grades, key=scale.rank)
+    winner, membership, tied = verdicts(np.array([[b[g] for g in grades]]))
     return Verdict(
-        grade=scale.labels[winner[0]], membership=float(membership[0]), tied=bool(tied[0])
+        grade=grades[winner[0]], membership=float(membership[0]), tied=bool(tied[0])
     )

@@ -108,26 +108,26 @@ class SweepRow:
 class AlphaSweep:
     """Second-level vectors and verdicts over an alpha grid, one read-only column each.
 
-    Built from the grades, the alphas (A,) and the second-level vectors (A, G)
-    in grade order; the constructor copies both arrays, applies FuzzyVector's
-    range check to every vector (a failure raises a `fuzzy:` error naming the
-    first offending row) and derives the verdict columns with `verdicts`.
-    `len`, indexing and iteration give `SweepRow`s, each built on access.
+    Built from the alphas (A,), the second-level vectors (A, G) in scale order
+    and the scale, which gives `grades`; the constructor copies both arrays,
+    applies FuzzyVector's range check to every vector (a failure raises a
+    `fuzzy:` error naming the first offending row) and derives the verdict
+    columns with `verdicts`. `len`, indexing and iteration give `SweepRow`s.
     """
 
-    grades: tuple[str, ...]
+    grades: tuple[str, ...] = field(init=False)  # the scale's labels
     alphas: np.ndarray  # (A,) float64
-    second_level: np.ndarray  # (A, G) float64, grades in `grades` order
+    second_level: np.ndarray  # (A, G) float64, grades in scale order
     scale: InitVar[GradeScale]
     verdict_grade: np.ndarray = field(init=False)  # (A,) str objects
     verdict_membership: np.ndarray = field(init=False)  # (A,) float64
     verdict_tied: np.ndarray = field(init=False)  # (A,) bool
 
     def __post_init__(self, scale: GradeScale) -> None:
-        grades = tuple(self.grades)
+        grades = scale.labels
         alphas = np.array(self.alphas, dtype=np.float64)
-        # order="C": a transposed view would otherwise keep its F order.
-        second = np.array(self.second_level, dtype=np.float64, order="C")
+        # The verdict kernel reads F order, which the sweep's (G, A).T view has already.
+        second = np.asfortranarray(self.second_level, dtype=np.float64)
         if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
             raise ValidationError(
                 f"sweep shape mismatch: alphas {alphas.shape}, second level "
@@ -135,12 +135,12 @@ class AlphaSweep:
             )
         with error_prefix("fuzzy"):
             check_vectors(second, grades)
-            winner, membership, tied = verdicts(second, grades, scale)
+            winner, membership, tied = verdicts(second)
         object.__setattr__(self, "grades", grades)
         for name, column in (
             ("alphas", alphas),
-            ("second_level", second),
-            ("verdict_grade", np.array(scale.labels, dtype=object)[winner]),
+            ("second_level", np.array(second, order="C")),  # a copy, in row order
+            ("verdict_grade", np.array(grades, dtype=object)[winner]),
             ("verdict_membership", membership),
             ("verdict_tied", tied),
         ):
@@ -214,7 +214,7 @@ def _evaluate(
         # last indicator are unused and hold zero weight and zero membership.
         sizes = [len(c.children) for c in cfg.hierarchy.criteria]
         slots = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (C, n)
-        membership = np.zeros(slots.shape + (len(cfg.membership.grades),))  # (C, n, G)
+        membership = np.zeros(slots.shape + (len(cfg.scale.labels),))  # (C, n, G)
         membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
 
     screening = None
@@ -289,7 +289,7 @@ def run_pipeline(
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     with error_prefix("fuse"):
         indicator = fuse(run.ahp.indicator, run.indicator_objective, [cfg.alpha])[0]
-    grades = cfg.membership.grades
+    grades = cfg.scale.labels
     with error_prefix("fuzzy"):
         first = {
             c.id: FuzzyVector(dict(zip(grades, vec.tolist())))
@@ -364,16 +364,14 @@ def _grid_floats(grid: Iterable[object]) -> tuple[np.ndarray, Sequence[object]]:
 
 
 def sweep_alpha(
-    cfg: ProjectConfig,
-    grid: Iterable[float],
-    survey: SurveyRound | None = None,
-    allow_inconsistent: bool = False,
+    cfg: ProjectConfig, grid: Iterable[float], allow_inconsistent: bool = False
 ) -> AlphaSweep:
     """Second-level vectors and verdicts over the whole grid, sorted by alpha.
 
-    Every stage runs once, with fusion, both fuzzy levels and the verdict
-    batched over the grid. Each row's second-level vector and verdict equal
-    those of `run_pipeline` at that alpha exactly.
+    Every stage but screening runs once, with fusion, both fuzzy levels and
+    the verdict batched over the grid. Each row's second-level vector and
+    verdict equal those of `run_pipeline` at that alpha exactly; grades are in
+    the order of `cfg.scale`, as everywhere in a run.
 
     The grid may be any iterable of real numbers, or a 1-D numeric numpy
     array. An empty grid, a value that is a str, None or bool, and a value
@@ -388,8 +386,8 @@ def sweep_alpha(
         first_bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))[0]
         value = values[np.argsort(unsorted, kind="stable")[first_bad]]
         raise ValidationError(f"sweep grid value out of [0, 1]: {value}")
-    second_level = _evaluate(cfg, survey, allow_inconsistent, alphas).second.T
-    return AlphaSweep(cfg.membership.grades, alphas, second_level, cfg.scale)
+    second_level = _evaluate(cfg, None, allow_inconsistent, alphas).second.T
+    return AlphaSweep(alphas, second_level, cfg.scale)
 
 
 def emit_report(report: EvaluationReport, format: str) -> str:

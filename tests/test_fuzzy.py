@@ -16,7 +16,7 @@ from siteval import (
     second_level,
     verdict,
 )
-from siteval.fuzzy import MIN_MAX, TIE_TOL, WEIGHTED_AVERAGE, compose, verdicts
+from siteval.fuzzy import MIN_MAX, TIE_TOL, WEIGHTED_AVERAGE, Verdict, compose, verdicts
 
 SCALE = GradeScale(("Excellent", "Good", "Poor"))
 
@@ -286,12 +286,11 @@ def _verdict_cases(draw):
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         lead = draw(st.floats(0, 1))
+        # Only offsets that keep a membership degree non-negative, as FuzzyVector needs.
+        offsets = st.sampled_from([d for d in _OFFSETS if d <= lead])
         rows.append(
             [lead]
-            + [
-                draw(st.floats(0, 1) | st.sampled_from(_OFFSETS).map(lambda d: lead - d))
-                for _ in grades[1:]
-            ]
+            + [draw(st.floats(0, 1) | offsets.map(lambda d: lead - d)) for _ in grades[1:]]
         )
     return GradeScale(labels), grades, rows
 
@@ -301,21 +300,38 @@ class TestBatchedVerdict:
     @settings(max_examples=200, deadline=None)
     def test_every_row_matches_the_reference_rule(self, case):
         scale, grades, rows = case
-        winner, membership, tied = verdicts(np.array(rows), grades, scale)
-        got = list(zip(winner.tolist(), membership.tolist(), tied.tolist()))
-        assert got == [_reference_verdict(r, grades, scale.labels) for r in rows]
+        got = [verdict(FuzzyVector(dict(zip(grades, r))), scale) for r in rows]
+        assert [(scale.rank(v.grade), v.membership, v.tied) for v in got] == [
+            _reference_verdict(r, grades, scale.labels) for r in rows
+        ]
+
+    @given(_verdict_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_reads_scale_ordered_columns_in_either_layout(self, case):
+        scale, grades, rows = case
+        in_scale_order = sorted(grades, key=scale.rank)
+        vectors = np.array(rows)[:, [grades.index(g) for g in in_scale_order]]
+        expected = [_reference_verdict(r, grades, scale.labels) for r in rows]
+        for layout in (np.ascontiguousarray(vectors), np.asfortranarray(vectors)):
+            winner, membership, tied = verdicts(layout)
+            got = zip(winner.tolist(), membership.tolist(), tied.tolist())
+            assert [(scale.rank(in_scale_order[k]), m, t) for k, m, t in got] == expected
 
     def test_tie_tolerance_boundary(self):
-        # Poor sits exactly TIE_TOL below the peak (a contender), Good just beyond it.
+        # Columns in SCALE order: Poor sits exactly TIE_TOL below the peak (a
+        # contender), Good just beyond it.
         peak = 0.5
-        rows = np.array([[peak - 1.01 * TIE_TOL, peak - TIE_TOL, peak]])
-        winner, membership, tied = verdicts(rows, ("Good", "Poor", "Excellent"), SCALE)
+        rows = np.array([[peak, peak - 1.01 * TIE_TOL, peak - TIE_TOL]])
+        winner, membership, tied = verdicts(rows)
         assert (winner.tolist(), membership.tolist(), tied.tolist()) == ([0], [peak], [True])
-        winner, membership, tied = verdicts(rows[:, [0, 2]], ("Good", "Excellent"), SCALE)
+        winner, membership, tied = verdicts(rows[:, :2])
         assert (winner.tolist(), tied.tolist()) == ([0], [False])
+        # `verdict` puts a vector given in another order into scale order first.
+        b = FuzzyVector({"Good": rows[0, 1], "Poor": rows[0, 2], "Excellent": peak})
+        assert verdict(b, SCALE) == Verdict("Excellent", peak, True)
 
     def test_unknown_or_no_grades_rejected(self):
         with pytest.raises(ValidationError, match="unknown grade 'Great'"):
-            verdicts(np.ones((2, 2)), ("Good", "Great"), SCALE)
+            verdict(FuzzyVector({"Good": 1.0, "Great": 1.0}), SCALE)
         with pytest.raises(ValidationError, match="empty fuzzy vector"):
-            verdicts(np.ones((2, 0)), (), SCALE)
+            verdict(FuzzyVector({}), SCALE)

@@ -18,6 +18,7 @@ from siteval import (
     Indicator,
     MembershipMatrix,
     ProjectConfig,
+    RespondentClass,
     ScreeningCriteria,
     ValidationError,
     emit_report,
@@ -266,6 +267,15 @@ class TestRunPipeline:
             ProjectConfig.from_dict(_variant(campus_config_dict, respondent_classes=[]))
         assert str(info.value) == "config: respondent_classes: expected at least one class"
 
+    def test_constructed_configs_check_their_classes_too(self, campus_config):
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, classes=())
+        assert str(info.value) == "respondent_classes: expected at least one class"
+        twice = (RespondentClass("expert", 0.8), RespondentClass("expert", 0.2))
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, classes=twice)
+        assert str(info.value) == "duplicate respondent class labels: ['expert', 'expert']"
+
     def test_absent_respondent_classes_take_the_defaults(self, campus_config_dict):
         data = _variant(campus_config_dict)
         del data["respondent_classes"]
@@ -302,6 +312,27 @@ class TestRunPipeline:
         )
         with pytest.raises(ValidationError, match="membership rows do not match"):
             replace(campus_config, membership=membership)
+
+    @pytest.mark.parametrize(
+        "grades",
+        [
+            ("Poor", "Good", "Excellent"),  # the scale's grades, reversed
+            ("Good", "Excellent", "Poor"),
+            ("Excellent", "Good"),  # a subset
+            ("Excellent", "Good", "Fair"),  # a grade the scale lacks
+        ],
+    )
+    def test_membership_grades_must_be_the_scale_in_its_order(self, campus_config, grades):
+        rows = campus_config.membership.rows
+        membership = MembershipMatrix(
+            {i: {g: row.get(g, 0.0) for g in grades} for i, row in rows.items()}
+        )
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, membership=membership)
+        assert str(info.value) == (
+            f"membership grades {list(grades)} do not match "
+            "scale ['Excellent', 'Good', 'Poor']"
+        )
 
     def test_membership_deviation_above_band_is_error(self, campus_config_dict):
         data = copy.deepcopy(campus_config_dict)
@@ -664,7 +695,11 @@ class TestSweepAlpha:
         scale = campus_config.scale
         cfg = campus_config.with_overrides(operator="min-max", weights_policy="fused-both")
         f_ordered = np.asfortranarray([[0.2, 0.5, 0.3], [0.1, 0.6, 0.3]])
-        built = AlphaSweep(scale.labels, [0.0, 1.0], f_ordered, scale)
+        built = AlphaSweep([0.0, 1.0], f_ordered, scale)
+        assert built.grades == scale.labels
+        one_row = np.array([[0.2, 0.5, 0.3]])  # C and F ordered at once
+        AlphaSweep([0.0], one_row, scale)
+        assert one_row.flags.writeable  # the sweep froze a copy, not the caller's array
         for sweep in (sweep_alpha(cfg, [0.0, 0.3, 1.0]), built):
             for name in (
                 "alphas", "second_level", "verdict_grade", "verdict_membership", "verdict_tied"
@@ -680,15 +715,15 @@ class TestSweepAlpha:
         with pytest.raises(ValidationError) as expected:
             FuzzyVector(dict(zip(scale.labels, vectors[1])))
         with pytest.raises(ValidationError, match="^fuzzy: ") as info:
-            AlphaSweep(scale.labels, [0.0, 0.5, 1.0], vectors, scale)
+            AlphaSweep([0.0, 0.5, 1.0], vectors, scale)
         assert str(info.value) == f"fuzzy: {expected.value}"
 
     def test_column_shapes_must_agree(self):
         scale = GradeScale(("Excellent", "Good", "Poor"))
         with pytest.raises(ValidationError, match="sweep shape mismatch"):
-            AlphaSweep(scale.labels, [0.0, 1.0], [[0.2, 0.5, 0.3]], scale)
+            AlphaSweep([0.0, 1.0], [[0.2, 0.5, 0.3]], scale)
         with pytest.raises(ValidationError, match="sweep shape mismatch"):
-            AlphaSweep(scale.labels[:2], [0.0], [[0.2, 0.5, 0.3]], scale)
+            AlphaSweep([0.0], [[0.2, 0.5]], scale)
 
     def test_sweep_reproducible(self, campus_config):
         grid = [round(0.1 * k, 10) for k in range(11)]
