@@ -16,7 +16,15 @@ from siteval import (
     second_level,
     verdict,
 )
-from siteval.fuzzy import MIN_MAX, TIE_TOL, WEIGHTED_AVERAGE, Verdict, compose, verdicts
+from siteval.fuzzy import (
+    MEMBERSHIP_LO,
+    MIN_MAX,
+    TIE_TOL,
+    WEIGHTED_AVERAGE,
+    Verdict,
+    compose,
+    verdicts,
+)
 
 SCALE = GradeScale(("Excellent", "Good", "Poor"))
 
@@ -279,15 +287,16 @@ _OFFSETS = (0.0, 0.5 * TIE_TOL, TIE_TOL, 1.01 * TIE_TOL, 2 * TIE_TOL, 0.1)
 
 
 @st.composite
-def _verdict_cases(draw):
+def _verdict_cases(draw, floor=-np.inf):
+    """Rows whose entries are never below `floor`. With a lead near 0, the
+    offsets 0.5 * TIE_TOL and TIE_TOL put the tie boundary across zero."""
     labels = tuple(f"L{k}" for k in range(draw(st.integers(2, 6))))
     # Membership grades: a subset of the scale, in an order of their own.
     grades = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         lead = draw(st.floats(0, 1))
-        # Only offsets that keep a membership degree non-negative, as FuzzyVector needs.
-        offsets = st.sampled_from([d for d in _OFFSETS if d <= lead])
+        offsets = st.sampled_from([d for d in _OFFSETS if lead - d >= floor])
         rows.append(
             [lead]
             + [draw(st.floats(0, 1) | offsets.map(lambda d: lead - d)) for _ in grades[1:]]
@@ -296,7 +305,8 @@ def _verdict_cases(draw):
 
 
 class TestBatchedVerdict:
-    @given(_verdict_cases())
+    # FuzzyVector admits rounding strays down to MEMBERSHIP_LO, so those stay in.
+    @given(_verdict_cases(floor=MEMBERSHIP_LO))
     @settings(max_examples=200, deadline=None)
     def test_every_row_matches_the_reference_rule(self, case):
         scale, grades, rows = case
@@ -329,6 +339,11 @@ class TestBatchedVerdict:
         # `verdict` puts a vector given in another order into scale order first.
         b = FuzzyVector({"Good": rows[0, 1], "Poor": rows[0, 2], "Excellent": peak})
         assert verdict(b, SCALE) == Verdict("Excellent", peak, True)
+        # The same boundary across zero, with rounding strays FuzzyVector admits.
+        winner, membership, tied = verdicts(np.array([[-1.01 * TIE_TOL, 0.0, -TIE_TOL]]))
+        assert (winner.tolist(), membership.tolist(), tied.tolist()) == ([1], [0.0], [True])
+        b = FuzzyVector({"Poor": -TIE_TOL, "Good": 0.0, "Excellent": -0.5 * TIE_TOL})
+        assert verdict(b, SCALE) == Verdict("Excellent", -0.5 * TIE_TOL, True)
 
     def test_unknown_or_no_grades_rejected(self):
         with pytest.raises(ValidationError, match="unknown grade 'Great'"):
