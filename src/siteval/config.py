@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -113,6 +113,12 @@ class ProjectConfig:
     """Everything one evaluation run needs, parsed and cross-validated.
 
     `scale.labels` is a run's one grade order; `membership` must list its grades in it.
+
+    A config and its parts are values: changing one of their dicts after
+    construction is unsupported. Such a change skips the construction-time
+    checks, and a config's first run keeps the stages that do not depend on
+    alpha (see `pipeline`), so later runs do not see it. `with_overrides` and
+    `dataclasses.replace` copies keep nothing of the original's runs.
     """
 
     hierarchy: IndicatorHierarchy
@@ -126,6 +132,9 @@ class ProjectConfig:
     alpha: float = 0.5
     operator: str = WEIGHTED_AVERAGE
     weights_policy: str = POLICY_PAPER
+    # Filled by `pipeline` on first use: the membership layout, then the alpha-free weights.
+    _layout: Any = field(default=None, init=False, repr=False, compare=False)
+    _weights: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))

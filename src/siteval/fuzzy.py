@@ -118,6 +118,7 @@ def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
                 acc = low
             else:  # max() keeps the first of equal values, as a scalar max does
                 np.copyto(acc, low, where=low > acc)
+            del low  # freed before the next term's is built
         return acc
     raise ValidationError(f"unknown fuzzy operator {operator!r}")
 

@@ -1,7 +1,7 @@
 """The evaluation stages and the four entry points that chain them.
 
 `load_config` reads a project config (see `config`). One private pass runs
-every stage once, in order: the membership checks, optional survey screening
+every stage in order: the membership checks, optional survey screening
 (`screen_stage`), eigenvector weights with consistency checks (`ahp_stage`),
 entropy or adopted objective weights, then convex fusion and two-level fuzzy
 composition batched over a 1-D array of alphas. `run_pipeline` runs it at the
@@ -12,6 +12,16 @@ report (see `report`). Every stage prefixes its errors with its name
 (`ahp: ...`). Runs are pure functions of their inputs, so identical configs
 produce identical reports, and a sweep row equals the report at the same alpha
 bit for bit.
+
+The stages that do not depend on alpha run on a config's first run only. The
+config keeps their results in two parts: the membership layout, built before
+screening (`_layout`), and the weights, built after it (`_weights`: the AHP
+section with inconsistency as warnings, the objective weights and, under
+`paper`, the first-level vectors). A later run does only screening, the
+`allow_inconsistent` check, fusion and composition. A build that raises keeps
+nothing, and the first run raises what the stage order gives: screening before
+AHP, an inconsistent matrix before a later matrix's or the entropy stage's
+fault. Reports get copies of the kept weights.
 """
 from __future__ import annotations
 
@@ -174,28 +184,33 @@ class AlphaSweep:
         )
 
 
-class _Run(NamedTuple):
-    """Every stage's output for one config over a 1-D array of A alphas, in hierarchy order."""
+class _Layout(NamedTuple):
+    """A config's membership rows, checked once and laid out by criterion."""
 
-    warnings: list[ReportWarning]
-    screening: ScreeningSection | None
-    ahp: AhpSection
+    warnings: tuple[ReportWarning, ...]  # rows whose sum strays from 1 within tolerance
+    slots: np.ndarray  # (C, n) bool: criterion c's j-th indicator sits in slot (c, j)
+    membership: np.ndarray  # (C, n, G), read-only; unused slots hold zero membership
+
+
+class _Weights(NamedTuple):
+    """A config's weights that do not depend on alpha, built once after screening."""
+
+    ahp: AhpSection  # every inconsistent judgment matrix is one of its warnings
     criterion_objective: WeightVector
     indicator_objective: WeightVector
-    criterion: np.ndarray  # (A, C) comprehensive criterion weights
-    first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
-    second: np.ndarray  # (G, A) second-level vectors
+    first: np.ndarray | None  # (C, G, 1) first-level vectors under `paper`, read-only
 
 
-def _evaluate(
-    cfg: ProjectConfig,
-    survey: SurveyRound | None,
-    allow_inconsistent: bool,
-    alphas: np.ndarray,
-) -> _Run:
-    """Every stage once, in order; fusion and both fuzzy levels batched over `alphas`."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _layout(cfg: ProjectConfig) -> _Layout:
+    """The config's membership layout, built and kept on first use; a raise keeps nothing."""
+    if cfg._layout is not None:
+        return cfg._layout
     warnings: list[ReportWarning] = []
-
     with error_prefix("config"):
         for ind, dev in cfg.membership.row_sum_deviations().items():
             total = 1.0 + dev
@@ -216,6 +231,74 @@ def _evaluate(
         slots = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (C, n)
         membership = np.zeros(slots.shape + (len(cfg.scale.labels),))  # (C, n, G)
         membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
+    layout = _Layout(tuple(warnings), _read_only(slots), _read_only(membership))
+    object.__setattr__(cfg, "_layout", layout)
+    return layout
+
+
+def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _Weights:
+    """The config's alpha-free weights, built and kept on first use; a raise keeps nothing.
+
+    The AHP section kept holds every inconsistent matrix as a warning: a build
+    that does not allow one raises at the first, as `ahp_stage` does, and one
+    that succeeds found none.
+    """
+    if cfg._weights is not None:
+        return cfg._weights
+    ahp = ahp_stage(cfg, allow_inconsistent)
+
+    with error_prefix("entropy"):
+        dm = cfg.decision_matrix
+        source = cfg.objective_weights if dm is None else entropy_weights(dm)
+        assert source is not None  # a ProjectConfig holds exactly one of the two
+        # Reorder to hierarchy order for stable reporting.
+        indicator_objective = WeightVector({i: source[i] for i in cfg.hierarchy.indicator_ids()})
+        criterion_objective = WeightVector(
+            {
+                c.id: sum(indicator_objective[i] for i in c.children)
+                for c in cfg.hierarchy.criteria
+            }
+        )
+
+    first = None
+    if cfg.weights_policy != POLICY_FUSED_BOTH:
+        # The paper's level-one weights are the relative ones, which ignore alpha.
+        with error_prefix("fuzzy"):
+            w = np.zeros(layout.slots.shape + (1,))  # (C, n, 1)
+            w[layout.slots, 0] = [
+                x for c in cfg.hierarchy.criteria for x in ahp.relative[c.id].values(c.children)
+            ]
+            # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
+            # max over non-negative values, so every composed value stays bit-exact.
+            first = _read_only(compose(w, layout.membership[..., None], cfg.operator))
+    weights = _Weights(ahp, criterion_objective, indicator_objective, first)
+    object.__setattr__(cfg, "_weights", weights)
+    return weights
+
+
+class _Run(NamedTuple):
+    """One run's output over a 1-D array of A alphas, in hierarchy order."""
+
+    warnings: list[ReportWarning]
+    screening: ScreeningSection | None
+    kept: _Weights  # the config's own record: callers copy what they hand out
+    criterion: np.ndarray  # (A, C) comprehensive criterion weights
+    first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
+    second: np.ndarray  # (G, A) second-level vectors
+
+
+def _evaluate(
+    cfg: ProjectConfig,
+    survey: SurveyRound | None,
+    allow_inconsistent: bool,
+    alphas: np.ndarray,
+) -> _Run:
+    """Every stage in order; fusion and both fuzzy levels batched over `alphas`.
+
+    The alpha-free stages run on the config's first run only (`_layout`, `_weights`).
+    """
+    layout = _layout(cfg)
+    warnings = list(layout.warnings)
 
     screening = None
     if survey is not None:
@@ -231,53 +314,42 @@ def _evaluate(
                     )
                 )
 
-    ahp = ahp_stage(cfg, allow_inconsistent)
-    warnings += ahp.warnings
+    kept = _weights(cfg, layout, allow_inconsistent)
+    if kept.ahp.warnings and not allow_inconsistent:  # kept by a run that allowed them
+        with error_prefix("ahp"):
+            raise ValidationError(kept.ahp.warnings[0].message)
+    warnings += kept.ahp.warnings
 
-    with error_prefix("entropy"):
-        dm = cfg.decision_matrix
-        source = cfg.objective_weights if dm is None else entropy_weights(dm)
-        assert source is not None  # a ProjectConfig holds exactly one of the two
-        # Reorder to hierarchy order for stable reporting.
-        indicator_objective = WeightVector({i: source[i] for i in cfg.hierarchy.indicator_ids()})
-        criterion_objective = WeightVector(
-            {
-                c.id: sum(indicator_objective[i] for i in c.children)
-                for c in cfg.hierarchy.criteria
-            }
-        )
-
-    fused_both = cfg.weights_policy == POLICY_FUSED_BOTH
     with error_prefix("fuse"):
-        criterion = fuse(ahp.criterion, criterion_objective, alphas)
-        # Only fused-both reads the (A, I) indicator blend.
-        indicator = fuse(ahp.indicator, indicator_objective, alphas) if fused_both else None
+        criterion = fuse(kept.ahp.criterion, kept.criterion_objective, alphas)
+        # Only fused-both reads the (A, I) indicator blend; `paper` keeps its first level.
+        first = kept.first
+        if first is None:
+            indicator = fuse(kept.ahp.indicator, kept.indicator_objective, alphas)
 
     with error_prefix("fuzzy"):
         # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
-        if indicator is not None:
-            w = np.zeros(slots.shape + (len(alphas),))  # (C, n, A)
-            w[slots] = indicator.T
+        if first is None:
+            w = np.zeros(layout.slots.shape + (len(alphas),))  # (C, n, A)
+            w[layout.slots] = indicator.T
+            # Dropped before composing, as `compose` drops each term's minima: with
+            # fewer large arrays live at once, the allocator does not hand the heap
+            # top back after a sweep and fault it in again on the next.
+            del indicator
             total = 0.0
             for j in range(w.shape[1]):
                 total = total + w[:, j]
             if np.any(total <= 0):
                 raise ValidationError("degenerate weight vector: all entries zero")
             w /= total[:, None]
-        else:  # the paper's level-one weights are the relative ones, which ignore alpha
-            w = np.zeros(slots.shape + (1,))  # (C, n, 1)
-            w[slots, 0] = [
-                x for c in cfg.hierarchy.criteria for x in ahp.relative[c.id].values(c.children)
-            ]
-        # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
-        # max over non-negative values, so every composed value stays bit-exact.
-        first = compose(w, membership[..., None], cfg.operator)
+            first = compose(w, layout.membership[..., None], cfg.operator)
         second = compose(criterion.T, first, cfg.operator)
 
-    return _Run(
-        warnings, screening, ahp, criterion_objective, indicator_objective,
-        criterion, first, second,
-    )
+    return _Run(warnings, screening, kept, criterion, first, second)
+
+
+def _copy(w: WeightVector) -> WeightVector:
+    return WeightVector(w.weights)  # a new dict of the same floats
 
 
 def run_pipeline(
@@ -285,10 +357,14 @@ def run_pipeline(
     survey: SurveyRound | None = None,
     allow_inconsistent: bool = False,
 ) -> EvaluationReport:
-    """Run every stage on one config and collect the full report."""
+    """Run every stage on one config and collect the full report.
+
+    The report shares no mutable object with the config's kept stages.
+    """
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
+    ahp = run.kept.ahp
     with error_prefix("fuse"):
-        indicator = fuse(run.ahp.indicator, run.indicator_objective, [cfg.alpha])[0]
+        indicator = fuse(ahp.indicator, run.kept.indicator_objective, [cfg.alpha])[0]
     grades = cfg.scale.labels
     with error_prefix("fuzzy"):
         first = {
@@ -310,18 +386,16 @@ def run_pipeline(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
         screening=run.screening,
-        consistency=run.ahp.consistency,
-        relative_weights=run.ahp.relative,
-        criterion_subjective=run.ahp.criterion,
-        criterion_objective=run.criterion_objective,
+        consistency=dict(ahp.consistency),
+        relative_weights={c: _copy(w) for c, w in ahp.relative.items()},
+        criterion_subjective=_copy(ahp.criterion),
+        criterion_objective=_copy(run.kept.criterion_objective),
         criterion_comprehensive=WeightVector(
-            dict(zip(run.ahp.criterion.ids, run.criterion[0].tolist()))
+            dict(zip(ahp.criterion.ids, run.criterion[0].tolist()))
         ),
-        indicator_subjective=run.ahp.indicator,
-        indicator_objective=run.indicator_objective,
-        indicator_comprehensive=WeightVector(
-            dict(zip(run.ahp.indicator.ids, indicator.tolist()))
-        ),
+        indicator_subjective=_copy(ahp.indicator),
+        indicator_objective=_copy(run.kept.indicator_objective),
+        indicator_comprehensive=WeightVector(dict(zip(ahp.indicator.ids, indicator.tolist()))),
         first_level=first,
         second_level=second,
         verdict=final,
@@ -369,7 +443,8 @@ def sweep_alpha(
     """Second-level vectors and verdicts over the whole grid, sorted by alpha.
 
     Every stage but screening runs once, with fusion, both fuzzy levels and
-    the verdict batched over the grid. Each row's second-level vector and
+    the verdict batched over the grid; the stages that ignore alpha run on
+    the config's first run only. Each row's second-level vector and
     verdict equal those of `run_pipeline` at that alpha exactly; grades are in
     the order of `cfg.scale`, as everywhere in a run.
 

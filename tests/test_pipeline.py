@@ -474,6 +474,171 @@ class TestDeterminism:
         assert a == b and len(a) == 64
 
 
+INCONSISTENT_GOAL = [
+    ["1", "9", "1/9", "9"],
+    ["1/9", "1", "9", "1/9"],
+    ["9", "1/9", "1", "9"],
+    ["1/9", "9", "1/9", "1"],
+]
+INCONSISTENT_GOAL_ERROR = (
+    "ahp: judgment matrix 'goal' failed the consistency check "
+    "(CR = 3.6118 >= 0.1); revise the comparisons"
+)
+
+
+def _with_unknown_override(config_dict):
+    data = copy.deepcopy(config_dict)
+    data["screening"]["overrides"] = ["C4", "ZZ"]
+    return data
+
+
+def _with_zero_first_column(config_dict):
+    """The config with its objective weights swapped for a 2-row matrix that entropy rejects."""
+    data = copy.deepcopy(config_dict)
+    ids = list(data.pop("objective_weights"))
+    data["decision_matrix"] = {
+        "alternatives": ["S1", "S2"],
+        "indicators": ids,
+        "values": [[0.0] + [float(k) for k in range(1, len(ids))] for _ in range(2)],
+    }
+    return data
+
+
+class TestKeptStages:
+    """A config runs its alpha-free stages once and keeps them; errors are not kept."""
+
+    GRID = [k / 20 for k in range(21)]
+
+    def test_alpha_free_stages_run_once_per_config_object(self, monkeypatch, campus_config_dict):
+        calls = {"ahp_stage": 0, "entropy_weights": 0, "to_array": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "ahp_stage", counted("ahp_stage", pipeline.ahp_stage))
+        monkeypatch.setattr(
+            pipeline, "entropy_weights", counted("entropy_weights", pipeline.entropy_weights)
+        )
+        monkeypatch.setattr(
+            MembershipMatrix, "to_array", counted("to_array", MembershipMatrix.to_array)
+        )
+        cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
+        for _ in range(3):
+            sweep_alpha(cfg, self.GRID)
+        run_pipeline(cfg)
+        assert calls == {"ahp_stage": 1, "entropy_weights": 1, "to_array": 1}
+        other = cfg.with_overrides(alpha=0.3)
+        sweep_alpha(other, self.GRID)
+        run_pipeline(other)
+        assert calls == {"ahp_stage": 2, "entropy_weights": 2, "to_array": 2}
+
+    def test_changing_a_report_changes_no_later_report(self, campus_config):
+        report = run_pipeline(campus_config)
+        expected = emit_report(report, "json")
+        vectors = [
+            report.criterion_subjective,
+            report.criterion_objective,
+            report.criterion_comprehensive,
+            report.indicator_subjective,
+            report.indicator_objective,
+            report.indicator_comprehensive,
+            *report.relative_weights.values(),
+        ]
+        for w in vectors:
+            for k in w.weights:
+                w.weights[k] = 0.25
+            w.weights["extra"] = 0.5
+        report.relative_weights.clear()
+        report.consistency.clear()
+        assert emit_report(run_pipeline(campus_config), "json") == expected
+
+    @pytest.mark.parametrize("operator", ["weighted-average", "min-max"])
+    @pytest.mark.parametrize("policy", ["paper", "fused-both"])
+    def test_sweep_unchanged_by_a_run_between(self, campus_config, operator, policy):
+        cfg = campus_config.with_overrides(operator=operator, weights_policy=policy)
+        columns = ("alphas", "second_level", "verdict_grade", "verdict_membership", "verdict_tied")
+        before = sweep_alpha(cfg, self.GRID)
+        run_pipeline(cfg)
+        after = sweep_alpha(cfg, self.GRID)
+        for name in columns:
+            assert repr(getattr(after, name).tolist()) == repr(getattr(before, name).tolist())
+
+    def test_screening_fault_comes_before_entropy_fault(self, campus_config_dict, fixture_dir):
+        cfg = ProjectConfig.from_dict(
+            _with_zero_first_column(_with_unknown_override(campus_config_dict))
+        )
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", cfg.classes)
+        screen_error = "screen: unknown override ids: ['ZZ']"
+        entropy_error = "entropy: degenerate indicator column 'C1': sum is zero"
+        for with_survey, message in [(True, screen_error), (False, entropy_error)] * 2:
+            with pytest.raises(ValidationError) as err:
+                run_pipeline(cfg, survey if with_survey else None)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_inconsistent_goal_raises_in_stage_order(self, campus_config_dict, fixture_dir, reverse):
+        data = _with_unknown_override(campus_config_dict)
+        data["judgment_matrices"]["goal"] = INCONSISTENT_GOAL
+        cfg = ProjectConfig.from_dict(data)
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", cfg.classes)
+        steps = [
+            (True, None, None),
+            (False, survey, "screen: unknown override ids: ['ZZ']"),
+            (False, None, INCONSISTENT_GOAL_ERROR),
+        ]
+        for allow, rows, message in reversed(steps) if reverse else steps:
+            if message is None:
+                report = run_pipeline(cfg, rows, allow_inconsistent=allow)
+                assert not report.consistency["goal"].consistent
+                continue
+            with pytest.raises(ValidationError) as err:
+                run_pipeline(cfg, rows, allow_inconsistent=allow)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("allow_first", [False, True])
+    def test_inconsistent_matrix_comes_before_an_entropy_fault(
+        self, campus_config_dict, allow_first
+    ):
+        data = _with_zero_first_column(campus_config_dict)
+        data["judgment_matrices"]["goal"] = INCONSISTENT_GOAL
+        cfg = ProjectConfig.from_dict(data)
+        expected = {
+            False: INCONSISTENT_GOAL_ERROR,
+            True: "entropy: degenerate indicator column 'C1': sum is zero",
+        }
+        for allow in (allow_first, not allow_first):
+            with pytest.raises(ValidationError) as err:
+                run_pipeline(cfg, allow_inconsistent=allow)
+            assert str(err.value) == expected[allow]
+
+    @pytest.mark.parametrize("allow_first", [False, True])
+    def test_inconsistent_matrix_comes_before_a_later_matrix_fault(
+        self, campus_config_dict, allow_first
+    ):
+        data = copy.deepcopy(campus_config_dict)
+        data["judgment_matrices"]["goal"] = INCONSISTENT_GOAL
+        b2 = data["criteria"][1]["indicators"]
+        extra = [f"X{k}" for k in range(10 - len(b2))]
+        b2 += [{"id": i, "name": i, "kind": "qualitative"} for i in extra]
+        for i in extra:
+            data["membership"][i] = dict(data["membership"]["C4"])
+            data["objective_weights"][i] = 0.0
+        data["judgment_matrices"]["B2"] = [["1"] * 10 for _ in range(10)]
+        cfg = ProjectConfig.from_dict(data)
+        expected = {
+            False: INCONSISTENT_GOAL_ERROR,
+            True: "ahp: matrix 'B2': RI undefined for order > 9",
+        }
+        for allow in (allow_first, not allow_first):
+            with pytest.raises(ValidationError) as err:
+                sweep_alpha(cfg, self.GRID, allow_inconsistent=allow)
+            assert str(err.value) == expected[allow]
+
+
 def _scalar_second_levels(cfg, alphas):
     """Fusion and both fuzzy levels in plain Python, one alpha and one scalar at a time.
 
