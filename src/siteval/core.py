@@ -263,14 +263,6 @@ class MembershipMatrix:
     def indicator_ids(self) -> tuple[str, ...]:
         return tuple(self.rows)
 
-    def row(self, indicator_id: str) -> dict[str, float]:
-        try:
-            return dict(self.rows[indicator_id])
-        except KeyError:
-            raise ValidationError(
-                f"missing membership row for indicator {indicator_id!r}"
-            ) from None
-
     def to_array(self, indicator_ids: Sequence[str]) -> np.ndarray:
         """Rows of `indicator_ids`, in that order, as an (I, G) float64 array in grade order."""
         grades, rows = self.grades, self.rows

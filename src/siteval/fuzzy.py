@@ -100,6 +100,14 @@ def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
     A vectors per criterion. The reduction over n runs one term at a time, in
     index order, so every entry is the same float as the scalar left-to-right
     sum (or max of mins); only the other axes are vectorised.
+
+    Max-min relies on numpy's tie rule: `np.minimum(a, b)` and `np.maximum(a, b)`
+    return `b` when the operands compare equal. So `np.minimum(r, w)` keeps `w`
+    on a tie, as `min(w, r)` does, and `np.maximum(low, acc)` keeps the earlier
+    term, as `max()` does; signed zeros come out as the scalar code gives them.
+    Two tests in tests/test_fuzzy.py pin this rule against a scalar reference:
+    `test_batch_rows_equal_scalar_reference` and
+    `test_signed_zero_ties_match_scalar_reference`.
     """
     if weights.shape[-2] == 0:
         raise ValidationError("nothing to compose: no weights")
@@ -110,15 +118,14 @@ def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
             acc += weights[..., j, None, :] * rows[..., j, :, :]  # in place from j = 1 on
         return acc
     if operator == MIN_MAX:
-        acc = None
-        for j in terms:
-            w, r = weights[..., j, None, :], rows[..., j, :, :]
-            low = np.where(r < w, r, w)  # min(w, r)
-            if acc is None:
-                acc = low
-            else:  # max() keeps the first of equal values, as a scalar max does
-                np.copyto(acc, low, where=low > acc)
-            del low  # freed before the next term's is built
+        # One buffer holds every term's minima. It is allocated before the result,
+        # so when it is freed on return it lies below an array still in use, not
+        # at the heap top, which glibc would trim and fault back in on the next call.
+        low = np.minimum(rows[..., 0, :, :], weights[..., 0, None, :])
+        acc = low.copy()
+        for j in terms[1:]:
+            np.minimum(rows[..., j, :, :], weights[..., j, None, :], out=low)
+            np.maximum(low, acc, out=acc)
         return acc
     raise ValidationError(f"unknown fuzzy operator {operator!r}")
 

@@ -332,7 +332,7 @@ def _evaluate(
         if first is None:
             w = np.zeros(layout.slots.shape + (len(alphas),))  # (C, n, A)
             w[layout.slots] = indicator.T
-            # Dropped before composing, as `compose` drops each term's minima: with
+            # Dropped before composing, as `compose` reuses one buffer of minima: with
             # fewer large arrays live at once, the allocator does not hand the heap
             # top back after a sweep and fault it in again on the next.
             del indicator

@@ -565,6 +565,13 @@ class TestGoldenOutputs:
                 ],
                 "sweep_alpha_minmax_fused",
             ),
+            (
+                [
+                    "sweep-alpha", *CONFIG, "--operator", "min-max",
+                    "--weights-policy", "paper", "--step", "0.01",
+                ],
+                "sweep_alpha_minmax",
+            ),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "md"])
@@ -573,3 +580,12 @@ class TestGoldenOutputs:
         code, out, _ = _run(capsys, argv + ["--format", fmt])
         assert code == 0
         assert out == (fixture_dir / "golden" / f"{golden}.{fmt}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_min_max_evaluate_matches_golden(self, capsys, fixture_dir, fmt):
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_bikeshare.json")]
+        code, out, _ = _run(capsys, argv + ["--operator", "min-max", "--format", fmt])
+        assert code == 0
+        # The evaluate goldens hold emit_report's text, without the newline print adds.
+        golden = fixture_dir / "golden" / f"evaluate_minmax.{fmt}"
+        assert out == golden.read_text(encoding="utf-8") + "\n"

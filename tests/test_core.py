@@ -190,11 +190,6 @@ class TestMembershipMatrix:
         assert set(deviations) == {"C1"}
         assert deviations["C1"] == pytest.approx(-0.05, abs=1e-12)
 
-    def test_missing_row_error_names_indicator(self):
-        m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}})
-        with pytest.raises(ValidationError, match="C9"):
-            m.row("C9")
-
     def test_to_array_reads_rows_in_the_given_order(self):
         m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Poor": 0.75, "Good": 0.25}})
         a = m.to_array(["C2", "C1"])

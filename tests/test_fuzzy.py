@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,34 @@ class TestComposeKernel:
                 [_scalar_compose(v, rows, operator) for v in weights],
                 [_scalar_compose(v[::-1], other_rows, operator) for v in weights],
             ]
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_signed_zero_ties_match_scalar_reference(self, n):
+        # Every n-term weight vector and every n-term one-grade row set over
+        # {0.0, -0.0, -1.0}: each min meets equal zeros of either sign, and from
+        # n = 2 on so does each max. -1.0 lies below every membership, so a
+        # later term's signed zero can win the max, which pins the rule for
+        # every term, not only the first. numpy's minimum and maximum return
+        # their second operand on a tie, so swapping either one's operands in
+        # any term fails here.
+        vectors = [list(v) for v in itertools.product((0.0, -0.0, -1.0), repeat=n)]
+        row_sets = [[[z] for z in v] for v in vectors]
+        w = np.array(vectors).T  # (n, A)
+        for rows in row_sets:  # (n, G, 1) rows shared by every column
+            shared = compose(w, np.array(rows)[..., None], MIN_MAX)
+            assert repr(shared.T.tolist()) == repr(
+                [_scalar_compose(v, rows, MIN_MAX) for v in vectors]
+            )
+        # (n, G, A) rows: one column per (weights, rows) pair.
+        pairs = list(itertools.product(vectors, row_sets))
+        batched = compose(
+            np.array([v for v, _ in pairs]).T,
+            np.stack([np.array(r) for _, r in pairs], axis=-1),
+            MIN_MAX,
+        )
+        assert repr(batched.T.tolist()) == repr(
+            [_scalar_compose(v, r, MIN_MAX) for v, r in pairs]
         )
 
     def test_unknown_operator_rejected(self):

@@ -308,7 +308,7 @@ class TestRunPipeline:
 
     def test_construction_cross_validates(self, campus_config):
         membership = MembershipMatrix(
-            {i: campus_config.membership.row(i) for i in list(campus_config.membership.rows)[1:]}
+            {i: dict(campus_config.membership.rows[i]) for i in list(campus_config.membership.rows)[1:]}
         )
         with pytest.raises(ValidationError, match="membership rows do not match"):
             replace(campus_config, membership=membership)
