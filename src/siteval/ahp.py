@@ -63,9 +63,8 @@ class JudgmentMatrix:
     without rounding drift.
 
     The matrix's principal eigenvector is found by power iteration once per
-    matrix object, on the first `derive_weights` call, and kept with its
-    consistency report; later calls on the same object, such as repeated
-    pipeline runs on one config, reuse them. An error is not kept.
+    matrix object, on the first `derive_weights` call, and kept, as read-only
+    weights, with its consistency report for later calls. An error is not kept.
     """
 
     node: str
@@ -133,8 +132,8 @@ class JudgmentMatrix:
         return np.array(self.entries, dtype=float)
 
     @cached_property
-    def _eigen(self) -> tuple[tuple[float, ...], ConsistencyReport]:
-        """The principal eigenvector and consistency report, computed on first use.
+    def _eigen(self) -> tuple[WeightVector, ConsistencyReport]:
+        """The principal-eigenvector weights and consistency report, computed on first use.
 
         lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
         eigenvector. CR is defined as 0 for orders 1 and 2, which are always
@@ -155,7 +154,7 @@ class JudgmentMatrix:
         report = ConsistencyReport(
             lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
         )
-        return tuple(w.tolist()), report
+        return WeightVector(dict(zip(self.labels, w.tolist()))), report
 
 
 @dataclass(frozen=True)
@@ -206,13 +205,11 @@ def derive_weights(m: JudgmentMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Principal-eigenvector weights plus the consistency report for a matrix.
 
     The power iteration runs once per matrix object, on first use, and its
-    converged weights and frozen report are kept on the matrix; each call
-    builds a new `WeightVector` from them, so a caller that changes one
-    changes nothing kept. An error is not kept: an order above 9 (no random
-    index) or a matrix that does not converge raises on every call.
+    weights and report are kept on the matrix; every call returns those same
+    objects, which are read-only. An error is not kept: an order above 9 (no
+    random index) or a matrix that does not converge raises on every call.
     """
-    values, report = m._eigen
-    return WeightVector(dict(zip(m.labels, values))), report
+    return m._eigen
 
 
 def synthesize_global(

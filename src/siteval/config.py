@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from .ahp import JudgmentMatrix
@@ -114,10 +115,9 @@ class ProjectConfig:
 
     `scale.labels` is a run's one grade order; `membership` must list its grades in it.
 
-    A config and its parts are values: changing one of their dicts after
-    construction is unsupported. Such a change skips the construction-time
-    checks, and a config's first run keeps the stages that do not depend on
-    alpha (see `pipeline`), so later runs do not see it. `with_overrides` and
+    A config and its parts are values: every mapping they hold is read-only.
+    A config keeps what it derives on first use: its `config_hash` and the
+    stages that do not depend on alpha (see `pipeline`). `with_overrides` and
     `dataclasses.replace` copies keep nothing of the original's runs.
     """
 
@@ -135,10 +135,11 @@ class ProjectConfig:
     # Filled by `pipeline` on first use: the membership layout, then the alpha-free weights.
     _layout: Any = field(default=None, init=False, repr=False, compare=False)
     _weights: Any = field(default=None, init=False, repr=False, compare=False)
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "matrices", dict(self.matrices))
+        object.__setattr__(self, "matrices", MappingProxyType(dict(self.matrices)))
         object.__setattr__(self, "alpha", parse_float(self.alpha, "alpha"))
         if not self.classes:
             raise ValidationError("respondent_classes: expected at least one class")
@@ -351,8 +352,10 @@ class ProjectConfig:
 
         The digest covers the canonical JSON of `to_dict()`, with the decision
         matrix's values replaced by their shape and dtype, followed by the
-        matrix's C-order little-endian float64 bytes.
+        matrix's C-order little-endian float64 bytes. Computed once per config.
         """
+        if self._sha256 is not None:
+            return self._sha256
         out = self._dict_without_values()
         matrix = None
         if self.decision_matrix is not None:
@@ -362,7 +365,9 @@ class ProjectConfig:
         digest = hashlib.sha256(canonical.encode("utf-8"))
         if matrix is not None:
             digest.update(matrix.astype("<f8", copy=False).tobytes(order="C"))
-        return digest.hexdigest()
+        sha256 = digest.hexdigest()
+        object.__setattr__(self, "_sha256", sha256)
+        return sha256
 
     def _dict_without_values(self) -> dict[str, Any]:
         """`to_dict()` minus the decision matrix's values, which its callers encode."""
@@ -393,7 +398,7 @@ class ProjectConfig:
             "judgment_matrices": {
                 node: [list(row) for row in m.raw] for node, m in self.matrices.items()
             },
-            "membership": {ind: dict(row) for ind, row in self.membership.rows.items()},
+            "membership": {ind: row.copy() for ind, row in self.membership.rows.items()},
             "alpha": self.alpha,
             "operator": self.operator,
             "weights_policy": self.weights_policy,

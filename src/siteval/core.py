@@ -1,12 +1,14 @@
 """Shared domain types: grade scale, indicator hierarchy, weight vectors, membership matrix.
 
-Everything here is immutable after construction and safe to share across threads.
+Everything here is immutable after construction and safe to share across threads;
+each mapping held is a read-only `types.MappingProxyType`, so a write raises.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -156,7 +158,7 @@ def validate_hierarchy(h: IndicatorHierarchy) -> list[str]:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Finite non-negative weights keyed by id. Key order is preserved."""
+    """Finite non-negative weights keyed by id, read-only. Key order is preserved."""
 
     weights: Mapping[str, float]
 
@@ -167,7 +169,7 @@ class WeightVector:
                 if type(k) is not str or type(v) is not float or not 0.0 <= v < math.inf:
                     break
             else:
-                object.__setattr__(self, "weights", dict(weights))
+                object.__setattr__(self, "weights", MappingProxyType(dict(weights)))
                 return
         cleaned = {
             str(k): parse_float(v, "weight for {!r}", str(k)) for k, v in weights.items()
@@ -178,7 +180,7 @@ class WeightVector:
             if not 0.0 <= v < math.inf:  # also false for NaN
                 kind = "negative" if v < 0 else "non-finite"
                 raise ValidationError(f"{kind} weight for {k!r}: {v}")
-        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "weights", MappingProxyType(cleaned))
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -198,19 +200,12 @@ class WeightVector:
         return [self.weights[k] for k in keys]
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self.weights)
-
-    def normalize(self) -> "WeightVector":
-        """Scale so the entries sum to 1. Requires at least one positive entry."""
-        total = self.total()
-        if total <= 0:
-            raise ValidationError("degenerate weight vector: all entries zero")
-        return WeightVector({k: v / total for k, v in self.weights.items()})
+        return self.weights.copy()  # a plain dict; `dict()` of a proxy reads key by key
 
 
 @dataclass(frozen=True)
 class MembershipMatrix:
-    """Indicator rows of membership degrees over a fixed grade set.
+    """Read-only indicator rows of membership degrees over a fixed grade set.
 
     Rows are expected to be (close to) row-stochastic; `row_sum_deviations`
     reports rows whose sum strays from 1 by more than a flagging tolerance.
@@ -219,7 +214,7 @@ class MembershipMatrix:
     rows: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        cleaned: dict[str, dict[str, float]] = {}
+        cleaned: dict[str, Mapping[str, float]] = {}
         grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
             row_f = {
@@ -247,12 +242,12 @@ class MembershipMatrix:
                 raise ValidationError(
                     f"membership row {ind!r}: sum {total} exceeds 1"
                 )
-            cleaned[str(ind)] = row_f
+            cleaned[str(ind)] = MappingProxyType(row_f)
         if grades is None:
             raise ValidationError("membership matrix has no rows")
         if len(cleaned) != len(self.rows):
             check_str_ids(self.rows, "membership row")
-        object.__setattr__(self, "rows", cleaned)
+        object.__setattr__(self, "rows", MappingProxyType(cleaned))
         object.__setattr__(self, "_grades", grades)
 
     @property

@@ -18,6 +18,7 @@ elementwise step runs over the whole contiguous grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ def _out_of_range(grade: str, value: float) -> ValidationError:
 
 @dataclass(frozen=True)
 class FuzzyVector:
-    """Membership degree per grade, in grade order."""
+    """Membership degree per grade, in grade order, read-only."""
 
     memberships: Mapping[str, float]
 
@@ -68,7 +69,7 @@ class FuzzyVector:
         for g, v in cleaned.items():
             if not MEMBERSHIP_LO <= v <= MEMBERSHIP_HI:  # also false for NaN
                 raise _out_of_range(g, v)
-        object.__setattr__(self, "memberships", cleaned)
+        object.__setattr__(self, "memberships", MappingProxyType(cleaned))
 
     @property
     def grades(self) -> tuple[str, ...]:
@@ -81,7 +82,7 @@ class FuzzyVector:
         return sum(self.memberships.values())
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self.memberships)
+        return self.memberships.copy()  # a plain dict; `dict()` of a proxy reads key by key
 
 
 @dataclass(frozen=True)

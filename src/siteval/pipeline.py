@@ -21,13 +21,15 @@ section with inconsistency as warnings, the objective weights and, under
 `allow_inconsistent` check, fusion and composition. A build that raises keeps
 nothing, and the first run raises what the stage order gives: screening before
 AHP, an inconsistent matrix before a later matrix's or the entropy stage's
-fault. Reports get copies of the kept weights.
+fault. A config keeps its `config_hash` too, and reports hold the kept weights
+themselves: every mapping a config or a report holds is read-only.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -102,9 +104,11 @@ def ahp_stage(cfg: ProjectConfig, allow_inconsistent: bool) -> AhpSection:
                 if not allow_inconsistent:
                     raise ValidationError(msg)
                 warnings.append(ReportWarning("inconsistent-judgment-matrix", msg))
-        relative = {c.id: weights[c.id] for c in cfg.hierarchy.criteria}
+        relative = MappingProxyType({c.id: weights[c.id] for c in cfg.hierarchy.criteria})
         indicator = synthesize_global(cfg.hierarchy, weights["goal"], relative)
-    return AhpSection(weights["goal"], relative, indicator, consistency, tuple(warnings))
+    return AhpSection(
+        weights["goal"], relative, indicator, MappingProxyType(consistency), tuple(warnings)
+    )
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,7 @@ class _Run(NamedTuple):
 
     warnings: list[ReportWarning]
     screening: ScreeningSection | None
-    kept: _Weights  # the config's own record: callers copy what they hand out
+    kept: _Weights  # the config's own record, read-only
     criterion: np.ndarray  # (A, C) comprehensive criterion weights
     first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
     second: np.ndarray  # (G, A) second-level vectors
@@ -348,10 +352,6 @@ def _evaluate(
     return _Run(warnings, screening, kept, criterion, first, second)
 
 
-def _copy(w: WeightVector) -> WeightVector:
-    return WeightVector(w.weights)  # a new dict of the same floats
-
-
 def run_pipeline(
     cfg: ProjectConfig,
     survey: SurveyRound | None = None,
@@ -359,7 +359,7 @@ def run_pipeline(
 ) -> EvaluationReport:
     """Run every stage on one config and collect the full report.
 
-    The report shares no mutable object with the config's kept stages.
+    The report holds the config's kept weights and consistency reports, read-only.
     """
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     ahp = run.kept.ahp
@@ -386,17 +386,17 @@ def run_pipeline(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
         screening=run.screening,
-        consistency=dict(ahp.consistency),
-        relative_weights={c: _copy(w) for c, w in ahp.relative.items()},
-        criterion_subjective=_copy(ahp.criterion),
-        criterion_objective=_copy(run.kept.criterion_objective),
+        consistency=ahp.consistency,
+        relative_weights=ahp.relative,
+        criterion_subjective=ahp.criterion,
+        criterion_objective=run.kept.criterion_objective,
         criterion_comprehensive=WeightVector(
             dict(zip(ahp.criterion.ids, run.criterion[0].tolist()))
         ),
-        indicator_subjective=_copy(ahp.indicator),
-        indicator_objective=_copy(run.kept.indicator_objective),
+        indicator_subjective=ahp.indicator,
+        indicator_objective=run.kept.indicator_objective,
         indicator_comprehensive=WeightVector(dict(zip(ahp.indicator.ids, indicator.tolist()))),
-        first_level=first,
+        first_level=MappingProxyType(first),
         second_level=second,
         verdict=final,
         warnings=tuple(run.warnings),

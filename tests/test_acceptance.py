@@ -191,19 +191,22 @@ def test_criterion_3_global_subjective_weights(campus_config):
         _assert_vector(global_weights, SUBJECTIVE_GLOBAL, 0.001)
 
 
+def _summing_to_one(weights: dict[str, float]) -> WeightVector:
+    total = sum(weights.values())
+    return WeightVector({k: v / total for k, v in weights.items()})
+
+
 def test_criterion_4_weight_fusion():
     with criterion(4, "comprehensive weights ±0.0005 and criterion fusion ±0.001"):
-        # Published inputs carry rounding (sums 1.002 / 0.999), so normalize first.
-        subjective = WeightVector(SUBJECTIVE_GLOBAL).normalize()
-        (fused,) = fuse(subjective, WeightVector(OBJECTIVE_GLOBAL).normalize(), [0.5])
+        # Published inputs carry rounding (sums 1.002 / 0.999), so scale them to sum 1 first.
+        subjective = _summing_to_one(SUBJECTIVE_GLOBAL)
+        (fused,) = fuse(subjective, _summing_to_one(OBJECTIVE_GLOBAL), [0.5])
         _assert_vector(dict(zip(subjective.ids, fused)), COMPREHENSIVE_GLOBAL, 0.0005)
 
-        crit_subjective = WeightVector(
-            {"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118}
-        ).normalize()
+        crit_subjective = _summing_to_one({"B1": 0.487, "B2": 0.276, "B3": 0.118, "B4": 0.118})
         (crit,) = fuse(
             crit_subjective,
-            WeightVector({"B1": 0.2081, "B2": 0.533, "B3": 0.0457, "B4": 0.2132}).normalize(),
+            _summing_to_one({"B1": 0.2081, "B2": 0.533, "B3": 0.0457, "B4": 0.2132}),
             [0.5],
         )
         _assert_vector(

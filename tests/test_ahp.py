@@ -368,13 +368,16 @@ class TestKeptEigenvector:
         derive_weights(goal_matrix())
         assert calls == [4, 4]
 
-    def test_each_call_returns_a_new_weight_vector(self):
+    def test_each_call_returns_the_kept_read_only_weights(self):
         m = goal_matrix()
-        weights, _ = derive_weights(m)
+        weights, report = derive_weights(m)
         expected = weights.as_dict()
-        weights.weights.clear()
-        again, _ = derive_weights(m)
-        assert again is not weights
+        with pytest.raises(AttributeError):
+            weights.weights.clear()
+        with pytest.raises(TypeError):
+            weights.weights["B1"] = 0.0
+        again, again_report = derive_weights(m)
+        assert again is weights and again_report is report
         assert again.as_dict() == expected
 
     def test_order_above_nine_raises_on_every_call(self):

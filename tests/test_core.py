@@ -97,73 +97,6 @@ class TestValidateHierarchy:
             assert [c.id for c in h.criteria if ind in c.children] in (["B1"], ["B2"])
 
 
-class TestNormalize:
-    def test_already_normalized_is_unchanged(self):
-        w = WeightVector({"C1": 0.594, "C2": 0.157, "C3": 0.249})
-        out = w.normalize()
-        for k in w.ids:
-            assert out[k] == pytest.approx(w[k], abs=1e-12)
-
-    def test_symmetric_pair(self):
-        out = WeightVector({"a": 2.0, "b": 2.0}).normalize()
-        assert out["a"] == 0.5 and out["b"] == 0.5
-
-    def test_hand_computed_thirds(self):
-        # Sum is 0.34705; each entry divided by it.
-        out = WeightVector({"C1": 0.1675, "C2": 0.10365, "C3": 0.0759}).normalize()
-        assert out["C1"] == pytest.approx(0.4827, abs=1e-4)
-        assert out["C2"] == pytest.approx(0.2987, abs=1e-4)
-        assert out["C3"] == pytest.approx(0.2187, abs=1e-4)
-
-    def test_all_zero_is_degenerate(self):
-        with pytest.raises(ValidationError, match="degenerate"):
-            WeightVector({"a": 0.0, "b": 0.0}).normalize()
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError, match="negative"):
-            WeightVector({"a": -0.1, "b": 1.1})
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValidationError, match="non-finite weight for 'b'"):
-            WeightVector({"a": 0.5, "b": bad})
-
-
-positive_vectors = st.dictionaries(
-    st.text(alphabet="abcdefgh", min_size=1, max_size=3),
-    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=8,
-)
-
-
-class TestNormalizeProperties:
-    @given(positive_vectors)
-    @settings(max_examples=50)
-    def test_idempotent(self, weights):
-        once = WeightVector(weights).normalize()
-        twice = once.normalize()
-        for k in once.ids:
-            assert twice[k] == pytest.approx(once[k], abs=1e-12)
-
-    @given(positive_vectors)
-    @settings(max_examples=50)
-    def test_sums_to_one(self, weights):
-        assert WeightVector(weights).normalize().total() == pytest.approx(1.0, abs=1e-12)
-
-    @given(positive_vectors)
-    @settings(max_examples=50)
-    def test_preserves_ratios_and_argmax(self, weights):
-        w = WeightVector(weights)
-        out = w.normalize()
-        ids = w.ids
-        for i in ids:
-            for j in ids:
-                assert out[i] / out[j] == pytest.approx(w[i] / w[j], rel=1e-9)
-        argmax = max(ids, key=lambda k: w[k])
-        assert out[argmax] == max(out[k] for k in ids)
-
-
 class TestMembershipMatrix:
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
@@ -258,6 +191,15 @@ class TestWeightVectorPaths:
         wv = WeightVector(weights)
         weights["a"] = 0.75
         assert wv["a"] == 0.5
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValidationError, match="negative"):
+            WeightVector({"a": -0.1, "b": 1.1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite weight for 'b'"):
+            WeightVector({"a": 0.5, "b": bad})
 
 
 class TestFloatConversion:

@@ -46,12 +46,12 @@ class TestFuse:
         assert out["C4"] == pytest.approx(0.18145, abs=1e-12)
 
     def test_criterion_level_fusion(self):
-        # Printed weights carry rounding, so normalize before blending.
-        out = blend(
-            WeightVector(SUBJ_CRIT).normalize(),
-            WeightVector(OBJ_CRIT).normalize(),
-            0.5,
+        # Printed weights carry rounding, so scale them to sum 1 before blending.
+        subj, obj = (
+            WeightVector({k: v / sum(w.values()) for k, v in w.items()})
+            for w in (SUBJ_CRIT, OBJ_CRIT)
         )
+        out = blend(subj, obj, 0.5)
         assert out["B1"] == pytest.approx(0.348, abs=0.001)
         assert out["B2"] == pytest.approx(0.405, abs=0.001)
         assert out["B3"] == pytest.approx(0.082, abs=0.001)

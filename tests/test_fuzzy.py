@@ -167,6 +167,11 @@ def _row_strategy():
     ).map(lambda t: tuple(v / (sum(t) or 1) for v in t)).filter(lambda t: sum(t) > 0.99)
 
 
+def _summing_to_one(weights):
+    total = sum(weights.values())
+    return WeightVector({k: v / total for k, v in weights.items()})
+
+
 class TestFuzzyProperties:
     @given(
         st.lists(_row_strategy(), min_size=2, max_size=5),
@@ -175,9 +180,7 @@ class TestFuzzyProperties:
     @settings(max_examples=50, deadline=None)
     def test_row_stochastic_inputs_give_unit_sum(self, rows, raw_weights):
         children = [f"C{i}" for i in range(len(rows))]
-        weights = WeightVector(
-            dict(zip(children, raw_weights[: len(rows)]))
-        ).normalize()
+        weights = _summing_to_one(dict(zip(children, raw_weights[: len(rows)])))
         h, _, r = _single_criterion(children, rows, [weights[c] for c in children])
         out = first_level(h, {"B": weights}, r)["B"]
         assert out.total() == pytest.approx(1.0, abs=1e-9)
@@ -187,10 +190,8 @@ class TestFuzzyProperties:
     @settings(max_examples=50)
     def test_verdict_invariant_under_weight_scaling(self, factor):
         raw = {"B1": 0.8, "B2": 0.3, "B3": 0.5, "B4": 0.1}
-        base = second_level(WeightVector(raw).normalize(), FIRST)
-        scaled = second_level(
-            WeightVector({k: v * factor for k, v in raw.items()}).normalize(), FIRST
-        )
+        base = second_level(_summing_to_one(raw), FIRST)
+        scaled = second_level(_summing_to_one({k: v * factor for k, v in raw.items()}), FIRST)
         assert verdict(base, SCALE).grade == verdict(scaled, SCALE).grade
 
     def test_linear_in_each_criterion_vector(self):

@@ -550,11 +550,16 @@ class TestKeptStages:
         ]
         for w in vectors:
             for k in w.weights:
-                w.weights[k] = 0.25
-            w.weights["extra"] = 0.5
-        report.relative_weights.clear()
-        report.consistency.clear()
-        assert emit_report(run_pipeline(campus_config), "json") == expected
+                with pytest.raises(TypeError):
+                    w.weights[k] = 0.25
+            with pytest.raises(TypeError):
+                w.weights["extra"] = 0.5
+        for mapping in (report.relative_weights, report.consistency):
+            with pytest.raises(AttributeError):
+                mapping.clear()
+        again = run_pipeline(campus_config)
+        assert again.relative_weights is report.relative_weights  # the kept record, not a copy
+        assert emit_report(again, "json") == expected
 
     @pytest.mark.parametrize("operator", ["weighted-average", "min-max"])
     @pytest.mark.parametrize("policy", ["paper", "fused-both"])
@@ -637,6 +642,86 @@ class TestKeptStages:
             with pytest.raises(ValidationError) as err:
                 sweep_alpha(cfg, self.GRID, allow_inconsistent=allow)
             assert str(err.value) == expected[allow]
+
+
+# Every mapping a config, an AHP section or a report holds: (owner, path, its mappings).
+READ_ONLY_MAPPINGS = [
+    ("config", "matrices", lambda cfg: [cfg.matrices]),
+    ("config", "membership.rows", lambda cfg: [cfg.membership.rows]),
+    ("config", "membership.rows[i]", lambda cfg: list(cfg.membership.rows.values())),
+    ("config", "objective_weights.weights", lambda cfg: [cfg.objective_weights.weights]),
+    ("ahp", "relative", lambda ahp: [ahp.relative]),
+    ("ahp", "relative[c].weights", lambda ahp: [w.weights for w in ahp.relative.values()]),
+    ("ahp", "consistency", lambda ahp: [ahp.consistency]),
+    ("report", "consistency", lambda r: [r.consistency]),
+    ("report", "relative_weights", lambda r: [r.relative_weights]),
+    (
+        "report",
+        "relative_weights[c].weights",
+        lambda r: [w.weights for w in r.relative_weights.values()],
+    ),
+    *(
+        ("report", f"{name}.weights", lambda r, name=name: [getattr(r, name).weights])
+        for name in (
+            "criterion_subjective",
+            "criterion_objective",
+            "criterion_comprehensive",
+            "indicator_subjective",
+            "indicator_objective",
+            "indicator_comprehensive",
+        )
+    ),
+    ("report", "first_level", lambda r: [r.first_level]),
+    (
+        "report",
+        "first_level[c].memberships",
+        lambda r: [v.memberships for v in r.first_level.values()],
+    ),
+    ("report", "second_level.memberships", lambda r: [r.second_level.memberships]),
+]
+
+
+class TestReadOnlyMappings:
+    @pytest.mark.parametrize(
+        "owner, mappings",
+        [(owner, get) for owner, _, get in READ_ONLY_MAPPINGS],
+        ids=[f"{owner}.{path}" for owner, path, _ in READ_ONLY_MAPPINGS],
+    )
+    def test_a_write_raises(self, campus_config_dict, owner, mappings):
+        cfg = ProjectConfig.from_dict(campus_config_dict)
+        build = {
+            "config": lambda: cfg,
+            "ahp": lambda: pipeline.ahp_stage(cfg, allow_inconsistent=False),
+            "report": lambda: run_pipeline(cfg),
+        }[owner]
+        fresh = mappings(build())  # a config before its first run, or the first result
+        run_pipeline(cfg)
+        later = mappings(build())  # the config after a run, or a result of its kept record
+        for mapping in fresh + later:
+            key = next(iter(mapping))
+            value = mapping[key]
+            with pytest.raises(TypeError):
+                mapping[key] = value
+            with pytest.raises(TypeError):
+                mapping["new"] = value
+            with pytest.raises(TypeError):
+                del mapping[key]
+            with pytest.raises(AttributeError):
+                mapping.clear()
+            with pytest.raises(AttributeError):
+                mapping.pop(key)
+            assert mapping[key] is value
+
+    def test_swapping_two_weights_after_a_run_raises_at_the_swap(self, campus_config):
+        report = run_pipeline(campus_config)
+        weights = campus_config.objective_weights.weights
+        a, b = list(weights)[:2]
+        with pytest.raises(TypeError):
+            weights[a], weights[b] = weights[b], weights[a]
+        again = run_pipeline(campus_config)
+        reparsed = run_pipeline(ProjectConfig.from_dict(campus_config.to_dict()))
+        assert again.config_sha256 == reparsed.config_sha256 == report.config_sha256
+        assert emit_report(again, "json") == emit_report(reparsed, "json")
 
 
 def _scalar_second_levels(cfg, alphas):
@@ -1066,6 +1151,22 @@ class TestConfigHash:
         digest = ProjectConfig.from_dict(data).config_hash()
         data["decision_matrix"]["values"][3][13] += 1e-9
         assert ProjectConfig.from_dict(data).config_hash() != digest
+
+    def test_digest_computed_once_per_config_object(self, monkeypatch, campus_config):
+        calls = []
+        encode = ProjectConfig._dict_without_values
+        monkeypatch.setattr(
+            ProjectConfig, "_dict_without_values", lambda cfg: calls.append(1) or encode(cfg)
+        )
+        digests = {run_pipeline(campus_config).config_sha256 for _ in range(3)}
+        assert len(calls) == 1
+        other = campus_config.with_overrides(alpha=0.3)
+        other_digests = {run_pipeline(other).config_sha256 for _ in range(3)}
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert digests == {ProjectConfig.from_dict(campus_config.to_dict()).config_hash()}
+        assert other_digests == {ProjectConfig.from_dict(other.to_dict()).config_hash()}
+        assert digests != other_digests
 
     def test_decision_matrix_values_read_only(self, campus_config_dict):
         cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
