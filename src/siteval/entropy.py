@@ -47,6 +47,8 @@ class DecisionMatrix:
             i, j = divmod(int(bad[0]), len(inds))
             v = vals[i, j]
             kind = "negative value" if np.isfinite(v) else "non-finite value"
+            if self.values[i][j] is None:  # float64 reads None as NaN
+                kind, v = "not a number:", None
             raise ValidationError(f"decision matrix ({alts[i]}, {inds[j]}): {kind} {v}")
         # float64 reads True and False as 1.0 and 0.0, so only those cells can be bools.
         for k in np.flatnonzero((vals == 0.0) | (vals == 1.0)).tolist():

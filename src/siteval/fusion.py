@@ -8,6 +8,21 @@ import numpy as np
 from .core import SUM_TOL, ValidationError, WeightVector, check_same_ids
 
 
+def check_pair(subjective: WeightVector, objective: WeightVector) -> None:
+    """Raise unless both vectors cover the same ids and each sums to 1 within SUM_TOL."""
+    check_same_ids(subjective.weights, objective.weights, "weight vectors cover different ids")
+    for name, vec in (("subjective", subjective), ("objective", objective)):
+        if abs(vec.total() - 1.0) > SUM_TOL:
+            raise ValidationError(f"{name} weights must sum to 1, got {vec.total()}")
+
+
+def blend(subjective: np.ndarray, objective: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(n,) weights blended at (A,) alphas, as (n, A): a * subjective + (1 - a) * objective."""
+    out = np.subtract(1.0, alphas, out=np.empty((len(subjective), alphas.size)))
+    out *= objective[:, None]
+    return np.add(out, subjective[:, None] * alphas, out=out)
+
+
 def fuse(
     subjective: WeightVector,
     objective: WeightVector,
@@ -17,24 +32,11 @@ def fuse(
 
     Row k is alphas[k] * subjective + (1 - alphas[k]) * objective, entrywise:
     alpha = 1 keeps the subjective weights, 0 the objective. Both inputs must
-    cover the same ids and sum to 1, and every alpha must lie in [0, 1].
+    cover the same ids and sum to 1 (`check_pair`), and every alpha must lie in [0, 1].
     """
     a = np.asarray(alphas, dtype=np.float64)
     bad = a[~((a >= 0.0) & (a <= 1.0))]  # NaN fails both comparisons
     if bad.size:
         raise ValidationError(f"alpha must be in [0, 1], got {float(bad[0])}")
-    check_same_ids(subjective.ids, objective.ids, "weight vectors cover different ids")
-    for name, vec in (("subjective", subjective), ("objective", objective)):
-        if abs(vec.total() - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"{name} weights must sum to 1, got {vec.total()}"
-            )
-    s = np.array(subjective.values(), dtype=np.float64)
-    o = np.array(objective.values(subjective.ids), dtype=np.float64)
-    # Built as (n, A) so each blend runs over the contiguous alphas, with one
-    # temporary. The (A, n) view holds the floats of a * s + (1 - a) * o, since
-    # IEEE products and sums do not depend on the order of their operands.
-    blend = np.subtract(1.0, a, out=np.empty((s.size, a.size)))
-    blend *= o[:, None]
-    blend += s[:, None] * a
-    return blend.T
+    check_pair(subjective, objective)
+    return blend(np.array(subjective.values()), np.array(objective.values(subjective.ids)), a).T

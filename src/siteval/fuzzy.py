@@ -92,43 +92,50 @@ class Verdict:
     tied: bool
 
 
-def compose(weights: np.ndarray, rows: np.ndarray, operator: str) -> np.ndarray:
-    """Compose weights (..., n, A) with rows (..., n, G, A or 1) into vectors (..., G, A).
+def compose(
+    weights: np.ndarray, rows: np.ndarray, operator: str, sizes: Sequence[int] | None = None
+) -> np.ndarray:
+    """Compose weights (I, A) with rows (I, G, A or 1), term by term, into vectors (k, G, A).
 
-    The last axis is the batch: column k composes weights[..., :, k] with
-    rows[..., :, :, k], or with the shared rows when their batch axis is 1.
-    Leading axes broadcast, so (C, n, A) weights with (C, n, G, 1) rows give
-    A vectors per criterion. The reduction over n runs one term at a time, in
-    index order, so every entry is the same float as the scalar left-to-right
-    sum (or max of mins); only the other axes are vectorised.
+    Term j takes the next sizes[j] weights and rows and updates the first sizes[j]
+    vectors, so sizes never grows and k = sizes[0] (`pipeline`'s slot layout). With
+    no `sizes` each term holds one row and the result is one (G, A) block. The last
+    axis is the batch: column k composes weights[:, k] with rows[:, :, k], or with
+    shared rows whose batch axis is 1. Leading axes (...) broadcast and give (k, ...,
+    G, A), or (..., G, A) with no `sizes`. Each vector's terms run in index order,
+    so every entry is the scalar left-to-right sum (or max of mins), to the bit.
 
     Max-min relies on numpy's tie rule: `np.minimum(a, b)` and `np.maximum(a, b)`
-    return `b` when the operands compare equal. So `np.minimum(r, w)` keeps `w`
-    on a tie, as `min(w, r)` does, and `np.maximum(low, acc)` keeps the earlier
-    term, as `max()` does; signed zeros come out as the scalar code gives them.
-    Two tests in tests/test_fuzzy.py pin this rule against a scalar reference:
+    return `b` when the operands compare equal. So `np.minimum(r, w)` keeps `w` on a
+    tie, as `min(w, r)` does, and `np.maximum(low, acc)` keeps the earlier term, as
+    `max()` does; signed zeros come out as the scalar code gives them. Two tests in
+    tests/test_fuzzy.py pin this rule against a scalar reference:
     `test_batch_rows_equal_scalar_reference` and
     `test_signed_zero_ties_match_scalar_reference`.
     """
-    if weights.shape[-2] == 0:
+    one_row = sizes is None
+    sizes = (1,) * weights.shape[-2] if one_row else sizes
+    if not sizes:
         raise ValidationError("nothing to compose: no weights")
-    terms = range(weights.shape[-2])
-    if operator == WEIGHTED_AVERAGE:
-        acc = 0.0  # as sum() starts from 0, so 0.0 + -0.0 gives 0.0 here too
-        for j in terms:
-            acc += weights[..., j, None, :] * rows[..., j, :, :]  # in place from j = 1 on
-        return acc
-    if operator == MIN_MAX:
-        # One buffer holds every term's minima. It is allocated before the result,
-        # so when it is freed on return it lies below an array still in use, not
-        # at the heap top, which glibc would trim and fault back in on the next call.
-        low = np.minimum(rows[..., 0, :, :], weights[..., 0, None, :])
-        acc = low.copy()
-        for j in terms[1:]:
-            np.minimum(rows[..., j, :, :], weights[..., j, None, :], out=low)
-            np.maximum(low, acc, out=acc)
-        return acc
-    raise ValidationError(f"unknown fuzzy operator {operator!r}")
+    if operator not in OPERATORS:
+        raise ValidationError(f"unknown fuzzy operator {operator!r}")
+    average = operator == WEIGHTED_AVERAGE
+    pair, merge = (np.multiply, np.add) if average else (np.minimum, np.maximum)
+    w = weights[..., None, :]  # (..., I, 1, A): a weight meets every grade of its row
+    if w.ndim > 3 or rows.ndim > 3:  # leading axes broadcast, behind the term axis
+        w, rows = (np.moveaxis(a, -3, 0) for a in np.broadcast_arrays(w, rows))
+    k = stop = sizes[0]
+    # One buffer holds every term's products or minima. It is allocated before the
+    # result, so when it is freed on return it lies below an array still in use, not
+    # at the heap top, which glibc would trim and fault back in on the next call.
+    low = pair(rows[:k], w[:k])
+    acc = low + 0.0 if average else low.copy()  # as sum() starts from 0: 0.0 + -0.0 is 0.0
+    for k in sizes[1:]:
+        start, stop = stop, stop + k
+        term, part = low[:k], acc[:k]
+        pair(rows[start:stop], w[start:stop], out=term)
+        merge(term, part, out=part)
+    return acc[0] if one_row else acc
 
 
 def first_level(

@@ -15,18 +15,20 @@ bit for bit.
 
 The stages that do not depend on alpha run on a config's first run only. The
 config keeps their results in two parts: the membership layout, built before
-screening (`_layout`), and the weights, built after it (`_weights`: the AHP
-section with inconsistency as warnings, the objective weights and, under
-`paper`, the first-level vectors). A later run does only screening, the
-`allow_inconsistent` check, fusion and composition. A build that raises keeps
-nothing, and the first run raises what the stage order gives: screening before
-AHP, an inconsistent matrix before a later matrix's or the entropy stage's
-fault. A config keeps its `config_hash` too, and reports hold the kept weights
-themselves: every mapping a config or a report holds is read-only.
+screening (`_layout`: unpadded slots, criteria in size order), and the weights,
+built after it (`_weights`: the AHP section with inconsistency as warnings, the
+objective weights, checked for fusion, and under `paper` the first-level
+vectors). A later run does only screening, the `allow_inconsistent` check, the
+blends and composition. A build that raises keeps nothing, and the first run
+raises what the stage order gives: screening before AHP, an inconsistent matrix
+before a later matrix's, the entropy stage's or fusion's fault. A config keeps
+its `config_hash` too, and reports hold the kept weights themselves: every
+mapping a config or a report holds is read-only.
 """
 from __future__ import annotations
 
 import numbers
+from itertools import accumulate
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -39,7 +41,7 @@ from .config import POLICY_FUSED_BOTH, ProjectConfig, read_json
 from .core import GradeScale, ValidationError, WeightVector, error_prefix
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
-from .fusion import fuse
+from .fusion import blend, check_pair
 from .fuzzy import (
     WEIGHTED_AVERAGE,
     FuzzyVector,
@@ -189,11 +191,18 @@ class AlphaSweep:
 
 
 class _Layout(NamedTuple):
-    """A config's membership rows, checked once and laid out by criterion."""
+    """A config's membership rows, checked once and laid out slot by slot, unpadded.
+
+    With the criteria in size order (most indicators first, ties in hierarchy order),
+    slot j holds the j-th indicator of each criterion that has one, in contiguous rows.
+    """
 
     warnings: tuple[ReportWarning, ...]  # rows whose sum strays from 1 within tolerance
-    slots: np.ndarray  # (C, n) bool: criterion c's j-th indicator sits in slot (c, j)
-    membership: np.ndarray  # (C, n, G), read-only; unused slots hold zero membership
+    indicators: tuple[str, ...]  # the indicator ids in row order
+    slots: tuple[slice, ...]  # the rows of each slot
+    sizes: tuple[int, ...]  # the number of rows of each slot
+    membership: np.ndarray  # (I, G, 1) in row order, read-only
+    back: np.ndarray | slice  # size order to hierarchy order; slice(None) when they agree
 
 
 class _Weights(NamedTuple):
@@ -202,6 +211,8 @@ class _Weights(NamedTuple):
     ahp: AhpSection  # every inconsistent judgment matrix is one of its warnings
     criterion_objective: WeightVector
     indicator_objective: WeightVector
+    criterion: np.ndarray  # (2, C): subjective, objective; hierarchy order; read-only
+    indicator: np.ndarray  # (2, I): subjective, objective; row order; read-only
     first: np.ndarray | None  # (C, G, 1) first-level vectors under `paper`, read-only
 
 
@@ -229,13 +240,17 @@ def _layout(cfg: ProjectConfig) -> _Layout:
                     f"membership row {ind!r} sums to {total:.4f}, expected 1",
                 )
             )
-        # Criterion c's j-th indicator sits in slot (c, j); slots past a criterion's
-        # last indicator are unused and hold zero weight and zero membership.
-        sizes = [len(c.children) for c in cfg.hierarchy.criteria]
-        slots = np.arange(max(sizes)) < np.array(sizes)[:, None]  # (C, n)
-        membership = np.zeros(slots.shape + (len(cfg.scale.labels),))  # (C, n, G)
-        membership[slots] = cfg.membership.to_array(cfg.hierarchy.indicator_ids())
-    layout = _Layout(tuple(warnings), _read_only(slots), _read_only(membership))
+        ids = [c.children for c in cfg.hierarchy.criteria]
+        order = sorted(range(len(ids)), key=lambda c: -len(ids[c]))  # stable
+        slots = [[ids[c][j] for c in order if j < len(ids[c])] for j in range(len(ids[order[0]]))]
+        indicators = tuple(i for slot in slots for i in slot)
+        sizes = tuple(map(len, slots))
+        stops = list(accumulate(sizes))
+        membership = _read_only(cfg.membership.to_array(indicators)[..., None])
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    back = slice(None) if inverse == sorted(inverse) else np.array(inverse)
+    layout = _Layout(tuple(warnings), indicators, tuple(map(slice, [0] + stops, stops)), sizes,
+                     membership, back)
     object.__setattr__(cfg, "_layout", layout)
     return layout
 
@@ -245,7 +260,7 @@ def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _
 
     The AHP section kept holds every inconsistent matrix as a warning: a build
     that does not allow one raises at the first, as `ahp_stage` does, and one
-    that succeeds found none.
+    that succeeds found none. Fusion's checks run here, once per config.
     """
     if cfg._weights is not None:
         return cfg._weights
@@ -264,18 +279,21 @@ def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _
             }
         )
 
-    first = None
+    with error_prefix("fuse"):
+        check_pair(ahp.criterion, criterion_objective)
+        check_pair(ahp.indicator, indicator_objective)
+    rows, first = layout.indicators, None
     if cfg.weights_policy != POLICY_FUSED_BOTH:
         # The paper's level-one weights are the relative ones, which ignore alpha.
-        with error_prefix("fuzzy"):
-            w = np.zeros(layout.slots.shape + (1,))  # (C, n, 1)
-            w[layout.slots, 0] = [
-                x for c in cfg.hierarchy.criteria for x in ahp.relative[c.id].values(c.children)
-            ]
-            # Unused slots add 0.0 to a sum that is never -0.0, and offer 0.0 to a
-            # max over non-negative values, so every composed value stays bit-exact.
-            first = _read_only(compose(w, layout.membership[..., None], cfg.operator))
-    weights = _Weights(ahp, criterion_objective, indicator_objective, first)
+        relative = {i: w for v in ahp.relative.values() for i, w in v.weights.items()}
+        w = np.array([relative[i] for i in rows])[:, None]
+        first = _read_only(compose(w, layout.membership, cfg.operator, layout.sizes)[layout.back])
+    weights = _Weights(
+        ahp, criterion_objective, indicator_objective,
+        _read_only(np.array([ahp.criterion.values(), criterion_objective.values()])),
+        _read_only(np.array([ahp.indicator.values(rows), indicator_objective.values(rows)])),
+        first,
+    )
     object.__setattr__(cfg, "_weights", weights)
     return weights
 
@@ -286,7 +304,7 @@ class _Run(NamedTuple):
     warnings: list[ReportWarning]
     screening: ScreeningSection | None
     kept: _Weights  # the config's own record, read-only
-    criterion: np.ndarray  # (A, C) comprehensive criterion weights
+    criterion: np.ndarray  # (C, A) comprehensive criterion weights
     first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
     second: np.ndarray  # (G, A) second-level vectors
 
@@ -324,30 +342,21 @@ def _evaluate(
             raise ValidationError(kept.ahp.warnings[0].message)
     warnings += kept.ahp.warnings
 
-    with error_prefix("fuse"):
-        criterion = fuse(kept.ahp.criterion, kept.criterion_objective, alphas)
-        # Only fused-both reads the (A, I) indicator blend; `paper` keeps its first level.
-        first = kept.first
-        if first is None:
-            indicator = fuse(kept.ahp.indicator, kept.indicator_objective, alphas)
-
+    # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
+    criterion = blend(*kept.criterion, alphas)
+    first = kept.first
     with error_prefix("fuzzy"):
-        # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
-        if first is None:
-            w = np.zeros(layout.slots.shape + (len(alphas),))  # (C, n, A)
-            w[layout.slots] = indicator.T
-            # Dropped before composing, as `compose` reuses one buffer of minima: with
-            # fewer large arrays live at once, the allocator does not hand the heap
-            # top back after a sweep and fault it in again on the next.
-            del indicator
-            total = 0.0
-            for j in range(w.shape[1]):
-                total = total + w[:, j]
+        if first is None:  # only fused-both blends the indicator weights
+            w = blend(*kept.indicator, alphas)
+            total = w[layout.slots[0]] + 0.0  # each total adds left to right from 0.0, as sum()
+            for rows, k in zip(layout.slots[1:], layout.sizes[1:]):
+                total[:k] += w[rows]
             if np.any(total <= 0):
                 raise ValidationError("degenerate weight vector: all entries zero")
-            w /= total[:, None]
-            first = compose(w, layout.membership[..., None], cfg.operator)
-        second = compose(criterion.T, first, cfg.operator)
+            for rows, k in zip(layout.slots, layout.sizes):
+                w[rows] /= total[:k]
+            first = compose(w, layout.membership, cfg.operator, layout.sizes)[layout.back]
+        second = compose(criterion, first, cfg.operator)
 
     return _Run(warnings, screening, kept, criterion, first, second)
 
@@ -363,8 +372,8 @@ def run_pipeline(
     """
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     ahp = run.kept.ahp
-    with error_prefix("fuse"):
-        indicator = fuse(ahp.indicator, run.kept.indicator_objective, [cfg.alpha])[0]
+    blended = blend(*run.kept.indicator, np.array([cfg.alpha]))[:, 0].tolist()
+    indicator = dict(zip(_layout(cfg).indicators, blended))  # in row order
     grades = cfg.scale.labels
     with error_prefix("fuzzy"):
         first = {
@@ -391,11 +400,11 @@ def run_pipeline(
         criterion_subjective=ahp.criterion,
         criterion_objective=run.kept.criterion_objective,
         criterion_comprehensive=WeightVector(
-            dict(zip(ahp.criterion.ids, run.criterion[0].tolist()))
+            dict(zip(ahp.criterion.ids, run.criterion[:, 0].tolist()))
         ),
         indicator_subjective=ahp.indicator,
         indicator_objective=run.kept.indicator_objective,
-        indicator_comprehensive=WeightVector(dict(zip(ahp.indicator.ids, indicator.tolist()))),
+        indicator_comprehensive=WeightVector({i: indicator[i] for i in ahp.indicator.ids}),
         first_level=MappingProxyType(first),
         second_level=second,
         verdict=final,

@@ -572,6 +572,10 @@ class TestGoldenOutputs:
                 ],
                 "sweep_alpha_minmax",
             ),
+            (
+                ["sweep-alpha", *CONFIG, "--weights-policy", "fused-both", "--step", "0.01"],
+                "sweep_alpha_fused",
+            ),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "md"])
@@ -588,4 +592,12 @@ class TestGoldenOutputs:
         assert code == 0
         # The evaluate goldens hold emit_report's text, without the newline print adds.
         golden = fixture_dir / "golden" / f"evaluate_minmax.{fmt}"
+        assert out == golden.read_text(encoding="utf-8") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_fused_both_evaluate_matches_golden(self, capsys, fixture_dir, fmt):
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_bikeshare.json")]
+        code, out, _ = _run(capsys, argv + ["--weights-policy", "fused-both", "--format", fmt])
+        assert code == 0
+        golden = fixture_dir / "golden" / f"evaluate_fused.{fmt}"
         assert out == golden.read_text(encoding="utf-8") + "\n"

@@ -29,6 +29,7 @@ from siteval import (
     sweep_alpha,
 )
 from siteval import ahp, config, core, pipeline
+from siteval.fusion import blend
 from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
 
@@ -144,14 +145,14 @@ class TestRunPipeline:
     ):
         calls = []
 
-        def counting_fuse(subjective, objective, alphas):
-            calls.append((subjective.ids, len(alphas)))
-            return fuse(subjective, objective, alphas)
+        def counting_blend(subjective, objective, alphas):
+            calls.append((len(subjective), len(alphas)))
+            return blend(subjective, objective, alphas)
 
-        monkeypatch.setattr(pipeline, "fuse", counting_fuse)
+        monkeypatch.setattr(pipeline, "blend", counting_blend)
         criteria, indicators = (
-            campus_config.hierarchy.criterion_ids(),
-            campus_config.hierarchy.indicator_ids(),
+            len(campus_config.hierarchy.criterion_ids()),
+            len(campus_config.hierarchy.indicator_ids()),
         )
         grid = [0.0, 0.5, 1.0]
         sweep_alpha(campus_config, grid)
@@ -160,10 +161,24 @@ class TestRunPipeline:
         sweep_alpha(campus_config.with_overrides(weights_policy="fused-both"), grid)
         assert calls == [(criteria, 3), (indicators, 3)]
         calls.clear()
-        report = run_pipeline(campus_config)
+        report = run_pipeline(campus_config)  # the report's indicator blend, at one alpha
         assert calls == [(criteria, 1), (indicators, 1)]
         expected = fuse(report.indicator_subjective, report.indicator_objective, [0.5])[0]
         assert report.indicator_comprehensive.values() == expected.tolist()
+
+    @pytest.mark.parametrize("policy", ["paper", "fused-both"])
+    def test_fusion_checks_raise_on_every_run(self, campus_config_dict, policy):
+        # The checks run once per config, when its weights are built; a raise keeps
+        # nothing, so a later run raises the same error.
+        data = copy.deepcopy(campus_config_dict)
+        data["objective_weights"] = {i: 0.9 * w for i, w in data["objective_weights"].items()}
+        cfg = ProjectConfig.from_dict({**data, "weights_policy": policy})
+        for run in (run_pipeline, lambda c: sweep_alpha(c, [0.0, 1.0]), run_pipeline):
+            with pytest.raises(ValidationError) as err:
+                run(cfg)
+            assert str(err.value) == (
+                "fuse: objective weights must sum to 1, got 0.9000000000000001"
+            )
 
     def test_survey_screening_included_when_provided(self, campus_config, fixture_dir):
         survey = ingest_survey(fixture_dir / "survey_round2.csv", campus_config.classes)
@@ -980,6 +995,109 @@ class TestSweepAlpha:
         first = sweep_to_json_dict(sweep_alpha(campus_config, grid))
         second = sweep_to_json_dict(sweep_alpha(campus_config, grid))
         assert json.dumps(first) == json.dumps(second)
+
+
+def _saaty(exponent):
+    return str(2**exponent) if exponent >= 0 else f"1/{2**-exponent}"
+
+
+@st.composite
+def _layout_configs(draw):
+    """Configs of 2-9 criteria with 1-9 indicators each, sizes in any order (ascending
+    too), 2-5 grades, membership rows on the simplex with -0.0 cells and consistent
+    judgment matrices whose ratios are powers of two."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=9))
+    grades = [f"G{g}" for g in range(draw(st.integers(2, 5)))]
+    cell = st.sampled_from([0.0, -0.0]) | st.floats(0.01, 1.0)
+
+    def matrix(n):
+        e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return [[_saaty(e[a] - e[b]) for b in range(n)] for a in range(n)]
+
+    criteria, matrices, membership, objective = [], {"goal": matrix(len(sizes))}, {}, {}
+    for c, n in enumerate(sizes):
+        ids = [f"C{c}_{k}" for k in range(n)]
+        criteria.append({"id": f"B{c}", "name": f"B{c}", "indicators": [
+            {"id": i, "name": i, "kind": "qualitative"} for i in ids]})
+        matrices[f"B{c}"] = matrix(n)
+        for i in ids:
+            row = draw(st.lists(cell, min_size=len(grades), max_size=len(grades)))
+            total = sum(row) or 1.0
+            row = [x / total for x in row] if any(row) else [1.0] + row[1:]
+            membership[i] = dict(zip(grades, row))  # x / total keeps the sign of a zero
+            objective[i] = draw(st.floats(0.01, 1.0))
+    total = sum(objective.values())
+    return ProjectConfig.from_dict({
+        "goal": "g", "grades": grades, "criteria": criteria, "judgment_matrices": matrices,
+        "membership": membership, "objective_weights": {i: w / total for i, w in objective.items()},
+    })
+
+
+def _padded_compose(weights, rows, operator):
+    """The padded kernel: weights (..., n, A) with rows (..., n, G, A or 1), term by term."""
+    acc = 0.0 if operator == "weighted-average" else None
+    for j in range(weights.shape[-2]):
+        w, r = weights[..., j, None, :], rows[..., j, :, :]
+        if operator == "weighted-average":
+            acc = acc + w * r
+        else:
+            low = np.minimum(r, w)
+            acc = low if acc is None else np.maximum(low, acc)
+    return acc
+
+
+def _padded_levels(cfg, alphas):
+    """Both fuzzy levels over `alphas` with criterion c's j-th indicator in slot (c, j)
+    and zero weight and membership in the unused slots, as arrays (C, G, A or 1), (G, A)."""
+    report = run_pipeline(cfg)
+    criteria, grades = cfg.hierarchy.criteria, cfg.scale.labels
+    shape = (len(criteria), max(len(c.children) for c in criteria))
+    subjective, objective, relative = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    membership = np.zeros(shape + (len(grades), 1))
+    for c, crit in enumerate(criteria):
+        for j, i in enumerate(crit.children):
+            subjective[c, j] = report.indicator_subjective[i]
+            objective[c, j] = report.indicator_objective[i]
+            relative[c, j] = report.relative_weights[crit.id][i]
+            membership[c, j, :, 0] = [cfg.membership.rows[i][g] for g in grades]
+    if cfg.weights_policy == "fused-both":
+        w = (1.0 - alphas) * objective[..., None] + subjective[..., None] * alphas
+        total = 0.0
+        for j in range(shape[1]):
+            total = total + w[:, j]
+        w = w / total[:, None]
+    else:
+        w = relative[..., None]
+    first = _padded_compose(w, membership, cfg.operator)
+    crit_s = np.array(report.criterion_subjective.values())[:, None]
+    crit_o = np.array(report.criterion_objective.values())[:, None]
+    criterion = (1.0 - alphas) * crit_o + crit_s * alphas
+    return first, _padded_compose(criterion, first, cfg.operator)
+
+
+class TestSlotLayout:
+    """Level one in the size-sorted slot layout against the padded layout it replaced."""
+
+    GRID = np.array([0.0, 0.3, 0.5, 1.0])
+
+    @given(_layout_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_levels_equal_the_padded_layout_bit_for_bit(self, base):
+        for operator in ("weighted-average", "min-max"):
+            for policy in ("paper", "fused-both"):
+                cfg = base.with_overrides(operator=operator, weights_policy=policy)
+                run = pipeline._evaluate(cfg, None, False, self.GRID)
+                first, second = _padded_levels(cfg, self.GRID)
+                assert run.first.shape == first.shape
+                assert run.first.tobytes() == first.tobytes()
+                assert run.second.tobytes() == second.tobytes()
+                sweep = sweep_alpha(cfg, self.GRID)
+                assert sweep.second_level.tobytes() == second.T.tobytes()
+                for row in sweep:
+                    report = run_pipeline(cfg.with_overrides(alpha=row.alpha))
+                    # repr tells -0.0 from 0.0, which == does not
+                    assert repr(row.second_level) == repr(report.second_level)
+                    assert row.verdict == report.verdict
 
 
 class TestEmitReport:
