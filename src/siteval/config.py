@@ -364,7 +364,9 @@ class ProjectConfig:
         canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode("utf-8"))
         if matrix is not None:
-            digest.update(matrix.astype("<f8", copy=False).tobytes(order="C"))
+            # The array's own buffer, not a `tobytes` copy: `astype` copies only an
+            # array that is not C-ordered little-endian float64.
+            digest.update(matrix.astype("<f8", order="C", copy=False))
         sha256 = digest.hexdigest()
         object.__setattr__(self, "_sha256", sha256)
         return sha256

@@ -6,10 +6,9 @@ each mapping held is a read-only `types.MappingProxyType`, so a write raises.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,13 +22,24 @@ class ValidationError(ValueError):
     """Input data violates a structural or numeric contract."""
 
 
-@contextmanager
-def error_prefix(where: str) -> Iterator[None]:
-    """Prefix every ValidationError raised in the block with `where: `."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+class error_prefix:
+    """Prefix every ValidationError raised in the block with `where: `.
+
+    The new error's cause and context are the original one. A plain class: a
+    `contextmanager` generator costs about three times as much to enter and leave.
+    """
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str) -> None:
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type: object, exc: BaseException | None, tb: object) -> None:
+        if isinstance(exc, ValidationError):
+            raise ValidationError(f"{self.where}: {exc}") from exc
 
 
 def parse_float(value: object, where: str, *args: object) -> float:

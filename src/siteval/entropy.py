@@ -5,6 +5,7 @@ Indicators whose observed values are more dispersed carry more information
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,9 +42,10 @@ class DecisionMatrix:
             vals = None
         if vals is None or vals.shape != (len(alts), len(inds)):
             raise _conversion_error(alts, inds, self.values)
-        # NaN fails `>= 0`, so this one pass catches negatives, NaN and +-inf.
-        bad = np.flatnonzero(~(vals >= 0) | np.isinf(vals))
-        if bad.size:
+        # NaN fails `>= 0` and a min or max with a NaN is NaN, so two reductions
+        # catch negatives, NaN and +-inf; only then is the first bad cell sought.
+        if vals.size and not (vals.min() >= 0 and vals.max() < np.inf):
+            bad = np.flatnonzero(~(vals >= 0) | np.isinf(vals))
             i, j = divmod(int(bad[0]), len(inds))
             v = vals[i, j]
             kind = "negative value" if np.isfinite(v) else "non-finite value"
@@ -100,34 +102,60 @@ def _conversion_error(
     return shape_error
 
 
-def column_shares(m: DecisionMatrix) -> np.ndarray:
-    """Per-column shares p_ij = x_ij / column sum. Columns sum to 1."""
-    x = m.values
+# `entropy_weights` takes columns in blocks of about this many cells, so a
+# block's shares stay in cache from the division through the entropy sums.
+_BLOCK_CELLS = 1 << 14
+
+
+def _column_sums(m: DecisionMatrix) -> np.ndarray:
+    """The column sums of `m`; raises on the first one that is zero or overflows."""
     with np.errstate(over="ignore"):  # an overflowing sum is inf, reported below
-        sums = x.sum(axis=0)
+        sums = m.values.sum(axis=0)
     for ind, s in zip(m.indicators, sums):
         if s <= 0:
             raise ValidationError(f"degenerate indicator column {ind!r}: sum is zero")
         if s == np.inf:
             raise ValidationError(f"indicator column {ind!r}: sum too large for a float")
-    return x / sums
+    return sums
 
 
-def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float:
-    """Normalized Shannon entropy of one column of shares, in [0, 1].
+def column_shares(m: DecisionMatrix) -> np.ndarray:
+    """Per-column shares p_ij = x_ij / column sum. Columns sum to 1."""
+    return m.values / _column_sums(m)
+
+
+def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float | np.ndarray:
+    """Normalized Shannon entropy of shares along the last axis, in [0, 1].
 
     Uses the continuity convention 0 * ln 0 = 0. `n` is the number of
-    observations (rows), which fixes the 1 / ln(n) normalization.
+    observations, which fixes the 1 / ln(n) normalization. A 1-D `shares` is
+    one distribution and gives a float; an (..., n) array gives an array of
+    shape (...), one entropy per row along the last axis, each equal to the
+    float its row alone gives. Rows are checked in order: the first row with
+    a negative share or a sum off 1 raises.
     """
     p = np.asarray(shares, dtype=float)
-    if np.any(p < 0):
-        raise ValidationError("shares must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"shares must sum to 1, got {p.sum()}")
+    lead = p.shape[:-1]
+    rows = p.reshape(math.prod(lead), p.shape[-1]) if p.ndim > 1 else p.reshape(1, -1)
+    negative = (rows < 0).any(axis=1)
+    totals = rows.sum(axis=1)
+    bad = np.flatnonzero(negative | (np.abs(totals - 1.0) > 1e-9))
+    if bad.size:
+        if negative[bad[0]]:
+            raise ValidationError("shares must be non-negative")
+        raise ValidationError(f"shares must sum to 1, got {totals[bad[0]]}")
     if n < 2:
         raise ValidationError("entropy needs at least 2 observations")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum() / np.log(n))
+    positive = rows > 0
+    terms = np.log(rows, out=np.zeros_like(rows), where=positive)
+    terms *= rows
+    sums = terms.sum(axis=1)
+    # A zero term changes where the pairwise sum splits, so a row that holds
+    # one sums only its positive terms, in order, as the plain 1-D form does.
+    for r in np.flatnonzero(~positive.all(axis=1)).tolist():
+        sums[r] = terms[r][positive[r]].sum()
+    entropies = -sums / np.log(n)
+    return entropies.reshape(lead) if p.ndim > 1 else float(entropies[0])
 
 
 def entropy_weights(m: DecisionMatrix) -> WeightVector:
@@ -136,9 +164,18 @@ def entropy_weights(m: DecisionMatrix) -> WeightVector:
     Fails when every column is uniform: then every entropy is 1 and the
     data carries no information to weight by.
     """
-    p = column_shares(m)
+    x = m.values
+    sums = _column_sums(m)
     n = len(m.alternatives)
-    entropies = [information_entropy(p[:, j], n) for j in range(len(m.indicators))]
+    step = max(1, _BLOCK_CELLS // n)
+    entropies: list[float] = []
+    for j in range(0, len(m.indicators), step):
+        # Copy, then divide: the copy's rows are C-contiguous, so each column
+        # sums pairwise as a 1-D column does. `x[:, j:j + step].T / sums` would
+        # be F-ordered and sum in another order.
+        block = x[:, j:j + step].T.copy()
+        block /= sums[j:j + step, None]
+        entropies.extend(information_entropy(block, n).tolist())
     # Clamp float noise: e may exceed 1 by ~1e-16 for exactly uniform columns.
     divergences = [max(0.0, 1.0 - e) for e in entropies]
     total = sum(divergences)

@@ -101,9 +101,8 @@ def compose(
     vectors, so sizes never grows and k = sizes[0] (`pipeline`'s slot layout). With
     no `sizes` each term holds one row and the result is one (G, A) block. The last
     axis is the batch: column k composes weights[:, k] with rows[:, :, k], or with
-    shared rows whose batch axis is 1. Leading axes (...) broadcast and give (k, ...,
-    G, A), or (..., G, A) with no `sizes`. Each vector's terms run in index order,
-    so every entry is the scalar left-to-right sum (or max of mins), to the bit.
+    shared rows whose batch axis is 1. Each vector's terms run in index order, so
+    every entry is the scalar left-to-right sum (or max of mins), to the bit.
 
     Max-min relies on numpy's tie rule: `np.minimum(a, b)` and `np.maximum(a, b)`
     return `b` when the operands compare equal. So `np.minimum(r, w)` keeps `w` on a
@@ -114,16 +113,14 @@ def compose(
     `test_signed_zero_ties_match_scalar_reference`.
     """
     one_row = sizes is None
-    sizes = (1,) * weights.shape[-2] if one_row else sizes
+    sizes = (1,) * len(weights) if one_row else sizes
     if not sizes:
         raise ValidationError("nothing to compose: no weights")
     if operator not in OPERATORS:
         raise ValidationError(f"unknown fuzzy operator {operator!r}")
     average = operator == WEIGHTED_AVERAGE
     pair, merge = (np.multiply, np.add) if average else (np.minimum, np.maximum)
-    w = weights[..., None, :]  # (..., I, 1, A): a weight meets every grade of its row
-    if w.ndim > 3 or rows.ndim > 3:  # leading axes broadcast, behind the term axis
-        w, rows = (np.moveaxis(a, -3, 0) for a in np.broadcast_arrays(w, rows))
+    w = weights[:, None, :]  # (I, 1, A): a weight meets every grade of its row
     k = stop = sizes[0]
     # One buffer holds every term's products or minima. It is allocated before the
     # result, so when it is freed on return it lies below an array still in use, not

@@ -576,6 +576,7 @@ class TestGoldenOutputs:
                 ["sweep-alpha", *CONFIG, "--weights-policy", "fused-both", "--step", "0.01"],
                 "sweep_alpha_fused",
             ),
+            (["entropy", "--matrix", "decision_blocks.csv"], "entropy_blocks"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["json", "md"])

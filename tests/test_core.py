@@ -17,6 +17,7 @@ from siteval import (
     WeightVector,
     validate_hierarchy,
 )
+from siteval.core import error_prefix
 from siteval.fuzzy import FuzzyVector
 
 
@@ -220,3 +221,34 @@ class TestFloatConversion:
             build(None)
         with pytest.raises(ValidationError, match=message + "not a number: True"):
             build(True)
+
+
+class TestErrorPrefix:
+    def test_prefixes_and_chains_the_original(self):
+        original = ValidationError("bad cell")
+        with pytest.raises(ValidationError) as info:
+            with error_prefix("entropy"):
+                raise original
+        assert str(info.value) == "entropy: bad cell"
+        assert info.value.__cause__ is original
+        assert info.value.__context__ is original
+        assert info.value.__suppress_context__
+
+    def test_nested_prefixes_read_outside_in(self):
+        with pytest.raises(ValidationError, match="^config: decision matrix: x$"):
+            with error_prefix("config"), error_prefix("decision matrix"):
+                raise ValidationError("x")
+
+    def test_other_errors_pass_unchanged(self):
+        original = KeyError("k")
+        with pytest.raises(KeyError) as info:
+            with error_prefix("config"):
+                raise original
+        assert info.value is original
+        assert info.value.__cause__ is None and info.value.__context__ is None
+
+    def test_block_without_error_runs_through(self):
+        ran = []
+        with error_prefix("config") as entered:
+            ran.append(1)
+        assert ran == [1] and entered is None

@@ -97,6 +97,41 @@ class TestRoundStatistics:
         assert stats.full_mark_rate == pytest.approx(0.80, abs=1e-12)
 
 
+    def test_duplicate_class_raises_where_the_first_rate_is_taken(self):
+        twice = (EXPERT, END_USER, RespondentClass("expert", 0.5))
+        assert round_statistics(SurveyRound(1, ()), twice) == []
+        with pytest.raises(ValidationError, match="^insufficient responses for indicator 'C7'$"):
+            round_statistics(SurveyRound(1, (Response("r0", "expert", "C7", 4),)), twice)
+        with pytest.raises(ValidationError, match="unknown class label 'visitor'$"):
+            round_statistics(SurveyRound(1, (Response("r0", "visitor", "C7", 4),)), twice)
+        with pytest.raises(ValidationError, match="^duplicate respondent class 'expert'$"):
+            round_statistics(_round({"expert": [5, 4], "end_user": [4]}), twice)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 5), max_size=6), st.lists(st.integers(1, 5), max_size=6)
+            ).filter(lambda t: len(t[0]) + len(t[1]) >= 2),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_each_rate_equals_weighted_full_mark_rate(self, per_indicator):
+        responses = []
+        for k, (experts, users) in enumerate(per_indicator):
+            rnd = _round({"expert": experts, "end_user": users}, indicator=f"C{k}")
+            responses.extend(rnd.responses)
+        stats = round_statistics(SurveyRound(1, tuple(responses)), CLASSES)
+        assert [s.indicator for s in stats] == [f"C{k}" for k in range(len(per_indicator))]
+        for s, (experts, users) in zip(stats, per_indicator):
+            by_class = {"expert": experts, "end_user": users}
+            totals = {k: len(c) for k, c in by_class.items() if c}
+            maxed = {k: sum(v >= 4 for v in c) for k, c in by_class.items()}
+            maxed = {k: m for k, m in maxed.items() if m}
+            assert s.full_mark_rate == weighted_full_mark_rate(maxed, totals, CLASSES)
+
+
 class TestWeightedFullMarkRate:
     def test_experts_only_scoring_high(self):
         rate = weighted_full_mark_rate(

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from siteval import (
     DecisionMatrix,
     ValidationError,
+    WeightVector,
     column_shares,
     entropy_weights,
     information_entropy,
 )
+from siteval import entropy
 
 
 def _matrix(columns: dict[str, list[float]]) -> DecisionMatrix:
@@ -235,3 +238,143 @@ class TestEntropyProperties:
         flipped = entropy_weights(_matrix(reversed_cols))
         for k in base.ids:
             assert flipped[k] == pytest.approx(base[k], abs=1e-12)
+
+
+def _reference_weights(m: DecisionMatrix) -> dict[str, float]:
+    """The column-at-a-time algorithm, inlined: one strided 1-D entropy per column."""
+    x = m.values
+    with np.errstate(over="ignore"):
+        sums = x.sum(axis=0)
+    for ind, s in zip(m.indicators, sums):
+        if s <= 0:
+            raise ValidationError(f"degenerate indicator column {ind!r}: sum is zero")
+        if s == np.inf:
+            raise ValidationError(f"indicator column {ind!r}: sum too large for a float")
+    p = x / sums
+    n = len(m.alternatives)
+    entropies = []
+    for j in range(len(m.indicators)):
+        col = p[:, j]
+        if np.any(col < 0):
+            raise ValidationError("shares must be non-negative")
+        if abs(col.sum() - 1.0) > 1e-9:
+            raise ValidationError(f"shares must sum to 1, got {col.sum()}")
+        nz = col[col > 0]
+        entropies.append(float(-(nz * np.log(nz)).sum() / np.log(n)))
+    divergences = [max(0.0, 1.0 - e) for e in entropies]
+    total = sum(divergences)
+    if total <= 1e-12:
+        raise ValidationError("no information content: all indicator columns are uniform")
+    return {ind: d / total for ind, d in zip(m.indicators, divergences)}
+
+
+def _outcome(f):
+    try:
+        return repr(f())
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@st.composite
+def _observations(draw):
+    """A seeded random (n, I) matrix: n spans numpy's 8-wide and 128-wide sum blocks."""
+    n = draw(st.integers(min_value=2, max_value=600))
+    cols = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "int", "lognormal"]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e5, 1e306]))
+    if kind == "real":
+        x = rng.random((n, cols)) * scale
+    elif kind == "int":
+        x = rng.integers(0, 4, (n, cols)).astype(float)
+    else:
+        e = np.exp(rng.normal(0.0, 1.0, (n, cols)) * rng.uniform(0.1, 1.2, cols))
+        x = scale * (e / e.max())  # at most `scale`, so no cell overflows
+    x[rng.random((n, cols)) < draw(st.sampled_from([0.0, 0.02, 0.3, 0.9]))] = 0.0
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        x[:, j] = draw(st.sampled_from([0.0, 0.1, 3.0]))  # a zero or a constant column
+    return x
+
+
+class TestBlockedEntropyWeights:
+    @given(_observations(), st.sampled_from([1, 100, entropy._BLOCK_CELLS]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_column_reference(self, x, block_cells):
+        n, cols = x.shape
+        m = DecisionMatrix(
+            tuple(f"S{i}" for i in range(n)), tuple(f"X{j}" for j in range(cols)), x
+        )
+        expected = _outcome(lambda: WeightVector(_reference_weights(m)).as_dict())
+        with mock.patch.object(entropy, "_BLOCK_CELLS", block_cells):
+            # repr tells every bit apart, and -0.0 from 0.0
+            assert _outcome(lambda: entropy_weights(m).as_dict()) == expected
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"X1": [1, 2], "X2": [0, 0], "X3": [1e308, 1e308]},
+             "degenerate indicator column 'X2': sum is zero"),
+            ({"X1": [1, 2], "X2": [1e308, 1e308], "X3": [0, 0]},
+             "indicator column 'X2': sum too large for a float"),
+            ({"X1": [1, 1], "X2": [2.5, 2.5]},
+             "no information content: all indicator columns are uniform"),
+        ],
+    )
+    def test_column_errors_in_column_order(self, columns, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            entropy_weights(_matrix(columns))
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (-1, "negative value -1.0"),
+            (math.nan, "non-finite value nan"),
+            (math.inf, "non-finite value inf"),
+            (-math.inf, "non-finite value -inf"),
+            (True, "not a number: True"),
+        ],
+    )
+    def test_bad_cell_messages(self, cell, message):
+        with pytest.raises(
+            ValidationError, match=f"^{re.escape(f'decision matrix (S3, X2): {message}')}$"
+        ):
+            _matrix({"X1": [1, 2, 3], "X2": [1, 2, cell]})
+
+    def test_size_zero_matrix(self):
+        m = DecisionMatrix(("S1", "S2"), (), ((), ()))
+        assert m.values.shape == (2, 0)
+        assert column_shares(m).shape == (2, 0)
+        with pytest.raises(ValidationError, match="^no information content"):
+            entropy_weights(m)
+
+
+class TestEntropyAlongLastAxis:
+    @given(_observations())
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_equals_its_one_dimensional_entropy(self, x):
+        with np.errstate(over="ignore"):
+            sums = x.sum(axis=0)
+        keep = (sums > 0) & (sums < np.inf)
+        assume(keep.any())
+        rows = (x[:, keep] / sums[keep]).T.copy()
+        n = x.shape[0]
+        out = information_entropy(rows, n)
+        assert out.shape == (rows.shape[0],)
+        assert repr(out.tolist()) == repr([information_entropy(r, n) for r in rows])
+        stacked = information_entropy(np.stack([rows, rows[::-1]]), n)
+        assert repr(stacked.tolist()) == repr([out.tolist(), out[::-1].tolist()])
+
+    def test_one_dimensional_input_gives_a_float(self):
+        assert type(information_entropy([0.5, 0.5], 2)) is float
+        assert type(information_entropy(np.array([0.5, 0.5]), 2)) is float
+
+    def test_first_bad_row_raises(self):
+        good = [0.5, 0.5]
+        with pytest.raises(ValidationError, match=r"^shares must sum to 1, got 0\.8$"):
+            information_entropy([good, [0.4, 0.4], [-0.5, 1.5]], 2)
+        with pytest.raises(ValidationError, match="^shares must be non-negative$"):
+            information_entropy([good, [-0.5, 1.5], [0.4, 0.4]], 2)
+
+    def test_two_observations_needed(self):
+        with pytest.raises(ValidationError, match="at least 2 observations"):
+            information_entropy([[1.0], [1.0]], 1)

@@ -259,9 +259,13 @@ class TestComposeKernel:
         assert repr(batched.T.tolist()) == repr(
             [_scalar_compose(v, r, operator) for v, r in zip(weights, per_column)]
         )
-        # A leading criterion axis: (C, n, A) weights with (C, n, G, 1) rows.
+        # Two criteria in the slot layout: term j holds row j of each, so the
+        # (2n, A) weights and (2n, G, 1) rows interleave them, with sizes (2,) * n.
         by_criterion = compose(
-            np.stack([w, w[::-1]]), np.array([rows, other_rows])[..., None], operator
+            np.stack([w, w[::-1]], axis=1).reshape(2 * len(w), -1),
+            np.stack([rows, other_rows], axis=1).reshape(2 * len(rows), -1)[..., None],
+            operator,
+            (2,) * len(rows),
         )
         assert repr(by_criterion.transpose(0, 2, 1).tolist()) == repr(
             [

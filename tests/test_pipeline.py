@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from siteval import (
     AlphaSweep,
+    DecisionMatrix,
     FuzzyVector,
     GradeScale,
     Indicator,
@@ -1263,6 +1264,20 @@ class TestConfigHash:
         digest = as_ints.config_hash()
         assert ProjectConfig.from_dict(as_floats).config_hash() == digest
         assert ProjectConfig.from_dict(as_ints.to_dict()).config_hash() == digest
+
+    def test_fortran_ordered_matrix_hashes_as_c_ordered(self, campus_config_dict):
+        # The digest reads the array's buffer, so a column-major one must be
+        # hashed in C order, as its row-major twin is.
+        cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
+        m = cfg.decision_matrix
+        fortran = replace(
+            cfg,
+            decision_matrix=DecisionMatrix(
+                m.alternatives, m.indicators, np.asfortranarray(m.values)
+            ),
+        )
+        assert fortran.decision_matrix.values.flags.f_contiguous
+        assert fortran.config_hash() == cfg.config_hash()
 
     def test_one_cell_change_changes_digest(self, campus_config_dict):
         data = _with_decision_matrix(campus_config_dict)
