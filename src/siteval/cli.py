@@ -37,6 +37,10 @@ from .report import (
     weights_table,
 )
 
+# The finest `--step`, 1,000,001 points. A finer one builds a huge grid (below
+# 5e-11 its rounding even repeats alphas), so it is refused before building.
+MIN_SWEEP_STEP = 1e-6
+
 # A command's result: its JSON payload and a renderer of its Markdown.
 Result = tuple[Mapping[str, object], Callable[[], str]]
 
@@ -102,6 +106,8 @@ def _parse_grid(args: argparse.Namespace) -> list[float]:
     step = args.step
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"sweep step must be in (0, 1], got {step}")
+    if step < MIN_SWEEP_STEP:
+        raise ValidationError(f"sweep step must be at least {MIN_SWEEP_STEP:g}, got {step}")
     values = []
     k = 0
     while True:

@@ -199,8 +199,7 @@ class WeightVector:
     def __getitem__(self, key: str) -> float:
         return self.weights[key]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.weights
+    __iter__ = None  # `in` and iteration raise TypeError; read `ids` or `weights`
 
     def total(self) -> float:
         return sum(self.weights.values())

@@ -78,12 +78,6 @@ class SurveyRound:
                 )
             seen.add(key)
 
-    def indicator_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.responses:
-            seen.setdefault(r.indicator, None)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class IndicatorStats:
@@ -146,15 +140,6 @@ class ScreeningResult:
     rejected: tuple[ScreeningDecision, ...]
     overridden: tuple[ScreeningDecision, ...]
 
-    def selected_ids(self) -> tuple[str, ...]:
-        return tuple(d.indicator for d in self.selected)
-
-    def rejected_ids(self) -> tuple[str, ...]:
-        return tuple(d.indicator for d in self.rejected)
-
-    def overridden_ids(self) -> tuple[str, ...]:
-        return tuple(d.indicator for d in self.overridden)
-
 
 def weighted_full_mark_rate(
     max_scorers_by_class: Mapping[str, int],
@@ -167,25 +152,11 @@ def weighted_full_mark_rate(
     class scoring weight, so the rate reduces to the plain count ratio when
     all classes carry the same weight.
     """
-    return _weighted_rate(max_scorers_by_class, totals_by_class, _class_weights(classes))
-
-
-def _class_weights(classes: Sequence[RespondentClass]) -> dict[str, float]:
-    """Score weight by class label; raises on the first label given twice."""
     weight_of: dict[str, float] = {}
     for c in classes:
         if c.label in weight_of:
             raise ValidationError(f"duplicate respondent class {c.label!r}")
         weight_of[c.label] = c.score_weight
-    return weight_of
-
-
-def _weighted_rate(
-    max_scorers_by_class: Mapping[str, int],
-    totals_by_class: Mapping[str, int],
-    weight_of: Mapping[str, float],
-) -> float:
-    """`weighted_full_mark_rate` with the class list already read into `weight_of`."""
     for label in set(max_scorers_by_class) | set(totals_by_class):
         if label not in weight_of:
             raise ValidationError(f"unknown respondent class {label!r}")
@@ -227,8 +198,6 @@ def round_statistics(
         by_indicator.setdefault(r.indicator, []).append(r)
 
     out: list[IndicatorStats] = []
-    # The class list is read at the first rate, so the checks before it raise first.
-    weight_of: dict[str, float] | None = None
     for ind, responses in by_indicator.items():
         d = len(responses)
         if d < 2:
@@ -245,9 +214,7 @@ def round_statistics(
             totals[r.respondent_class] = totals.get(r.respondent_class, 0) + 1
             if r.score >= FULL_MARK_MIN:
                 maxed[r.respondent_class] = maxed.get(r.respondent_class, 0) + 1
-        if weight_of is None:
-            weight_of = _class_weights(classes)
-        rate = _weighted_rate(maxed, totals, weight_of)
+        rate = weighted_full_mark_rate(maxed, totals, classes)
 
         confidences = [r.confidence for r in responses if r.confidence is not None]
         gcr = sum(confidences) / len(confidences) if confidences else None

@@ -128,7 +128,7 @@ class AlphaSweep:
     and the scale, which gives `grades`; the constructor copies both arrays,
     applies FuzzyVector's range check to every vector (a failure raises a
     `fuzzy:` error naming the first offending row) and derives the verdict
-    columns with `verdicts`. `len`, indexing and iteration give `SweepRow`s.
+    columns with `verdicts`. Iteration gives `SweepRow`s, read by `sweep_rows`.
     """
 
     grades: tuple[str, ...] = field(init=False)  # the scale's labels
@@ -166,28 +166,13 @@ class AlphaSweep:
     def __len__(self) -> int:
         return len(self.alphas)
 
-    def __getitem__(self, k: int) -> SweepRow:
-        # `item` takes integer k only, counts negative k from the end and raises
-        # IndexError past either end, as a list does.
-        return self._row(
-            self.alphas.item(k),
-            self.second_level[k].tolist(),
-            self.verdict_grade.item(k),
-            self.verdict_membership.item(k),
-            self.verdict_tied.item(k),
-        )
-
     def __iter__(self) -> Iterator[SweepRow]:
-        return (self._row(*row) for row in sweep_rows(self))
-
-    def _row(
-        self, alpha: float, values: list[float], grade: str, membership: float, tied: bool
-    ) -> SweepRow:
-        return SweepRow(
-            alpha=alpha,
-            second_level=FuzzyVector(dict(zip(self.grades, values))),
-            verdict=Verdict(grade=grade, membership=membership, tied=tied),
-        )
+        for alpha, values, grade, membership, tied in sweep_rows(self):
+            yield SweepRow(
+                alpha=alpha,
+                second_level=FuzzyVector(dict(zip(self.grades, values))),
+                verdict=Verdict(grade=grade, membership=membership, tied=tied),
+            )
 
 
 class _Layout(NamedTuple):

@@ -151,6 +151,10 @@ def _matrix(node: str) -> JudgmentMatrix:
     return JudgmentMatrix(node, labels, rows)
 
 
+def _ids(decisions) -> set[str]:
+    return {d.indicator for d in decisions}
+
+
 def _assert_vector(weights, expected: dict[str, float], tol: float) -> None:
     for key, value in expected.items():
         assert weights[key] == pytest.approx(value, abs=tol), key
@@ -273,17 +277,17 @@ def test_criterion_7_delphi_screening():
             for ind, mean, cv, rate, gcr in ROUND2_STATS
         ]
         strict = screen(stats, ScreeningCriteria())
-        assert set(strict.selected_ids()) == EXPECTED_STRICT_SELECTION
-        assert len(strict.selected_ids()) == 12
-        assert len(strict.rejected_ids()) == 18
+        assert _ids(strict.selected) == EXPECTED_STRICT_SELECTION
+        assert len(strict.selected) == 12
+        assert len(strict.rejected) == 18
 
         with_overrides = screen(
             stats, ScreeningCriteria(overrides=frozenset(SCREEN_OVERRIDES))
         )
-        kept = set(with_overrides.selected_ids()) | set(with_overrides.overridden_ids())
+        kept = _ids(with_overrides.selected) | _ids(with_overrides.overridden)
         assert kept == EXPECTED_STRICT_SELECTION | SCREEN_OVERRIDES
         assert len(kept) == 14
-        assert set(with_overrides.overridden_ids()) == SCREEN_OVERRIDES
+        assert _ids(with_overrides.overridden) == SCREEN_OVERRIDES
         # No rejected indicator clears every threshold.
         for decision in with_overrides.rejected:
             assert decision.failed

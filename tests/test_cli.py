@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from siteval import ProjectConfig, emit_report, load_config, run_pipeline
-from siteval.cli import main
+from siteval import ProjectConfig, ValidationError, emit_report, load_config, run_pipeline
+from siteval.cli import MIN_SWEEP_STEP, _parse_grid, main
 
 
 def _run(capsys, argv):
@@ -462,6 +463,27 @@ class TestSweepCommand:
         assert payload["rows"][0]["alpha"] == 0.0
         assert payload["rows"][-1]["alpha"] == 1.0
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "1.5", "nan"])
+    def test_step_outside_unit_interval_exits_one(self, capsys, fixture_dir, step):
+        code, out, err = _run(
+            capsys,
+            ["sweep-alpha", "--config", str(fixture_dir / "campus_bikeshare.json"),
+             "--step", step],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: sweep step must be in (0, 1], got {float(step)}\n"
+
+    def test_step_finer_than_the_minimum_raises_before_building(self):
+        with pytest.raises(ValidationError) as info:
+            _parse_grid(argparse.Namespace(grid=None, step=9.9e-7))
+        assert str(info.value) == "sweep step must be at least 1e-06, got 9.9e-07"
+
+    def test_minimum_step_gives_a_million_and_one_distinct_points(self):
+        grid = _parse_grid(argparse.Namespace(grid=None, step=MIN_SWEEP_STEP))
+        assert len(set(grid)) == len(grid) == 1_000_001
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+
     @pytest.mark.parametrize("grid", ["", ","])
     def test_empty_grid_exits_one(self, capsys, fixture_dir, grid):
         code, out, err = _run(
@@ -601,4 +623,15 @@ class TestGoldenOutputs:
         code, out, _ = _run(capsys, argv + ["--weights-policy", "fused-both", "--format", fmt])
         assert code == 0
         golden = fixture_dir / "golden" / f"evaluate_fused.{fmt}"
+        assert out == golden.read_text(encoding="utf-8") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_min_max_evaluate_at_alpha_005_matches_golden(self, capsys, fixture_dir, fmt):
+        # The Excellent side of the fixture's min-max verdict flip (alpha 0.068 to 0.069).
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_bikeshare.json")]
+        code, out, _ = _run(
+            capsys, argv + ["--operator", "min-max", "--alpha", "0.05", "--format", fmt]
+        )
+        assert code == 0
+        golden = fixture_dir / "golden" / f"evaluate_minmax_a005.{fmt}"
         assert out == golden.read_text(encoding="utf-8") + "\n"

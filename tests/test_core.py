@@ -193,6 +193,16 @@ class TestWeightVectorPaths:
         weights["a"] = 0.75
         assert wv["a"] == 0.5
 
+    def test_membership_and_iteration_raise_type_error(self):
+        # Only `[k]` reads a vector; `in` and iteration would otherwise fall back
+        # to `__getitem__(0)` and raise KeyError: 0.
+        wv = WeightVector({"a": 0.5})
+        with pytest.raises(TypeError, match="not iterable"):
+            "a" in wv
+        with pytest.raises(TypeError, match="not iterable"):
+            list(wv)
+        assert "a" in wv.weights and list(wv.ids) == ["a"]
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             WeightVector({"a": -0.1, "b": 1.1})

@@ -44,6 +44,10 @@ def _stats(indicator, mean, cv, rate, gcr=4.0, count=10):
     )
 
 
+def _ids(decisions):
+    return tuple(d.indicator for d in decisions)
+
+
 class TestRoundStatistics:
     def test_ten_scores_mean_std_cv(self):
         # (5,5,4,4,4,4,4,4,3,3): squared deviations sum to 4, divisor 9.
@@ -185,34 +189,34 @@ class TestWeightedFullMarkRate:
 class TestScreen:
     def test_passing_indicator_selected(self):
         result = screen([_stats("C1", 4.5, 0.149, 0.64)], ScreeningCriteria())
-        assert result.selected_ids() == ("C1",)
+        assert _ids(result.selected) == ("C1",)
         assert result.selected[0].failed == ()
 
     def test_low_full_mark_rate_rejected_with_reason(self):
         result = screen([_stats("X1", 3.6, 0.184, 0.32)], ScreeningCriteria())
-        assert result.rejected_ids() == ("X1",)
+        assert _ids(result.rejected) == ("X1",)
         assert result.rejected[0].failed == ("full_mark_rate ≤ 0.5",)
 
     def test_override_keeps_failing_indicator_with_reasons(self):
         criteria = ScreeningCriteria(overrides=frozenset({"C4"}))
         result = screen([_stats("C4", 3.4, 0.270, 0.80)], criteria)
-        assert result.overridden_ids() == ("C4",)
+        assert _ids(result.overridden) == ("C4",)
         assert set(result.overridden[0].failed) == {"mean ≤ 3.5", "cv ≥ 0.25"}
 
     def test_override_on_passing_indicator_is_noop(self):
         criteria = ScreeningCriteria(overrides=frozenset({"C1"}))
         result = screen([_stats("C1", 4.5, 0.149, 0.64)], criteria)
-        assert result.selected_ids() == ("C1",)
+        assert _ids(result.selected) == ("C1",)
         assert result.overridden == ()
 
     def test_gcr_threshold_is_strict(self):
         result = screen([_stats("C1", 4.5, 0.1, 0.8, gcr=3.0)], ScreeningCriteria())
-        assert result.rejected_ids() == ("C1",)
+        assert _ids(result.rejected) == ("C1",)
         assert result.rejected[0].failed == ("gcr ≤ 3",)
 
     def test_gcr_skipped_when_absent(self):
         result = screen([_stats("C1", 4.5, 0.1, 0.8, gcr=None)], ScreeningCriteria())
-        assert result.selected_ids() == ("C1",)
+        assert _ids(result.selected) == ("C1",)
 
     def test_empty_stats_rejected(self):
         with pytest.raises(ValidationError):
@@ -232,9 +236,9 @@ class TestScreen:
         criteria = ScreeningCriteria(overrides=frozenset({"C"}))
         base = screen(pool, criteria)
         shuffled = screen([pool[i] for i in order], criteria)
-        assert set(base.selected_ids()) == set(shuffled.selected_ids())
-        assert set(base.rejected_ids()) == set(shuffled.rejected_ids())
-        assert set(base.overridden_ids()) == set(shuffled.overridden_ids())
+        assert set(_ids(base.selected)) == set(_ids(shuffled.selected))
+        assert set(_ids(base.rejected)) == set(_ids(shuffled.rejected))
+        assert set(_ids(base.overridden)) == set(_ids(shuffled.overridden))
 
 
 class TestSurveyRoundInvariants:

@@ -104,7 +104,7 @@ class TestIngestSurvey:
     def test_fixture_round_parses(self, fixture_dir):
         survey = ingest_survey(fixture_dir / "survey_round2.csv", CLASSES)
         assert len(survey.responses) == 30
-        assert set(survey.indicator_ids()) == {"C1", "C2", "C3"}
+        assert {r.indicator for r in survey.responses} == {"C1", "C2", "C3"}
 
 
 class TestReadDecisionMatrix:

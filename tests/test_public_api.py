@@ -21,6 +21,23 @@ def test_star_import_binds_every_public_name():
     assert set(siteval.__all__) <= set(namespace)
 
 
+def test_public_names_are_pinned():
+    # Adding or removing a public name is an API change: edit this list with it.
+    assert list(siteval.__all__) == [
+        "AlphaSweep", "ConsistencyReport", "Criterion", "DecisionMatrix",
+        "EvaluationReport", "FuzzyVector", "GradeScale", "Indicator",
+        "IndicatorHierarchy", "IndicatorStats", "JudgmentMatrix", "MembershipMatrix",
+        "ProjectConfig", "ReportWarning", "RespondentClass", "Response",
+        "ScreeningCriteria", "ScreeningResult", "SurveyRound", "SweepRow",
+        "ValidationError", "Verdict", "WeightVector", "column_shares",
+        "derive_weights", "emit_report", "entropy_weights", "first_level", "fuse",
+        "information_entropy", "ingest_survey", "load_config", "parse_ratio",
+        "read_decision_matrix", "ri_lookup", "round_statistics", "run_pipeline",
+        "screen", "second_level", "sweep_alpha", "synthesize_global",
+        "validate_hierarchy", "verdict", "weighted_full_mark_rate",
+    ]
+
+
 def test_one_version_string():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
