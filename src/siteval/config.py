@@ -28,6 +28,7 @@ from .core import (
     WeightVector,
     check_same_ids,
     error_prefix,
+    gc_paused,
     parse_float,
     validate_hierarchy,
 )
@@ -439,7 +440,8 @@ def read_json(path: str | Path, what: str) -> Any:
 
 def read_weight_file(path: str | Path) -> WeightVector:
     """A JSON file holding one object of id -> weight."""
-    data = as_object(read_json(path, "weight file"), "weight file {}", path)
-    return WeightVector(
-        {str(k): parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
-    )
+    with gc_paused():
+        data = as_object(read_json(path, "weight file"), "weight file {}", path)
+        return WeightVector(
+            {str(k): parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
+        )

@@ -5,6 +5,7 @@ each mapping held is a read-only `types.MappingProxyType`, so a write raises.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -40,6 +41,25 @@ class error_prefix:
     def __exit__(self, exc_type: object, exc: BaseException | None, tb: object) -> None:
         if isinstance(exc, ValidationError):
             raise ValidationError(f"{self.where}: {exc}") from exc
+
+
+class gc_paused:
+    """Switch the cyclic garbage collector off in the block, if it is on.
+
+    The file readers build many small containers and no cycles, so a collection
+    during a parse only re-walks live data. The caller's setting comes back when
+    the block exits, by return or by raise; the switch is process-wide.
+    """
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self) -> None:
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type: object, exc: BaseException | None, tb: object) -> None:
+        if self.was_enabled:
+            gc.enable()
 
 
 def parse_float(value: object, where: str, *args: object) -> float:

@@ -14,7 +14,7 @@ import csv
 from pathlib import Path
 from typing import Sequence
 
-from .core import ValidationError, error_prefix
+from .core import ValidationError, error_prefix, gc_paused
 from .delphi import SCORE_MAX, SCORE_MIN, RespondentClass, Response, SurveyRound
 from .entropy import DecisionMatrix
 
@@ -29,7 +29,7 @@ def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
         raise ValidationError("file not found")
     rows = []
     try:
-        with p.open(newline="", encoding="utf-8") as fh:
+        with p.open(newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
             reader = csv.reader(fh)
             start = 1
             for row in reader:
@@ -63,7 +63,7 @@ def ingest_survey(
     Errors carry the path, the 1-based line number and the offending column
     so a bad row in a large file can be found immediately.
     """
-    with error_prefix(f"survey {path}"):
+    with error_prefix(f"survey {path}"), gc_paused():
         return _parse_survey(_read_rows(path), classes, round_index)
 
 
@@ -122,7 +122,7 @@ def _parse_survey(
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     """Parse a decision-matrix CSV into typed non-negative observations."""
-    with error_prefix(f"decision matrix {path}"):
+    with error_prefix(f"decision matrix {path}"), gc_paused():
         return _parse_decision_matrix(_read_rows(path))
 
 

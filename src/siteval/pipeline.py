@@ -38,7 +38,7 @@ import numpy as np
 
 from .ahp import ConsistencyReport, derive_weights, synthesize_global
 from .config import POLICY_FUSED_BOTH, ProjectConfig, read_json
-from .core import GradeScale, ValidationError, WeightVector, error_prefix
+from .core import GradeScale, ValidationError, WeightVector, error_prefix, gc_paused
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
 from .fusion import blend, check_pair
@@ -69,7 +69,8 @@ VECTOR_SUM_WARN_TOL = 1e-6
 
 
 def load_config(path: str | Path) -> ProjectConfig:
-    return ProjectConfig.from_dict(read_json(path, "config file"))
+    with gc_paused():
+        return ProjectConfig.from_dict(read_json(path, "config file"))
 
 
 def screen_stage(cfg: ProjectConfig, survey: SurveyRound) -> ScreeningSection:

@@ -635,3 +635,12 @@ class TestGoldenOutputs:
         assert code == 0
         golden = fixture_dir / "golden" / f"evaluate_minmax_a005.{fmt}"
         assert out == golden.read_text(encoding="utf-8") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_inline_decision_matrix_evaluate_matches_golden(self, capsys, fixture_dir, fmt):
+        # The objective weights come from the config's own decision matrix via entropy.
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_decision.json")]
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        golden = fixture_dir / "golden" / f"evaluate_decision.{fmt}"
+        assert out == golden.read_text(encoding="utf-8") + "\n"

@@ -106,6 +106,17 @@ class TestIngestSurvey:
         assert len(survey.responses) == 30
         assert {r.indicator for r in survey.responses} == {"C1", "C2", "C3"}
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+        body = "C3,r07,expert,4,5\nC3,r08,end_user,3,\n"
+        marked = tmp_path / "bom.csv"
+        marked.write_text("\ufeff" + HEADER + body, encoding="utf-8")
+        assert ingest_survey(marked, CLASSES) == ingest_survey(_write(tmp_path, body), CLASSES)
+        marked.write_text("\ufeff" + HEADER + body + "C3,r09,alien,4,5\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(marked, CLASSES)
+        assert str(info.value) == f"survey {marked}: line 4: unknown class label 'alien'"
+
 
 class TestReadDecisionMatrix:
     def test_fixture_parses(self, fixture_dir):
@@ -146,6 +157,18 @@ class TestReadDecisionMatrix:
         with pytest.raises(ValidationError) as info:
             read_decision_matrix(p)
         assert str(info.value) == f"decision matrix {p}: line 5, column 'X1': not a number: 'x'"
+
+    def test_utf8_bom_is_skipped(self, tmp_path, fixture_dir):
+        plain = fixture_dir / "decision_small.csv"
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        m, expected = read_decision_matrix(p), read_decision_matrix(plain)
+        assert (m.alternatives, m.indicators) == (expected.alternatives, expected.indicators)
+        assert m.values.tolist() == expected.values.tolist()
+        p.write_text("\ufeffalternative,X1\nS1,1\nS2,x\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_decision_matrix(p)
+        assert str(info.value) == f"decision matrix {p}: line 3, column 'X1': not a number: 'x'"
 
     def test_header_must_start_with_alternative(self, tmp_path):
         p = tmp_path / "m.csv"
