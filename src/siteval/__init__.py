@@ -39,9 +39,9 @@ from .entropy import DecisionMatrix, column_shares, entropy_weights, information
 from .fusion import fuse
 from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
 from .ingest import ingest_survey, read_decision_matrix
-from .pipeline import AlphaSweep, SweepRow, emit_report, load_config, run_pipeline, sweep_alpha
+from .pipeline import emit_report, load_config, run_pipeline, sweep_alpha
 from .report import TOOL_VERSION as __version__
-from .report import EvaluationReport, ReportWarning
+from .report import AlphaSweep, EvaluationReport, ReportWarning, SweepRow
 
 __all__ = [
     "AlphaSweep",

@@ -28,6 +28,7 @@ from .core import (
     WeightVector,
     check_same_ids,
     error_prefix,
+    first_repeat,
     gc_paused,
     parse_float,
     validate_hierarchy,
@@ -425,16 +426,23 @@ class ProjectConfig:
         return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a repeated key raises, where `json` would keep its last value."""
+    if len(out := dict(pairs)) < len(pairs):
+        raise ValueError(f"duplicate key {first_repeat(k for k, _ in pairs)!r}")
+    return out
+
+
 def read_json(path: str | Path, what: str) -> Any:
     """Parsed JSON of a file; a missing, unreadable or invalid file raises a ValidationError."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"{what} not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"{what} {p}: cannot read: {exc.strerror}") from exc
-    except ValueError as exc:  # also bad UTF-8 and the int-digit limit
+    except ValueError as exc:  # also bad UTF-8, the int-digit limit and a repeated key
         raise ValidationError(f"{what} {p}: invalid JSON: {exc}") from exc
 
 

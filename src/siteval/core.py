@@ -9,7 +9,7 @@ import gc
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +95,12 @@ def check_str_ids(ids: Iterable[object], what: str) -> None:
         seen[text] = k
 
 
+def first_repeat(items: Iterable[Hashable]) -> Hashable:
+    """The first of `items` equal to an earlier one; `items` must hold one."""
+    seen: set[Hashable] = set()
+    return next(x for x in items if x in seen or seen.add(x))  # add returns None
+
+
 @dataclass(frozen=True)
 class GradeScale:
     """Ordered evaluation grades, best grade first."""
@@ -106,7 +112,7 @@ class GradeScale:
         if len(self.labels) < 2:
             raise ValidationError("grade scale needs at least 2 grades")
         if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("grade labels must be unique")
+            raise ValidationError(f"duplicate grade label {first_repeat(self.labels)!r}")
 
     def rank(self, label: str) -> int:
         """Position of a grade, 0 = best."""

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, WeightVector
+from .core import ValidationError, WeightVector, first_repeat
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +34,9 @@ class DecisionMatrix:
         object.__setattr__(self, "indicators", inds)
         if len(alts) < 2:
             raise ValidationError("decision matrix needs at least 2 alternatives")
-        if len(set(alts)) != len(alts) or len(set(inds)) != len(inds):
-            raise ValidationError("decision matrix ids must be unique")
+        for what, ids in (("alternative", alts), ("indicator", inds)):
+            if len(set(ids)) != len(ids):
+                raise ValidationError(f"duplicate {what} id {first_repeat(ids)!r}")
         try:
             vals = np.array(self.values, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):

@@ -7,11 +7,10 @@ entropy or adopted objective weights, then convex fusion and two-level fuzzy
 composition batched over a 1-D array of alphas. `run_pipeline` runs it at the
 config's alpha and adds the max-membership verdict; `sweep_alpha` runs it over
 a whole grid, takes the verdicts in one batch and keeps the result columnar
-(`AlphaSweep`; `report.sweep_rows` reads its rows). `emit_report` renders a
-report (see `report`). Every stage prefixes its errors with its name
-(`ahp: ...`). Runs are pure functions of their inputs, so identical configs
-produce identical reports, and a sweep row equals the report at the same alpha
-bit for bit.
+(`report.AlphaSweep`). `emit_report` renders a report (see `report`). Every
+stage prefixes its errors with its name (`ahp: ...`). Runs are pure functions
+of their inputs, so identical configs produce identical reports, and a sweep
+row equals the report at the same alpha bit for bit.
 
 The stages that do not depend on alpha run on a config's first run only. The
 config keeps their results in two parts: the membership layout, built before
@@ -22,43 +21,34 @@ vectors). A later run does only screening, the `allow_inconsistent` check, the
 blends and composition. A build that raises keeps nothing, and the first run
 raises what the stage order gives: screening before AHP, an inconsistent matrix
 before a later matrix's, the entropy stage's or fusion's fault. A config keeps
-its `config_hash` too, and reports hold the kept weights themselves: every
+its `config_hash` too, and a report holds the kept AHP section itself: every
 mapping a config or a report holds is read-only.
 """
 from __future__ import annotations
 
 import numbers
 from itertools import accumulate
-from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .ahp import ConsistencyReport, derive_weights, synthesize_global
 from .config import POLICY_FUSED_BOTH, ProjectConfig, read_json
-from .core import GradeScale, ValidationError, WeightVector, error_prefix, gc_paused
+from .core import ValidationError, WeightVector, error_prefix, gc_paused
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
 from .fusion import blend, check_pair
-from .fuzzy import (
-    WEIGHTED_AVERAGE,
-    FuzzyVector,
-    Verdict,
-    check_vectors,
-    compose,
-    verdict,
-    verdicts,
-)
+from .fuzzy import WEIGHTED_AVERAGE, FuzzyVector, compose, verdict
 from .report import (
     AhpSection,
+    AlphaSweep,
     EvaluationReport,
     ReportWarning,
     ScreeningSection,
     json_text,
     render_markdown,
-    sweep_rows,
 )
 
 # A membership row may fall short of sum 1 by this much before the run aborts;
@@ -112,68 +102,6 @@ def ahp_stage(cfg: ProjectConfig, allow_inconsistent: bool) -> AhpSection:
     return AhpSection(
         weights["goal"], relative, indicator, MappingProxyType(consistency), tuple(warnings)
     )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    second_level: FuzzyVector
-    verdict: Verdict
-
-
-@dataclass(frozen=True, eq=False)
-class AlphaSweep:
-    """Second-level vectors and verdicts over an alpha grid, one read-only column each.
-
-    Built from the alphas (A,), the second-level vectors (A, G) in scale order
-    and the scale, which gives `grades`; the constructor copies both arrays,
-    applies FuzzyVector's range check to every vector (a failure raises a
-    `fuzzy:` error naming the first offending row) and derives the verdict
-    columns with `verdicts`. Iteration gives `SweepRow`s, read by `sweep_rows`.
-    """
-
-    grades: tuple[str, ...] = field(init=False)  # the scale's labels
-    alphas: np.ndarray  # (A,) float64
-    second_level: np.ndarray  # (A, G) float64, grades in scale order
-    scale: InitVar[GradeScale]
-    verdict_grade: np.ndarray = field(init=False)  # (A,) str objects
-    verdict_membership: np.ndarray = field(init=False)  # (A,) float64
-    verdict_tied: np.ndarray = field(init=False)  # (A,) bool
-
-    def __post_init__(self, scale: GradeScale) -> None:
-        grades = scale.labels
-        alphas = np.array(self.alphas, dtype=np.float64)
-        # The verdict kernel reads F order, which the sweep's (G, A).T view has already.
-        second = np.asfortranarray(self.second_level, dtype=np.float64)
-        if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
-            raise ValidationError(
-                f"sweep shape mismatch: alphas {alphas.shape}, second level "
-                f"{second.shape}, {len(grades)} grades"
-            )
-        with error_prefix("fuzzy"):
-            check_vectors(second, grades)
-            winner, membership, tied = verdicts(second)
-        object.__setattr__(self, "grades", grades)
-        for name, column in (
-            ("alphas", alphas),
-            ("second_level", np.array(second, order="C")),  # a copy, in row order
-            ("verdict_grade", np.array(grades, dtype=object)[winner]),
-            ("verdict_membership", membership),
-            ("verdict_tied", tied),
-        ):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    def __iter__(self) -> Iterator[SweepRow]:
-        for alpha, values, grade, membership, tied in sweep_rows(self):
-            yield SweepRow(
-                alpha=alpha,
-                second_level=FuzzyVector(dict(zip(self.grades, values))),
-                verdict=Verdict(grade=grade, membership=membership, tied=tied),
-            )
 
 
 class _Layout(NamedTuple):
@@ -354,7 +282,7 @@ def run_pipeline(
 ) -> EvaluationReport:
     """Run every stage on one config and collect the full report.
 
-    The report holds the config's kept weights and consistency reports, read-only.
+    The report holds the config's kept AHP section itself, read-only.
     """
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     ahp = run.kept.ahp
@@ -381,14 +309,11 @@ def run_pipeline(
         goal=cfg.hierarchy.goal_name,
         grades=cfg.scale.labels,
         screening=run.screening,
-        consistency=ahp.consistency,
-        relative_weights=ahp.relative,
-        criterion_subjective=ahp.criterion,
+        ahp=ahp,
         criterion_objective=run.kept.criterion_objective,
         criterion_comprehensive=WeightVector(
             dict(zip(ahp.criterion.ids, run.criterion[:, 0].tolist()))
         ),
-        indicator_subjective=ahp.indicator,
         indicator_objective=run.kept.indicator_objective,
         indicator_comprehensive=WeightVector({i: indicator[i] for i in ahp.indicator.ids}),
         first_level=MappingProxyType(first),

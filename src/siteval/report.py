@@ -1,27 +1,26 @@
-"""Report types and their serialisers: JSON-ready dicts and Markdown.
+"""Result types and their serialisers: JSON-ready dicts and Markdown.
 
-The stage results (`ScreeningSection`, `AhpSection`) and the full
-`EvaluationReport` are plain frozen records; every figure in the Markdown
-renderings also exists in the JSON. Every serialiser and renderer lives
-here, one per result, shared by the report and the CLI's single-stage
-commands. `sweep_rows` is the one reader of `AlphaSweep`'s columns: it
-yields plain tuples, so the sweep serialisers build no row objects.
+The stage results (`ScreeningSection`, `AhpSection`), the `EvaluationReport`
+that holds them whole and the columnar `AlphaSweep` are frozen records; every
+figure in the Markdown renderings also exists in the JSON. Every serialiser and
+renderer lives here, one per result, shared by the report and the CLI's
+single-stage commands. `sweep_rows` is the one reader of `AlphaSweep`'s
+columns: it yields plain tuples, so the sweep serialisers build no row objects.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import inf
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .ahp import ConsistencyReport
-from .core import WeightVector
+from .core import GradeScale, ValidationError, WeightVector, error_prefix
 from .delphi import IndicatorStats, ScreeningResult
-from .fuzzy import FuzzyVector, Verdict
-
-if TYPE_CHECKING:
-    from .pipeline import AlphaSweep
+from .fuzzy import FuzzyVector, Verdict, check_vectors, verdicts
 
 TOOL_VERSION = "0.1.0"  # also `siteval.__version__`; equals pyproject.toml's version
 
@@ -103,17 +102,14 @@ def verdict_to_json_dict(grade: str, membership: float, tied: bool) -> dict[str,
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Structured output of one pipeline run."""
+    """One run's output; `ahp` is the config's kept section, its warnings also in `warnings`."""
 
     goal: str
     grades: tuple[str, ...]
     screening: ScreeningSection | None
-    consistency: Mapping[str, ConsistencyReport]
-    relative_weights: Mapping[str, WeightVector]
-    criterion_subjective: WeightVector
+    ahp: AhpSection
     criterion_objective: WeightVector
     criterion_comprehensive: WeightVector
-    indicator_subjective: WeightVector
     indicator_objective: WeightVector
     indicator_comprehensive: WeightVector
     first_level: Mapping[str, FuzzyVector]
@@ -134,19 +130,19 @@ class EvaluationReport:
                 None if self.screening is None else screening_to_json_dict(self.screening)
             ),
             "consistency": {
-                node: consistency_to_json_dict(rep) for node, rep in self.consistency.items()
+                node: consistency_to_json_dict(rep) for node, rep in self.ahp.consistency.items()
             },
             "weights": {
                 "criterion": {
-                    "subjective": self.criterion_subjective.as_dict(),
+                    "subjective": self.ahp.criterion.as_dict(),
                     "objective": self.criterion_objective.as_dict(),
                     "comprehensive": self.criterion_comprehensive.as_dict(),
                 },
                 "indicator": {
                     "relative": {
-                        crit: wv.as_dict() for crit, wv in self.relative_weights.items()
+                        crit: wv.as_dict() for crit, wv in self.ahp.relative.items()
                     },
-                    "subjective": self.indicator_subjective.as_dict(),
+                    "subjective": self.ahp.indicator.as_dict(),
                     "objective": self.indicator_objective.as_dict(),
                     "comprehensive": self.indicator_comprehensive.as_dict(),
                 },
@@ -165,6 +161,68 @@ class EvaluationReport:
                 "weights_policy": self.weights_policy,
             },
         }
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    alpha: float
+    second_level: FuzzyVector
+    verdict: Verdict
+
+
+@dataclass(frozen=True, eq=False)
+class AlphaSweep:
+    """Second-level vectors and verdicts over an alpha grid, one read-only column each.
+
+    Built from the alphas (A,), the second-level vectors (A, G) in scale order
+    and the scale, which gives `grades`; the constructor copies both arrays,
+    applies FuzzyVector's range check to every vector (a failure raises a
+    `fuzzy:` error naming the first offending row) and derives the verdict
+    columns with `verdicts`. Iteration gives `SweepRow`s, read by `sweep_rows`.
+    """
+
+    grades: tuple[str, ...] = field(init=False)  # the scale's labels
+    alphas: np.ndarray  # (A,) float64
+    second_level: np.ndarray  # (A, G) float64, grades in scale order
+    scale: InitVar[GradeScale]
+    verdict_grade: np.ndarray = field(init=False)  # (A,) str objects
+    verdict_membership: np.ndarray = field(init=False)  # (A,) float64
+    verdict_tied: np.ndarray = field(init=False)  # (A,) bool
+
+    def __post_init__(self, scale: GradeScale) -> None:
+        grades = scale.labels
+        alphas = np.array(self.alphas, dtype=np.float64)
+        # The verdict kernel reads F order, which the sweep's (G, A).T view has already.
+        second = np.asfortranarray(self.second_level, dtype=np.float64)
+        if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
+            raise ValidationError(
+                f"sweep shape mismatch: alphas {alphas.shape}, second level "
+                f"{second.shape}, {len(grades)} grades"
+            )
+        with error_prefix("fuzzy"):
+            check_vectors(second, grades)
+            winner, membership, tied = verdicts(second)
+        object.__setattr__(self, "grades", grades)
+        for name, column in (
+            ("alphas", alphas),
+            ("second_level", np.array(second, order="C")),  # a copy, in row order
+            ("verdict_grade", np.array(grades, dtype=object)[winner]),
+            ("verdict_membership", membership),
+            ("verdict_tied", tied),
+        ):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        for alpha, values, grade, membership, tied in sweep_rows(self):
+            yield SweepRow(
+                alpha=alpha,
+                second_level=FuzzyVector(dict(zip(self.grades, values))),
+                verdict=Verdict(grade=grade, membership=membership, tied=tied),
+            )
 
 
 def sweep_rows(sweep: AlphaSweep) -> Iterator[tuple[float, list[float], str, float, bool]]:
@@ -316,19 +374,14 @@ def render_markdown(report: EvaluationReport) -> str:
             ["Node", "lambda_max", "CI", "RI", "CR", "CR < 0.1"],
             [
                 [node, rep.lambda_max, rep.ci, rep.ri, rep.cr, rep.consistent]
-                for node, rep in report.consistency.items()
+                for node, rep in report.ahp.consistency.items()
             ],
         ),
         "Criterion weights": md_table(
             ["Criterion", "Subjective", "Objective", "Comprehensive"],
             [
-                [
-                    cid,
-                    report.criterion_subjective[cid],
-                    report.criterion_objective[cid],
-                    report.criterion_comprehensive[cid],
-                ]
-                for cid in report.criterion_subjective.ids
+                [cid, w, report.criterion_objective[cid], report.criterion_comprehensive[cid]]
+                for cid, w in report.ahp.criterion.weights.items()
             ],
         ),
         "Indicator weights": md_table(
@@ -338,11 +391,11 @@ def render_markdown(report: EvaluationReport) -> str:
                     ind,
                     crit_id,
                     rel[ind],
-                    report.indicator_subjective[ind],
+                    report.ahp.indicator[ind],
                     report.indicator_objective[ind],
                     report.indicator_comprehensive[ind],
                 ]
-                for crit_id, rel in report.relative_weights.items()
+                for crit_id, rel in report.ahp.relative.items()
                 for ind in rel.ids
             ],
         ),

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,7 +304,7 @@ class TestAhpCommand:
         payload = json.loads(out)
         assert not payload["nodes"]["goal"]["consistency"]["consistent"]
         report = run_pipeline(cfg, allow_inconsistent=True)
-        assert payload["global_subjective"] == report.indicator_subjective.as_dict()
+        assert payload["global_subjective"] == report.ahp.indicator.as_dict()
 
     def test_allow_inconsistent_prints_warnings_to_stderr(self, capsys, fixture_dir, tmp_path):
         path, cfg = self._inconsistent_config(fixture_dir, tmp_path)
@@ -408,6 +409,7 @@ class TestFuseCommand:
             ('{"C1": [1]}', "C1: not a number: [1]"),
             ('["C1"]', "expected an object, got list"),
             ("{", "invalid JSON"),
+            ('{"C1": 0.5, "C1": 0.5}', "invalid JSON: duplicate key 'C1'"),
             pytest.param(
                 '{"C1": 1' + "0" * 400 + "}",
                 "C1: number too large for a float",
@@ -540,6 +542,23 @@ class TestFileErrors:
         assert err.startswith("error:")
         assert f"{path}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("{", '{"alpha": 0.9, ', "alpha"),  # the fixture's own alpha comes later
+            ('"C1": {', '"C1": {"Good": 0.0, ', "Good"),  # a membership grade given twice
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_config_with_a_repeated_key(self, capsys, tmp_path, fixture_dir, old, new, key):
+        text = (fixture_dir / "campus_bikeshare.json").read_text()
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new, 1))
+        argv = ["evaluate", "--config", str(path)]
+        message = f"invalid JSON: duplicate key {key!r}"
+        self._assert_names(capsys, argv, f"config file {path}", message)
+
     def test_config_is_a_directory(self, capsys, tmp_path):
         argv = ["evaluate", "--config", str(tmp_path)]
         self._assert_names(capsys, argv, f"config file {tmp_path}", "cannot read")
@@ -644,3 +663,12 @@ class TestGoldenOutputs:
         assert code == 0
         golden = fixture_dir / "golden" / f"evaluate_decision.{fmt}"
         assert out == golden.read_text(encoding="utf-8") + "\n"
+
+    def test_ci_compares_each_golden_in_exactly_one_step(self, fixture_dir):
+        # CI checks the goldens with one `cmp` step each; this keeps that list from drifting.
+        workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+        steps = [s for s in workflow.read_text(encoding="utf-8").splitlines() if "| cmp " in s]
+        named = [re.findall(r"tests/fixtures/golden/([^\s;)]+)", step) for step in steps]
+        assert [len(n) for n in named] == [1] * len(steps)  # one golden per step
+        goldens = sorted(p.name for p in (fixture_dir / "golden").iterdir())
+        assert sorted(n[0] for n in named) == goldens

@@ -170,6 +170,21 @@ class TestReadDecisionMatrix:
             read_decision_matrix(p)
         assert str(info.value) == f"decision matrix {p}: line 3, column 'X1': not a number: 'x'"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternative,X1,X1\nA,1,2\nB,3,4\n", "duplicate indicator id 'X1'"),
+            ("alternative,X1,X2\nA,1,2\nA,3,4\n", "duplicate alternative id 'A'"),
+        ],
+        ids=["indicator", "alternative"],
+    )
+    def test_repeated_id_is_named(self, tmp_path, text, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_decision_matrix(p)
+        assert str(info.value) == f"decision matrix {p}: {message}"
+
     def test_header_must_start_with_alternative(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("station,X1\nS1,1\n")

@@ -33,6 +33,8 @@ from siteval import ahp, config, core, pipeline
 from siteval.fusion import blend
 from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
 
+from strategies import configs
+
 
 def _variant(config_dict, **edits):
     data = copy.deepcopy(config_dict)
@@ -73,13 +75,13 @@ class TestRunPipeline:
 
     def test_alpha_one_keeps_subjective_weights(self, campus_config):
         report = run_pipeline(campus_config.with_overrides(alpha=1.0))
-        for ind in report.indicator_subjective.ids:
+        for ind in report.ahp.indicator.ids:
             assert report.indicator_comprehensive[ind] == pytest.approx(
-                report.indicator_subjective[ind], abs=1e-12
+                report.ahp.indicator[ind], abs=1e-12
             )
-        for crit in report.criterion_subjective.ids:
+        for crit in report.ahp.criterion.ids:
             assert report.criterion_comprehensive[crit] == pytest.approx(
-                report.criterion_subjective[crit], abs=1e-12
+                report.ahp.criterion[crit], abs=1e-12
             )
 
     def test_alpha_zero_keeps_objective_weights(self, campus_config):
@@ -125,7 +127,7 @@ class TestRunPipeline:
         cfg = ProjectConfig.from_dict(data)
         report = run_pipeline(cfg, allow_inconsistent=True)
         assert any(w.code == "inconsistent-judgment-matrix" for w in report.warnings)
-        assert not report.consistency["B4"].consistent
+        assert not report.ahp.consistency["B4"].consistent
 
     def test_order_above_nine_names_stage_and_matrix(self, campus_config_dict):
         data = copy.deepcopy(campus_config_dict)
@@ -164,7 +166,7 @@ class TestRunPipeline:
         calls.clear()
         report = run_pipeline(campus_config)  # the report's indicator blend, at one alpha
         assert calls == [(criteria, 1), (indicators, 1)]
-        expected = fuse(report.indicator_subjective, report.indicator_objective, [0.5])[0]
+        expected = fuse(report.ahp.indicator, report.indicator_objective, [0.5])[0]
         assert report.indicator_comprehensive.values() == expected.tolist()
 
     @pytest.mark.parametrize("policy", ["paper", "fused-both"])
@@ -440,6 +442,22 @@ class TestMalformedConfig:
         assert str(exc.value) == "config: invalid hierarchy: indicators: duplicate ids ['C1']"
 
     @pytest.mark.parametrize(
+        "what, k, repeated", [("alternatives", 1, "S1"), ("indicators", 3, "C2")]
+    )
+    def test_repeated_decision_matrix_id_is_named(self, campus_config_dict, what, k, repeated):
+        data = _with_decision_matrix(campus_config_dict)
+        data["decision_matrix"][what][k] = repeated
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == f"config: duplicate {what[:-1]} id {repeated!r}"
+
+    def test_repeated_grade_label_is_named(self, campus_config_dict):
+        data = _variant(campus_config_dict, grades=["Excellent", "Good", "Good"])
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == "config: duplicate grade label 'Good'"
+
+    @pytest.mark.parametrize(
         "path",
         [
             ("screening", "min_mean"),
@@ -556,13 +574,13 @@ class TestKeptStages:
         report = run_pipeline(campus_config)
         expected = emit_report(report, "json")
         vectors = [
-            report.criterion_subjective,
+            report.ahp.criterion,
             report.criterion_objective,
             report.criterion_comprehensive,
-            report.indicator_subjective,
+            report.ahp.indicator,
             report.indicator_objective,
             report.indicator_comprehensive,
-            *report.relative_weights.values(),
+            *report.ahp.relative.values(),
         ]
         for w in vectors:
             for k in w.weights:
@@ -570,11 +588,11 @@ class TestKeptStages:
                     w.weights[k] = 0.25
             with pytest.raises(TypeError):
                 w.weights["extra"] = 0.5
-        for mapping in (report.relative_weights, report.consistency):
+        for mapping in (report.ahp.relative, report.ahp.consistency):
             with pytest.raises(AttributeError):
                 mapping.clear()
         again = run_pipeline(campus_config)
-        assert again.relative_weights is report.relative_weights  # the kept record, not a copy
+        assert again.ahp is report.ahp  # the kept section, not a copy
         assert emit_report(again, "json") == expected
 
     @pytest.mark.parametrize("operator", ["weighted-average", "min-max"])
@@ -614,7 +632,7 @@ class TestKeptStages:
         for allow, rows, message in reversed(steps) if reverse else steps:
             if message is None:
                 report = run_pipeline(cfg, rows, allow_inconsistent=allow)
-                assert not report.consistency["goal"].consistent
+                assert not report.ahp.consistency["goal"].consistent
                 continue
             with pytest.raises(ValidationError) as err:
                 run_pipeline(cfg, rows, allow_inconsistent=allow)
@@ -669,20 +687,16 @@ READ_ONLY_MAPPINGS = [
     ("ahp", "relative", lambda ahp: [ahp.relative]),
     ("ahp", "relative[c].weights", lambda ahp: [w.weights for w in ahp.relative.values()]),
     ("ahp", "consistency", lambda ahp: [ahp.consistency]),
-    ("report", "consistency", lambda r: [r.consistency]),
-    ("report", "relative_weights", lambda r: [r.relative_weights]),
-    (
-        "report",
-        "relative_weights[c].weights",
-        lambda r: [w.weights for w in r.relative_weights.values()],
-    ),
+    ("report", "ahp.consistency", lambda r: [r.ahp.consistency]),
+    ("report", "ahp.relative", lambda r: [r.ahp.relative]),
+    ("report", "ahp.relative[c].weights", lambda r: [w.weights for w in r.ahp.relative.values()]),
+    ("report", "ahp.criterion.weights", lambda r: [r.ahp.criterion.weights]),
+    ("report", "ahp.indicator.weights", lambda r: [r.ahp.indicator.weights]),
     *(
         ("report", f"{name}.weights", lambda r, name=name: [getattr(r, name).weights])
         for name in (
-            "criterion_subjective",
             "criterion_objective",
             "criterion_comprehensive",
-            "indicator_subjective",
             "indicator_objective",
             "indicator_comprehensive",
         )
@@ -747,8 +761,8 @@ def _scalar_second_levels(cfg, alphas):
     every sum and max of mins runs left to right, as the scalar formulas read.
     """
     report = run_pipeline(cfg)
-    crit_s, crit_o = report.criterion_subjective, report.criterion_objective
-    ind_s, ind_o = report.indicator_subjective, report.indicator_objective
+    crit_s, crit_o = report.ahp.criterion, report.criterion_objective
+    ind_s, ind_o = report.ahp.indicator, report.indicator_objective
     rows, grades = cfg.membership.rows, cfg.membership.grades
 
     def compose(weights, vectors):
@@ -765,7 +779,7 @@ def _scalar_second_levels(cfg, alphas):
                 total = sum(fused)
                 weights = [w / total for w in fused]
             else:
-                weights = [report.relative_weights[c.id][i] for i in c.children]
+                weights = [report.ahp.relative[c.id][i] for i in c.children]
             first.append(dict(zip(grades, compose(weights, [rows[i] for i in c.children]))))
         criterion = [a * crit_s[c.id] + (1.0 - a) * crit_o[c.id] for c in cfg.hierarchy.criteria]
         out.append(compose(criterion, first))
@@ -994,42 +1008,6 @@ class TestSweepAlpha:
         assert json.dumps(first) == json.dumps(second)
 
 
-def _saaty(exponent):
-    return str(2**exponent) if exponent >= 0 else f"1/{2**-exponent}"
-
-
-@st.composite
-def _layout_configs(draw):
-    """Configs of 2-9 criteria with 1-9 indicators each, sizes in any order (ascending
-    too), 2-5 grades, membership rows on the simplex with -0.0 cells and consistent
-    judgment matrices whose ratios are powers of two."""
-    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=9))
-    grades = [f"G{g}" for g in range(draw(st.integers(2, 5)))]
-    cell = st.sampled_from([0.0, -0.0]) | st.floats(0.01, 1.0)
-
-    def matrix(n):
-        e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        return [[_saaty(e[a] - e[b]) for b in range(n)] for a in range(n)]
-
-    criteria, matrices, membership, objective = [], {"goal": matrix(len(sizes))}, {}, {}
-    for c, n in enumerate(sizes):
-        ids = [f"C{c}_{k}" for k in range(n)]
-        criteria.append({"id": f"B{c}", "name": f"B{c}", "indicators": [
-            {"id": i, "name": i, "kind": "qualitative"} for i in ids]})
-        matrices[f"B{c}"] = matrix(n)
-        for i in ids:
-            row = draw(st.lists(cell, min_size=len(grades), max_size=len(grades)))
-            total = sum(row) or 1.0
-            row = [x / total for x in row] if any(row) else [1.0] + row[1:]
-            membership[i] = dict(zip(grades, row))  # x / total keeps the sign of a zero
-            objective[i] = draw(st.floats(0.01, 1.0))
-    total = sum(objective.values())
-    return ProjectConfig.from_dict({
-        "goal": "g", "grades": grades, "criteria": criteria, "judgment_matrices": matrices,
-        "membership": membership, "objective_weights": {i: w / total for i, w in objective.items()},
-    })
-
-
 def _padded_compose(weights, rows, operator):
     """The padded kernel: weights (..., n, A) with rows (..., n, G, A or 1), term by term."""
     acc = 0.0 if operator == "weighted-average" else None
@@ -1053,9 +1031,9 @@ def _padded_levels(cfg, alphas):
     membership = np.zeros(shape + (len(grades), 1))
     for c, crit in enumerate(criteria):
         for j, i in enumerate(crit.children):
-            subjective[c, j] = report.indicator_subjective[i]
+            subjective[c, j] = report.ahp.indicator[i]
             objective[c, j] = report.indicator_objective[i]
-            relative[c, j] = report.relative_weights[crit.id][i]
+            relative[c, j] = report.ahp.relative[crit.id][i]
             membership[c, j, :, 0] = [cfg.membership.rows[i][g] for g in grades]
     if cfg.weights_policy == "fused-both":
         w = (1.0 - alphas) * objective[..., None] + subjective[..., None] * alphas
@@ -1066,7 +1044,7 @@ def _padded_levels(cfg, alphas):
     else:
         w = relative[..., None]
     first = _padded_compose(w, membership, cfg.operator)
-    crit_s = np.array(report.criterion_subjective.values())[:, None]
+    crit_s = np.array(report.ahp.criterion.values())[:, None]
     crit_o = np.array(report.criterion_objective.values())[:, None]
     criterion = (1.0 - alphas) * crit_o + crit_s * alphas
     return first, _padded_compose(criterion, first, cfg.operator)
@@ -1077,7 +1055,7 @@ class TestSlotLayout:
 
     GRID = np.array([0.0, 0.3, 0.5, 1.0])
 
-    @given(_layout_configs())
+    @given(configs())
     @settings(max_examples=40, deadline=None)
     def test_levels_equal_the_padded_layout_bit_for_bit(self, base):
         for operator in ("weighted-average", "min-max"):
@@ -1208,6 +1186,20 @@ class TestConfigRoundTrip:
         cfg = ProjectConfig.from_dict(data)
         assert cfg.to_dict()["criteria"] == data["criteria"]
         assert ProjectConfig.from_dict(cfg.to_dict()).config_hash() == cfg.config_hash()
+
+    @given(configs())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_gives_the_same_hash_and_report_bytes(self, cfg):
+        again = ProjectConfig.from_dict(cfg.to_dict())
+        assert again.config_hash() == cfg.config_hash()
+        for operator in ("weighted-average", "min-max"):
+            for policy in ("paper", "fused-both"):
+                before, after = (
+                    run_pipeline(c.with_overrides(operator=operator, weights_policy=policy))
+                    for c in (cfg, again)
+                )
+                for format in ("json", "markdown"):
+                    assert emit_report(after, format) == emit_report(before, format)
 
     def test_decision_matrix_round_trip(self, campus_config_dict):
         cfg = ProjectConfig.from_dict(_with_decision_matrix(campus_config_dict))
