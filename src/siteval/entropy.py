@@ -6,6 +6,7 @@ Indicators whose observed values are more dispersed carry more information
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +21,7 @@ class DecisionMatrix:
 
     `values` is stored as one read-only float64 array of shape
     (alternatives, indicators); any nested sequence of numbers is accepted,
-    but not bools.
+    but not bools. Ids must be unique and not empty.
     """
 
     alternatives: tuple[str, ...]
@@ -36,11 +37,19 @@ class DecisionMatrix:
             raise ValidationError("decision matrix needs at least 2 alternatives")
         for what, ids in (("alternative", alts), ("indicator", inds)):
             if len(set(ids)) != len(ids):
-                raise ValidationError(f"duplicate {what} id {first_repeat(ids)!r}")
-        try:
-            vals = np.array(self.values, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            vals = None
+                raise ValidationError(
+                    f"decision matrix: duplicate {what} id {first_repeat(ids)!r}"
+                )
+            if "" in ids:
+                raise ValidationError(
+                    f"decision matrix: empty {what} id at index {ids.index('')}"
+                )
+        vals = _packed(self.values, len(alts), len(inds))
+        if vals is None:
+            try:
+                vals = np.array(self.values, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                vals = None
         if vals is None or vals.shape != (len(alts), len(inds)):
             raise _conversion_error(alts, inds, self.values)
         # NaN fails `>= 0` and a min or max with a NaN is NaN, so two reductions
@@ -72,6 +81,32 @@ class DecisionMatrix:
             and self.indicators == other.indicators
             and np.array_equal(self.values, other.values)
         )
+
+
+def _packed(values: object, rows: int, cols: int) -> np.ndarray | None:
+    """`values` as a rows x cols float64 array, or None to leave it to `np.array`.
+
+    `np.array` walks a nested list twice, once for the shape and once to copy;
+    here each row is read once, by one `struct` call that writes its cells in
+    place. Only list or tuple rows of exactly `cols` number cells are taken.
+    Anything else (an ndarray, another row type, a str or None cell, a ragged
+    row, an int too large for a float, no columns) gives None, so `np.array`
+    gives the value or error it always gave.
+    """
+    if type(values) not in (list, tuple) or len(values) != rows or cols == 0:
+        return None
+    out = np.empty((rows, cols))
+    buf = out.data.cast("B")  # refuses a zero in the shape, hence cols == 0 above
+    row_format = struct.Struct(f"{cols}d")  # native order, as `np.empty` lays out float64
+    pack_into, step = row_format.pack_into, row_format.size
+    try:
+        for offset, row in zip(range(0, rows * step, step), values):
+            if type(row) is not list and type(row) is not tuple:
+                return None
+            pack_into(buf, offset, *row)
+    except (struct.error, TypeError, ValueError, OverflowError):
+        return None
+    return out
 
 
 def _conversion_error(

@@ -134,6 +134,10 @@ def _parse_decision_matrix(rows: list[tuple[int, list[str]]]) -> DecisionMatrix:
             "followed by indicator ids"
         )
     indicators = tuple(header[1:])
+    if "" in indicators:
+        raise ValidationError(
+            f"line {rows[0][0]}: column {indicators.index('') + 2}: empty indicator id"
+        )
 
     alternatives: list[str] = []
     values: list[tuple[float, ...]] = []
@@ -142,7 +146,10 @@ def _parse_decision_matrix(rows: list[tuple[int, list[str]]]) -> DecisionMatrix:
             raise ValidationError(
                 f"line {line_no}: expected {len(header)} columns, got {len(row)}"
             )
-        alternatives.append(row[0].strip())
+        alternative = row[0].strip()
+        if not alternative:
+            raise ValidationError(f"line {line_no}: empty alternative id")
+        alternatives.append(alternative)
         parsed: list[float] = []
         for ind, cell in zip(indicators, row[1:]):
             try:

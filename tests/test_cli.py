@@ -664,6 +664,20 @@ class TestGoldenOutputs:
         golden = fixture_dir / "golden" / f"evaluate_decision.{fmt}"
         assert out == golden.read_text(encoding="utf-8") + "\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_inline_decision_matrix_min_max_fused_evaluate_matches_golden(
+        self, capsys, fixture_dir, fmt
+    ):
+        # The same matrix under the other operator and weights policy.
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_decision.json")]
+        code, out, _ = _run(
+            capsys,
+            argv + ["--operator", "min-max", "--weights-policy", "fused-both", "--format", fmt],
+        )
+        assert code == 0
+        golden = fixture_dir / "golden" / f"evaluate_decision_minmax_fused.{fmt}"
+        assert out == golden.read_text(encoding="utf-8") + "\n"
+
     def test_ci_compares_each_golden_in_exactly_one_step(self, fixture_dir):
         # CI checks the goldens with one `cmp` step each; this keeps that list from drifting.
         workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

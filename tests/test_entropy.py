@@ -161,6 +161,19 @@ class TestDecisionMatrixContract:
         ):
             DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1.0, 0.0), (flag, 4.0)))
 
+    @pytest.mark.parametrize(
+        "alts, inds, message",
+        [
+            (("S1", ""), ("X1",), "decision matrix: empty alternative id at index 1"),
+            (("S1", "S2"), ("", "X2"), "decision matrix: empty indicator id at index 0"),
+        ],
+        ids=["alternative", "indicator"],
+    )
+    def test_empty_id_is_named(self, alts, inds, message):
+        with pytest.raises(ValidationError) as exc:
+            DecisionMatrix(alts, inds, ((1.0,) * len(inds),) * 2)
+        assert str(exc.value) == message
+
     def test_int_beyond_float_range_names_cell(self):
         with pytest.raises(ValidationError, match=r"\(S1, X2\): number too large for a float"):
             DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1, 10**400), (3, 4)))
@@ -346,6 +359,127 @@ class TestBlockedEntropyWeights:
         assert column_shares(m).shape == (2, 0)
         with pytest.raises(ValidationError, match="^no information content"):
             entropy_weights(m)
+
+
+_CELLS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.just(-0.0),
+    st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_max=True),  # subnormals
+    st.integers(min_value=0, max_value=2**53),
+    st.integers(min_value=2**53 + 1, max_value=2**1000),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([True, False, np.True_, np.False_]),
+)
+
+
+@st.composite
+def _nested_rows(draw):
+    """A list or tuple of list or tuple rows of non-negative number cells."""
+    rows = draw(st.integers(min_value=2, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    outer = draw(st.sampled_from([list, tuple]))
+    return outer(
+        draw(st.sampled_from([list, tuple]))(draw(st.lists(_CELLS, min_size=cols, max_size=cols)))
+        for _ in range(rows)
+    )
+
+
+def _gen_rows():
+    yield (1.0, 2.0)
+    yield (3.0, 4.0)
+
+
+class _Row(list):
+    pass
+
+
+class TestPackedRows:
+    """List and tuple rows are packed row by row; the result is `np.array`'s, bit for bit."""
+
+    @given(_nested_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_values_equal_numpy_conversion(self, values):
+        alts = tuple(f"S{i}" for i in range(len(values)))
+        inds = tuple(f"X{j}" for j in range(len(values[0])))
+        flags = [
+            (i, j, cell)
+            for i, row in enumerate(values)
+            for j, cell in enumerate(row)
+            if isinstance(cell, (bool, np.bool_))
+        ]
+        if flags:
+            i, j, cell = flags[0]
+            with pytest.raises(ValidationError) as exc:
+                DecisionMatrix(alts, inds, values)
+            assert str(exc.value) == f"decision matrix (S{i}, X{j}): not a number: {cell!r}"
+        else:
+            m = DecisionMatrix(alts, inds, values)
+            # Byte equality tells -0.0 from 0.0 and every rounding of a large int.
+            assert m.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        packed = entropy._packed(values, len(alts), len(inds))
+        assert packed.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+    # Each outcome was recorded before the packer existed, when every input
+    # went through `np.array`; an input the packer declines must still give it.
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: np.array([[1.0, 2.5], [3.0, 4.0]]), [[1.0, 2.5], [3.0, 4.0]]),
+            (lambda: np.array([[1, 2], [3, 4]]), [[1.0, 2.0], [3.0, 4.0]]),
+            (lambda: ("12", "34"), "decision matrix shape mismatch: expected 2x2"),
+            (lambda: (b"12", b"34"), "decision matrix shape mismatch: expected 2x2"),
+            (lambda: ({1.0, 2.0}, {3.0, 4.0}), "decision matrix shape mismatch: expected 2x2"),
+            (
+                lambda: ((x for x in (1.0, 2.0)), (x for x in (3.0, 4.0))),
+                "decision matrix shape mismatch: expected 2x2",
+            ),
+            (_gen_rows, "decision matrix shape mismatch: expected 2x2"),
+            (lambda: (_Row([1.0, 2.0]), _Row([3.0, 4.0])), [[1.0, 2.0], [3.0, 4.0]]),
+            (lambda: (("1.5", 2.0), (3.0, 4.0)), [[1.5, 2.0], [3.0, 4.0]]),
+            (lambda: ((b"1.5", 2.0), (3.0, 4.0)), [[1.5, 2.0], [3.0, 4.0]]),
+            (
+                lambda: ((1.0, 2.0), ("abc", 4.0)),
+                "decision matrix (S2, X1): not a number: 'abc'",
+            ),
+            # A bad cell in a declined row is named before a negative in a packed one.
+            (
+                lambda: ((-1.0, 2.0), ("abc", 4.0)),
+                "decision matrix (S2, X1): not a number: 'abc'",
+            ),
+            (lambda: ((1.0, 2.0), (None, 4.0)), "decision matrix (S2, X1): not a number: None"),
+            (lambda: ((1.0, 2.0), (3.0,)), "decision matrix shape mismatch: expected 2x2"),
+            (lambda: ((1.0, 2.0), (3.0, 4.0, 5.0)), "decision matrix shape mismatch: expected 2x2"),
+            (lambda: ((1.0, 2.0),), "decision matrix shape mismatch: expected 2x2"),
+            (
+                lambda: ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0)),
+                "decision matrix shape mismatch: expected 2x2",
+            ),
+            (
+                lambda: ((1, 10**400), (3, 4)),
+                "decision matrix (S1, X2): number too large for a float",
+            ),
+            (
+                lambda: ((np.array([1.5]), 2.0), (3.0, 4.0)),
+                "decision matrix (S1, X1): not a number: array([1.5])",
+            ),
+            (lambda: (([1.5], 2.0), (3.0, 4.0)), "decision matrix (S1, X1): not a number: [1.5]"),
+        ],
+        ids=[
+            "ndarray", "int-ndarray", "str-rows", "bytes-rows", "set-rows", "generator-rows",
+            "generator-of-rows", "list-subclass-rows", "str-number-cell", "bytes-cell",
+            "str-cell", "str-cell-after-negative", "none-cell", "short-row", "long-row",
+            "missing-row", "extra-row", "int-too-large", "array-cell", "list-cell",
+        ],
+    )
+    def test_declined_input_keeps_its_outcome(self, make, expected):
+        assert entropy._packed(make(), 2, 2) is None
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as exc:
+                DecisionMatrix(("S1", "S2"), ("X1", "X2"), make())
+            assert str(exc.value) == expected
+        else:
+            values = DecisionMatrix(("S1", "S2"), ("X1", "X2"), make()).values
+            assert values.dtype == np.float64 and values.tolist() == expected
 
 
 class TestEntropyAlongLastAxis:

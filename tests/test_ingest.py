@@ -173,12 +173,34 @@ class TestReadDecisionMatrix:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("alternative,X1,X1\nA,1,2\nB,3,4\n", "duplicate indicator id 'X1'"),
-            ("alternative,X1,X2\nA,1,2\nA,3,4\n", "duplicate alternative id 'A'"),
+            (
+                "alternative,X1,X1\nA,1,2\nB,3,4\n",
+                "decision matrix: duplicate indicator id 'X1'",
+            ),
+            (
+                "alternative,X1,X2\nA,1,2\nA,3,4\n",
+                "decision matrix: duplicate alternative id 'A'",
+            ),
         ],
         ids=["indicator", "alternative"],
     )
     def test_repeated_id_is_named(self, tmp_path, text, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_decision_matrix(p)
+        assert str(info.value) == f"decision matrix {p}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternative,X1,\nA,1,2\nB,3,4\n", "line 1: column 3: empty indicator id"),
+            ("alternative, ,X2\nA,1,2\nB,3,4\n", "line 1: column 2: empty indicator id"),
+            ("alternative,X1,X2\nA,1,2\n\n ,3,4\n", "line 4: empty alternative id"),
+        ],
+        ids=["indicator", "blank-indicator", "alternative"],
+    )
+    def test_empty_id_is_named(self, tmp_path, text, message):
         p = tmp_path / "m.csv"
         p.write_text(text)
         with pytest.raises(ValidationError) as info:

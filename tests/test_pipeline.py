@@ -449,7 +449,15 @@ class TestMalformedConfig:
         data["decision_matrix"][what][k] = repeated
         with pytest.raises(ValidationError) as exc:
             ProjectConfig.from_dict(data)
-        assert str(exc.value) == f"config: duplicate {what[:-1]} id {repeated!r}"
+        assert str(exc.value) == f"config: decision matrix: duplicate {what[:-1]} id {repeated!r}"
+
+    @pytest.mark.parametrize("what, k", [("alternatives", 1), ("indicators", 3)])
+    def test_empty_decision_matrix_id_is_named(self, campus_config_dict, what, k):
+        data = _with_decision_matrix(campus_config_dict)
+        data["decision_matrix"][what][k] = ""
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == f"config: decision matrix: empty {what[:-1]} id at index {k}"
 
     def test_repeated_grade_label_is_named(self, campus_config_dict):
         data = _variant(campus_config_dict, grades=["Excellent", "Good", "Good"])
