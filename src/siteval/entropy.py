@@ -40,9 +40,10 @@ class DecisionMatrix:
                 raise ValidationError(
                     f"decision matrix: duplicate {what} id {first_repeat(ids)!r}"
                 )
-            if "" in ids:
+            stripped = tuple(map(str.strip, map(str, ids)))  # as the CSV reader reads ids
+            if "" in stripped:
                 raise ValidationError(
-                    f"decision matrix: empty {what} id at index {ids.index('')}"
+                    f"decision matrix: empty {what} id at index {stripped.index('')}"
                 )
         vals = _packed(self.values, len(alts), len(inds))
         if vals is None:
@@ -62,14 +63,19 @@ class DecisionMatrix:
             if self.values[i][j] is None:  # float64 reads None as NaN
                 kind, v = "not a number:", None
             raise ValidationError(f"decision matrix ({alts[i]}, {inds[j]}): {kind} {v}")
-        # float64 reads True and False as 1.0 and 0.0, so only those cells can be bools.
-        for k in np.flatnonzero((vals == 0.0) | (vals == 1.0)).tolist():
-            i, j = divmod(k, len(inds))
-            cell = self.values[i][j]
-            if isinstance(cell, (bool, np.bool_)):
-                raise ValidationError(
-                    f"decision matrix ({alts[i]}, {inds[j]}): not a number: {cell!r}"
-                )
+        # float64 reads True and False as 1.0 and 0.0, so only rows holding one of
+        # those can hold a bool; each such row's cell types are read in one C pass.
+        if not (isinstance(self.values, np.ndarray) and self.values.dtype.kind == "f"):
+            suspects = ((vals == 0.0) | (vals == 1.0)).any(axis=1)
+            for i in np.flatnonzero(suspects).tolist():
+                row = self.values[i]
+                if any(issubclass(t, (bool, np.bool_)) for t in set(map(type, row))):
+                    j, cell = next(
+                        (j, c) for j, c in enumerate(row) if isinstance(c, (bool, np.bool_))
+                    )
+                    raise ValidationError(
+                        f"decision matrix ({alts[i]}, {inds[j]}): not a number: {cell!r}"
+                    )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -18,8 +18,7 @@ def check_pair(subjective: WeightVector, objective: WeightVector) -> None:
 
 def blend(subjective: np.ndarray, objective: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """(n,) weights blended at (A,) alphas, as (n, A): a * subjective + (1 - a) * objective."""
-    out = np.subtract(1.0, alphas, out=np.empty((len(subjective), alphas.size)))
-    out *= objective[:, None]
+    out = objective[:, None] * (1.0 - alphas)  # (1 - a) * objective: IEEE products commute
     return np.add(out, subjective[:, None] * alphas, out=out)
 
 

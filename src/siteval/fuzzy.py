@@ -189,26 +189,31 @@ def check_vectors(vectors: np.ndarray, grades: Sequence[str]) -> None:
     Raises the error FuzzyVector would raise for the first offending row, and
     within it the first offending grade.
     """
-    ok = (vectors >= MEMBERSHIP_LO) & (vectors <= MEMBERSHIP_HI)  # NaN fails both
-    if not ok.all():
+    # A min or max with a NaN is NaN, which fails both comparisons, so two
+    # reductions catch every bad entry; only then is the first one sought.
+    if vectors.size and not (vectors.min() >= MEMBERSHIP_LO and vectors.max() <= MEMBERSHIP_HI):
+        ok = (vectors >= MEMBERSHIP_LO) & (vectors <= MEMBERSHIP_HI)
         row, col = np.argwhere(~ok)[0]
         raise _out_of_range(grades[col], float(vectors[row, col]))
 
 
-def verdicts(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-membership verdict of every row of an (A, G) array, columns in scale order.
+def verdicts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-membership verdict of every column of a (G, A) array, rows in scale order.
 
-    Returns, per row, the winner's column index, its membership and whether it
-    is tied. Grades within TIE_TOL of the row's peak count as contenders, and
+    Returns, per column, the winner's row index, its membership and whether it
+    is tied. Grades within TIE_TOL of the column's peak count as contenders, and
     the winner is the first of them, the best grade, flagged tied=True rather
-    than chosen silently. The reductions run on a Fortran-ordered array, so
-    each column is contiguous; the sweep's (G, A).T view is one already.
+    than chosen silently. Each step is a pass over whole rows, which are
+    contiguous in the sweep's (G, A) layout.
     """
-    vectors = np.asfortranarray(vectors, dtype=np.float64)
-    contenders = vectors >= vectors.max(axis=1, keepdims=True) - TIE_TOL
-    first = contenders.argmax(axis=1)  # the first contender in scale order
-    membership = vectors[np.arange(len(vectors)), first]
-    return first, membership, contenders.sum(axis=1) > 1
+    rows = np.asarray(rows, dtype=np.float64)
+    contenders = rows >= np.maximum.reduce(rows, axis=0) - TIE_TOL
+    tied = np.add.reduce(contenders, axis=0) > 1
+    winner = np.full(rows.shape[1], len(rows) - 1)
+    for g in range(len(rows) - 2, -1, -1):  # from the worst grade up, so the best one stays
+        np.copyto(winner, g, where=contenders[g])
+    membership = rows.take(winner * rows.shape[1] + np.arange(rows.shape[1]))
+    return winner, membership, tied
 
 
 def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
@@ -217,7 +222,7 @@ def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
     `b` may hold any subset of the scale, in any order: it is read in scale order.
     """
     grades = sorted(b.grades, key=scale.rank)
-    winner, membership, tied = verdicts(np.array([[b[g] for g in grades]]))
+    winner, membership, tied = verdicts(np.array([b[g] for g in grades])[:, None])
     return Verdict(
         grade=grades[winner[0]], membership=float(membership[0]), tied=bool(tied[0])
     )

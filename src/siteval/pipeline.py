@@ -115,6 +115,7 @@ class _Layout(NamedTuple):
     indicators: tuple[str, ...]  # the indicator ids in row order
     slots: tuple[slice, ...]  # the rows of each slot
     sizes: tuple[int, ...]  # the number of rows of each slot
+    row_vector: np.ndarray  # (I,) the size-order index of the vector each row's term updates
     membership: np.ndarray  # (I, G, 1) in row order, read-only
     back: np.ndarray | slice  # size order to hierarchy order; slice(None) when they agree
 
@@ -163,8 +164,9 @@ def _layout(cfg: ProjectConfig) -> _Layout:
         membership = _read_only(cfg.membership.to_array(indicators)[..., None])
     inverse = sorted(range(len(order)), key=order.__getitem__)
     back = slice(None) if inverse == sorted(inverse) else np.array(inverse)
+    row_vector = _read_only(np.array([j for k in sizes for j in range(k)]))
     layout = _Layout(tuple(warnings), indicators, tuple(map(slice, [0] + stops, stops)), sizes,
-                     membership, back)
+                     row_vector, membership, back)
     object.__setattr__(cfg, "_layout", layout)
     return layout
 
@@ -265,10 +267,9 @@ def _evaluate(
             total = w[layout.slots[0]] + 0.0  # each total adds left to right from 0.0, as sum()
             for rows, k in zip(layout.slots[1:], layout.sizes[1:]):
                 total[:k] += w[rows]
-            if np.any(total <= 0):
+            if total.min() <= 0:  # a NaN total passes, as NaN <= 0 is false
                 raise ValidationError("degenerate weight vector: all entries zero")
-            for rows, k in zip(layout.slots, layout.sizes):
-                w[rows] /= total[:k]
+            w /= total.take(layout.row_vector, axis=0)
             first = compose(w, layout.membership, cfg.operator, layout.sizes)[layout.back]
         second = compose(criterion, first, cfg.operator)
 
@@ -349,7 +350,7 @@ def _grid_floats(grid: Iterable[object]) -> tuple[np.ndarray, Sequence[object]]:
         if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
             raise ValidationError(f"sweep grid value is not a number: {v!r}")
     if numeric:
-        return inferred.astype(np.float64), values
+        return inferred.astype(np.float64, copy=False), values
     try:
         return np.array(values, dtype=np.float64), values
     except OverflowError:  # an int too large for a float lies out of range

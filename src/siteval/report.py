@@ -192,8 +192,7 @@ class AlphaSweep:
     def __post_init__(self, scale: GradeScale) -> None:
         grades = scale.labels
         alphas = np.array(self.alphas, dtype=np.float64)
-        # The verdict kernel reads F order, which the sweep's (G, A).T view has already.
-        second = np.asfortranarray(self.second_level, dtype=np.float64)
+        second = np.asarray(self.second_level, dtype=np.float64)
         if alphas.ndim != 1 or second.shape != (len(alphas), len(grades)):
             raise ValidationError(
                 f"sweep shape mismatch: alphas {alphas.shape}, second level "
@@ -201,12 +200,12 @@ class AlphaSweep:
             )
         with error_prefix("fuzzy"):
             check_vectors(second, grades)
-            winner, membership, tied = verdicts(second)
+            winner, membership, tied = verdicts(second.T)  # the sweep's own (G, A) rows
         object.__setattr__(self, "grades", grades)
         for name, column in (
             ("alphas", alphas),
             ("second_level", np.array(second, order="C")),  # a copy, in row order
-            ("verdict_grade", np.array(grades, dtype=object)[winner]),
+            ("verdict_grade", np.array(grades, dtype=object).take(winner)),
             ("verdict_membership", membership),
             ("verdict_tied", tied),
         ):

@@ -161,13 +161,30 @@ class TestDecisionMatrixContract:
         ):
             DecisionMatrix(("S1", "S2"), ("X1", "X2"), ((1.0, 0.0), (flag, 4.0)))
 
+    def test_bools_in_binary_matrix_name_the_first_in_row_order(self):
+        # Every cell reads 0.0 or 1.0, so every row is a suspect.
+        values = [[1.0, 0.0, 1.0], [0.0, 1.0, False], [True, 0.0, 1.0]]
+        with pytest.raises(ValidationError) as exc:
+            DecisionMatrix(("S1", "S2", "S3"), ("X1", "X2", "X3"), values)
+        assert str(exc.value) == "decision matrix (S2, X3): not a number: False"
+        with pytest.raises(ValidationError) as exc:
+            DecisionMatrix(("S1", "S2"), ("X1", "X2"), np.array([[0, 1], [1, 0]], dtype=bool))
+        assert str(exc.value) == f"decision matrix (S1, X1): not a number: {np.False_!r}"
+        binary = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert DecisionMatrix(("S1", "S2"), ("X1", "X2"), binary).values.tolist() == [
+            [0.0, 1.0], [1.0, 0.0]
+        ]
+
     @pytest.mark.parametrize(
         "alts, inds, message",
         [
             (("S1", ""), ("X1",), "decision matrix: empty alternative id at index 1"),
             (("S1", "S2"), ("", "X2"), "decision matrix: empty indicator id at index 0"),
+            (("S1", " "), ("X1",), "decision matrix: empty alternative id at index 1"),
+            (("S1", "S2"), ("X1", "\t"), "decision matrix: empty indicator id at index 1"),
+            (("S1", "S2"), ("\u3000", "X2"), "decision matrix: empty indicator id at index 0"),
         ],
-        ids=["alternative", "indicator"],
+        ids=["alternative", "indicator", "space-alternative", "tab-indicator", "wide-space"],
     )
     def test_empty_id_is_named(self, alts, inds, message):
         with pytest.raises(ValidationError) as exc:

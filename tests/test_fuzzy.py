@@ -326,58 +326,85 @@ _OFFSETS = (0.0, 0.5 * TIE_TOL, TIE_TOL, 1.01 * TIE_TOL, 2 * TIE_TOL, 0.1)
 @st.composite
 def _verdict_cases(draw, floor=-np.inf):
     """Rows whose entries are never below `floor`. With a lead near 0, the
-    offsets 0.5 * TIE_TOL and TIE_TOL put the tie boundary across zero."""
+    offsets 0.5 * TIE_TOL and TIE_TOL put the tie boundary across zero, and
+    -0.0 may stand beside 0.0."""
     labels = tuple(f"L{k}" for k in range(draw(st.integers(2, 6))))
     # Membership grades: a subset of the scale, in an order of their own.
     grades = draw(st.permutations(labels))[: draw(st.integers(1, len(labels)))]
     rows = []
     for _ in range(draw(st.integers(1, 8))):
-        lead = draw(st.floats(0, 1))
+        lead = draw(st.floats(0, 1) | st.just(-0.0))
         offsets = st.sampled_from([d for d in _OFFSETS if lead - d >= floor])
         rows.append(
             [lead]
-            + [draw(st.floats(0, 1) | offsets.map(lambda d: lead - d)) for _ in grades[1:]]
+            + [
+                draw(st.floats(0, 1) | st.just(-0.0) | offsets.map(lambda d: lead - d))
+                for _ in grades[1:]
+            ]
         )
     return GradeScale(labels), grades, rows
+
+
+def _case(labels, grades, *rows):
+    return GradeScale(labels), grades, [list(r) for r in rows]
+
+
+# One grade and one vector; contenders within TIE_TOL whose first in scale
+# order is not the peak; and signed zeros, whose sign the winner keeps.
+_EDGE_CASES = (
+    _case(("L0", "L1"), ("L1",), (0.3,)),
+    _case(("L0", "L1", "L2"), ("L2", "L0", "L1"), (0.4, 0.4 - 0.5 * TIE_TOL, 0.2)),
+    _case(("L0", "L1"), ("L1", "L0"), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)),
+)
 
 
 class TestBatchedVerdict:
     # FuzzyVector admits rounding strays down to MEMBERSHIP_LO, so those stay in.
     @given(_verdict_cases(floor=MEMBERSHIP_LO))
     @settings(max_examples=200, deadline=None)
+    @example(_EDGE_CASES[0])
+    @example(_EDGE_CASES[1])
+    @example(_EDGE_CASES[2])
     def test_every_row_matches_the_reference_rule(self, case):
         scale, grades, rows = case
         got = [verdict(FuzzyVector(dict(zip(grades, r))), scale) for r in rows]
-        assert [(scale.rank(v.grade), v.membership, v.tied) for v in got] == [
-            _reference_verdict(r, grades, scale.labels) for r in rows
-        ]
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr([(scale.rank(v.grade), v.membership, v.tied) for v in got]) == repr(
+            [_reference_verdict(r, grades, scale.labels) for r in rows]
+        )
 
     @given(_verdict_cases())
     @settings(max_examples=200, deadline=None)
+    @example(_EDGE_CASES[0])
+    @example(_EDGE_CASES[1])
+    @example(_EDGE_CASES[2])
     def test_kernel_reads_scale_ordered_columns_in_either_layout(self, case):
         scale, grades, rows = case
         in_scale_order = sorted(grades, key=scale.rank)
-        vectors = np.array(rows)[:, [grades.index(g) for g in in_scale_order]]
+        # (G, A): a row per grade, in scale order, and a column per vector.
+        columns = np.array(rows)[:, [grades.index(g) for g in in_scale_order]].T
         expected = [_reference_verdict(r, grades, scale.labels) for r in rows]
-        for layout in (np.ascontiguousarray(vectors), np.asfortranarray(vectors)):
+        for layout in (np.ascontiguousarray(columns), np.asfortranarray(columns)):
             winner, membership, tied = verdicts(layout)
             got = zip(winner.tolist(), membership.tolist(), tied.tolist())
-            assert [(scale.rank(in_scale_order[k]), m, t) for k, m, t in got] == expected
+            assert repr([(scale.rank(in_scale_order[k]), m, t) for k, m, t in got]) == repr(
+                expected
+            )
 
     def test_tie_tolerance_boundary(self):
-        # Columns in SCALE order: Poor sits exactly TIE_TOL below the peak (a
+        # Rows in SCALE order: Poor sits exactly TIE_TOL below the peak (a
         # contender), Good just beyond it.
         peak = 0.5
-        rows = np.array([[peak, peak - 1.01 * TIE_TOL, peak - TIE_TOL]])
-        winner, membership, tied = verdicts(rows)
+        column = np.array([[peak], [peak - 1.01 * TIE_TOL], [peak - TIE_TOL]])
+        winner, membership, tied = verdicts(column)
         assert (winner.tolist(), membership.tolist(), tied.tolist()) == ([0], [peak], [True])
-        winner, membership, tied = verdicts(rows[:, :2])
+        winner, membership, tied = verdicts(column[:2])
         assert (winner.tolist(), tied.tolist()) == ([0], [False])
         # `verdict` puts a vector given in another order into scale order first.
-        b = FuzzyVector({"Good": rows[0, 1], "Poor": rows[0, 2], "Excellent": peak})
+        b = FuzzyVector({"Good": column[1, 0], "Poor": column[2, 0], "Excellent": peak})
         assert verdict(b, SCALE) == Verdict("Excellent", peak, True)
         # The same boundary across zero, with rounding strays FuzzyVector admits.
-        winner, membership, tied = verdicts(np.array([[-1.01 * TIE_TOL, 0.0, -TIE_TOL]]))
+        winner, membership, tied = verdicts(np.array([[-1.01 * TIE_TOL], [0.0], [-TIE_TOL]]))
         assert (winner.tolist(), membership.tolist(), tied.tolist()) == ([1], [0.0], [True])
         b = FuzzyVector({"Poor": -TIE_TOL, "Good": 0.0, "Excellent": -0.5 * TIE_TOL})
         assert verdict(b, SCALE) == Verdict("Excellent", -0.5 * TIE_TOL, True)

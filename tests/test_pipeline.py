@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import random
@@ -31,7 +32,7 @@ from siteval import (
 )
 from siteval import ahp, config, core, pipeline
 from siteval.fusion import blend
-from siteval.report import render_markdown, sweep_rows, sweep_to_json_dict
+from siteval.report import json_text, render_markdown, sweep_rows, sweep_to_json_dict
 
 from strategies import configs
 
@@ -458,6 +459,13 @@ class TestMalformedConfig:
         with pytest.raises(ValidationError) as exc:
             ProjectConfig.from_dict(data)
         assert str(exc.value) == f"config: decision matrix: empty {what[:-1]} id at index {k}"
+
+    def test_blank_decision_matrix_id_is_named(self, campus_config_dict):
+        data = _with_decision_matrix(campus_config_dict)
+        data["decision_matrix"]["alternatives"][1] = " "
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == "config: decision matrix: empty alternative id at index 1"
 
     def test_repeated_grade_label_is_named(self, campus_config_dict):
         data = _variant(campus_config_dict, grades=["Excellent", "Good", "Good"])
@@ -1166,6 +1174,31 @@ class TestGoldenReports:
         md = emit_report(report, "markdown")
         assert md == (golden / "evaluate_survey.md").read_text(encoding="utf-8")
         assert sum(line.startswith(f"- {code}: ") for line in md.split("\n")) == 2
+
+
+class TestBenchmarkGrid:
+    """The fixture's sweep JSON on the benchmark's 1001-point grid, pinned by sha256.
+
+    The CI goldens sweep at steps 0.05 and 0.01 only; these cover the grid
+    `perfbench` runs, under every operator and weights policy.
+    """
+
+    DIGESTS = {
+        ("weighted-average", "paper"):
+            "ff067e96a66b7e6a597c8d970c39810c85a0d196b75f45c7135da9dbd4608d6a",
+        ("weighted-average", "fused-both"):
+            "b142d48cda647ba0afea8e282132eb240de1e68feb6db6f73de70b4f39ccaf3d",
+        ("min-max", "paper"):
+            "ea1cd4878120ec1564512e7d1f43e26be2e6c388935e7a2e984471fd09c76608",
+        ("min-max", "fused-both"):
+            "ea1c5b1140ef75b8c7ea88e4191a33d58ee102a2af04e9ea55e07726c7010785",
+    }
+
+    @pytest.mark.parametrize("operator, policy", sorted(DIGESTS))
+    def test_sweep_json_matches_pinned_digest(self, campus_config, operator, policy):
+        cfg = campus_config.with_overrides(operator=operator, weights_policy=policy)
+        text = json_text(sweep_to_json_dict(sweep_alpha(cfg, [i / 1000 for i in range(1001)])))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[operator, policy]
 
 
 class TestConfigRoundTrip:
