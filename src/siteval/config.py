@@ -363,7 +363,8 @@ class ProjectConfig:
         if self.decision_matrix is not None:
             matrix = self.decision_matrix.values
             out["decision_matrix"]["values"] = {"shape": list(matrix.shape), "dtype": "<f8"}
-        canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        # `out` is a fresh tree of new containers, so there is no cycle to look for.
+        canonical = json.dumps(out, sort_keys=True, separators=(",", ":"), check_circular=False)
         digest = hashlib.sha256(canonical.encode("utf-8"))
         if matrix is not None:
             # The array's own buffer, not a `tobytes` copy: `astype` copies only an
@@ -436,10 +437,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def read_json(path: str | Path, what: str) -> Any:
     """Parsed JSON of a file; a missing, unreadable or invalid file raises a ValidationError."""
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"{what} not found: {p}")
     try:
         return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValidationError(f"{what} not found: {p}") from None
     except OSError as exc:
         raise ValidationError(f"{what} {p}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # also bad UTF-8, the int-digit limit and a repeated key

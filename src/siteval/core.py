@@ -78,6 +78,18 @@ def parse_float(value: object, where: str, *args: object) -> float:
     raise ValidationError(f"{where.format(*args)}: not a number: {value!r}")
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """`values` added left to right from 0.0, as `sum` adds floats before Python 3.12.
+
+    From 3.12 the builtin `sum` compensates the rounding of a float sum, so its
+    last bit depends on the Python version; this sum is the same on every one.
+    """
+    total = 0.0
+    for value in values:  # a loop costs less than `functools.reduce` calling `operator.add`
+        total += value
+    return total
+
+
 def check_same_ids(a: Iterable[str], b: Iterable[str], text: str, *args: object) -> None:
     """Raise `<text.format(*args)>: <sorted symmetric difference>` unless `a` and `b` match."""
     a, b = set(a), set(b)
@@ -228,7 +240,7 @@ class WeightVector:
     __iter__ = None  # `in` and iteration raise TypeError; read `ids` or `weights`
 
     def total(self) -> float:
-        return sum(self.weights.values())
+        return float_sum(self.weights.values())
 
     def values(self, order: Sequence[str] | None = None) -> list[float]:
         keys = self.ids if order is None else order
@@ -272,7 +284,7 @@ class MembershipMatrix:
                     raise ValidationError(
                         f"membership row {ind!r}, grade {g!r}: entry {v} outside [0, 1]"
                     )
-            total = sum(row_f.values())
+            total = math.fsum(row_f.values())  # exact, so the order of the cells cannot matter
             if total > 1.0 + 1e-9:
                 raise ValidationError(
                     f"membership row {ind!r}: sum {total} exceeds 1"
@@ -306,10 +318,13 @@ class MembershipMatrix:
             raise ValidationError(f"missing membership row for indicator {missing!r}") from None
 
     def row_sum_deviations(self) -> dict[str, float]:
-        """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1)."""
+        """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1).
+
+        Each row is summed exactly (`math.fsum`), so a row's cells in any order give one sum.
+        """
         out: dict[str, float] = {}
         for ind, row in self.rows.items():
-            dev = sum(row.values()) - 1.0
+            dev = math.fsum(row.values()) - 1.0
             if abs(dev) > ROW_SUM_FLAG_TOL:
                 out[ind] = dev
         return out

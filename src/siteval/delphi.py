@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import ValidationError
+from .core import ValidationError, float_sum
 
 SCORE_MIN = 1
 SCORE_MAX = 5
@@ -204,7 +204,7 @@ def round_statistics(
             raise ValidationError(f"insufficient responses for indicator {ind!r}")
         scores = [r.score for r in responses]
         mean = sum(scores) / d
-        var = sum((s - mean) ** 2 for s in scores) / (d - 1)
+        var = float_sum((s - mean) ** 2 for s in scores) / (d - 1)
         std = math.sqrt(var)
         cv = std / mean
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, WeightVector, first_repeat
+from .core import ValidationError, WeightVector, first_repeat, float_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +220,7 @@ def entropy_weights(m: DecisionMatrix) -> WeightVector:
         entropies.extend(information_entropy(block, n).tolist())
     # Clamp float noise: e may exceed 1 by ~1e-16 for exactly uniform columns.
     divergences = [max(0.0, 1.0 - e) for e in entropies]
-    total = sum(divergences)
+    total = float_sum(divergences)
     if total <= 1e-12:
         raise ValidationError("no information content: all indicator columns are uniform")
     return WeightVector(

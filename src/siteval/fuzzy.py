@@ -32,6 +32,7 @@ from .core import (
     WeightVector,
     check_same_ids,
     check_str_ids,
+    float_sum,
     parse_float,
 )
 
@@ -79,7 +80,7 @@ class FuzzyVector:
         return self.memberships[grade]
 
     def total(self) -> float:
-        return sum(self.memberships.values())
+        return float_sum(self.memberships.values())
 
     def as_dict(self) -> dict[str, float]:
         return self.memberships.copy()  # a plain dict; `dict()` of a proxy reads key by key
@@ -126,7 +127,7 @@ def compose(
     # result, so when it is freed on return it lies below an array still in use, not
     # at the heap top, which glibc would trim and fault back in on the next call.
     low = pair(rows[:k], w[:k])
-    acc = low + 0.0 if average else low.copy()  # as sum() starts from 0: 0.0 + -0.0 is 0.0
+    acc = low + 0.0 if average else low.copy()  # as float_sum starts: 0.0 + -0.0 is 0.0
     for k in sizes[1:]:
         start, stop = stop, stop + k
         term, part = low[:k], acc[:k]

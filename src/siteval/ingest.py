@@ -24,18 +24,17 @@ SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
 def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     """Every non-blank CSV record with the file line it starts on (a quoted cell
     may span lines)."""
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError("file not found")
     rows = []
     try:
-        with p.open(newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
             reader = csv.reader(fh)
             start = 1
             for row in reader:
                 if "".join(row).strip():  # some cell is not blank
                     rows.append((start, row))
                 start = reader.line_num + 1
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValidationError("file not found") from None
     except OSError as exc:
         raise ValidationError(f"cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .ahp import ConsistencyReport, derive_weights, synthesize_global
 from .config import POLICY_FUSED_BOTH, ProjectConfig, read_json
-from .core import ValidationError, WeightVector, error_prefix, gc_paused
+from .core import ValidationError, WeightVector, error_prefix, float_sum, gc_paused
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
 from .fusion import blend, check_pair
@@ -190,7 +190,7 @@ def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _
         indicator_objective = WeightVector({i: source[i] for i in cfg.hierarchy.indicator_ids()})
         criterion_objective = WeightVector(
             {
-                c.id: sum(indicator_objective[i] for i in c.children)
+                c.id: float_sum(indicator_objective[i] for i in c.children)
                 for c in cfg.hierarchy.criteria
             }
         )
@@ -264,7 +264,7 @@ def _evaluate(
     with error_prefix("fuzzy"):
         if first is None:  # only fused-both blends the indicator weights
             w = blend(*kept.indicator, alphas)
-            total = w[layout.slots[0]] + 0.0  # each total adds left to right from 0.0, as sum()
+            total = w[layout.slots[0]] + 0.0  # each adds left to right from 0.0, as float_sum
             for rows, k in zip(layout.slots[1:], layout.sizes[1:]):
                 total[:k] += w[rows]
             if total.min() <= 0:  # a NaN total passes, as NaN <= 0 is false

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import inf
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -253,32 +253,67 @@ def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
 def json_text(obj: object) -> str:
     """`obj` as `json.dumps` writes it with indent 2, without the stdlib's pure-Python encoder.
 
-    Lays out an exact `dict` (str keys), `list` or `tuple` and writes its
-    str, finite float, bool, None, exact int and empty-container leaves
-    itself; only NaN, inf and other types reach `json.dumps`.
+    Lays out an exact `dict` (str keys), `list` or `tuple`. A flat one, whose
+    values are all exact str, int, float, bool or None or empty exact
+    containers, is written by one call to the stdlib's C encoder, which writes
+    them as `json.dumps` does. Any other container writes its str, finite
+    float, bool, None, exact int and empty-container leaves itself; only NaN,
+    inf and other types, such as a dict subclass, reach `json.dumps`.
     """
     cls = type(obj)
     if (cls is dict or cls is list or cls is tuple) and obj:
         out: list[str] = []
         _write_json(obj, "\n", out)
         return "".join(out)
-    return json.dumps(obj)
+    return json.dumps(obj, indent=2)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({dict, list, tuple})
+# The C encoder of a flat container at each depth: "," and the next depth's
+# indent between items, no cycle check (a flat container holds no container
+# but empty ones) and NaN and inf as `json.dumps` writes them. Its `default`
+# is never called: a flat container holds only JSON values. A flat container
+# deeper than the table is laid out by the walker.
+_FLAT = tuple(
+    c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * (depth + 1),
+                   False, False, True)
+    for depth in range(8)
+)
+
+
+def _is_flat(values: Iterable[object]) -> bool:
+    """Whether every value is an exact str, int, float, bool or None or an empty exact container."""
+    if _SCALARS.issuperset(map(type, values)):
+        return True
+    for value in values:  # a loop stops at the first miss, where `any` needs a generator
+        cls = type(value)
+        if cls in _CONTAINERS:
+            if value:
+                return False
+        elif cls not in _SCALARS:
+            return False
+    return True
 
 
 def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
     # Not a closure: one that calls itself is a reference cycle holding `out` until gen-2 gc.
     # `obj` is a non-empty exact container; each leaf is written in the loop, without a call.
+    values: Iterable[object] = obj.values() if type(obj) is dict else obj
+    depth = len(newline) // 2  # `newline` is "\n" and two spaces per level
+    if depth < len(_FLAT) and _is_flat(values):
+        text = "".join(_FLAT[depth](obj, 0))  # "{" or "[", the items, "}" or "]"
+        out += text[0], newline, "  ", text[1:-1], newline, text[-1]
+        return
     inner = newline + "  "
     comma = "," + inner
     if type(obj) is dict:
         heads = [comma + encode_basestring_ascii(key) + ": " for key in obj]
         heads[0] = "{" + heads[0][1:]
-        values: Iterable[object] = obj.values()
         close = newline + "}"
     else:
         heads = [comma] * len(obj)
         heads[0] = "[" + inner
-        values = obj
         close = newline + "]"
     for head, value in zip(heads, values):
         cls = type(value)
@@ -300,7 +335,8 @@ def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
         elif cls is list or cls is tuple:
             out.append(head + "[]")
         else:
-            out.append(head + json.dumps(value))
+            # indent 2, each line moved to this depth; JSON text escapes every "\n" in a str
+            out.append(head + json.dumps(value, indent=2).replace("\n", inner))
     out.append(close)
 
 

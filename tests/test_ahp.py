@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +313,14 @@ class TestDeriveWeights:
         assert weights["C2"] == pytest.approx(0.157, abs=0.005)
         assert weights["C3"] == pytest.approx(0.249, abs=0.005)
         assert report.cr < 0.1
+
+    def test_cr_equal_to_the_limit_is_inconsistent(self, monkeypatch):
+        # The report is kept per matrix object, so each check builds a fresh matrix.
+        cr = derive_weights(goal_matrix())[1].cr
+        monkeypatch.setattr(ahp, "CR_LIMIT", cr)
+        assert not derive_weights(goal_matrix())[1].consistent
+        monkeypatch.setattr(ahp, "CR_LIMIT", math.nextafter(cr, math.inf))
+        assert derive_weights(goal_matrix())[1].consistent
 
     def test_two_by_two_closed_form(self):
         m = JudgmentMatrix("node", ["a", "b"], [["1", "3"], ["1/3", "1"]])

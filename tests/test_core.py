@@ -17,7 +17,7 @@ from siteval import (
     WeightVector,
     validate_hierarchy,
 )
-from siteval.core import error_prefix
+from siteval.core import error_prefix, float_sum
 from siteval.fuzzy import FuzzyVector
 
 
@@ -124,6 +124,14 @@ class TestMembershipMatrix:
         assert set(deviations) == {"C1"}
         assert deviations["C1"] == pytest.approx(-0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("row", [(0.1, 0.45, 0.4), (0.1, 0.4, 0.45), (0.05, 0.45, 0.45)])
+    def test_row_sum_does_not_depend_on_cell_order(self, row):
+        # Each row is 19/20 exactly; added in grade order, the first gives
+        # 0.9500000000000001 and the other two 0.95.
+        m = MembershipMatrix({"C1": dict(zip(("Excellent", "Good", "Poor"), row))})
+        assert m.row_sum_deviations() == {"C1": math.fsum(row) - 1.0}
+        assert math.fsum(row) == 0.9500000000000001
+
     def test_to_array_reads_rows_in_the_given_order(self):
         m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Poor": 0.75, "Good": 0.25}})
         a = m.to_array(["C2", "C1"])
@@ -131,6 +139,31 @@ class TestMembershipMatrix:
         assert a.tolist() == [[0.25, 0.75], [0.5, 0.5]]
         with pytest.raises(ValidationError, match="^missing membership row for indicator 'C9'$"):
             m.to_array(["C1", "C9"])
+
+
+class TestFloatSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # Compensated summation (the builtin `sum` from Python 3.12) and `fsum` give 1.0.
+        assert float_sum([0.1] * 10) == 0.9999999999999999
+        assert math.fsum([0.1] * 10) == 1.0
+
+    def test_starts_from_positive_zero(self):
+        assert float_sum([]) == 0.0
+        assert math.copysign(1.0, float_sum([-0.0])) == 1.0
+        assert math.copysign(1.0, float_sum([-0.0, -0.0])) == 1.0
+
+    @given(st.lists(st.floats(allow_nan=False)))
+    def test_matches_a_plain_loop(self, values):
+        total = 0.0
+        for v in values:
+            total = total + v
+        assert struct.pack("<d", float_sum(values)) == struct.pack("<d", total)
+        assert struct.pack("<d", float_sum(iter(values))) == struct.pack("<d", total)
+
+    def test_vector_totals_use_it(self):
+        tenths = {f"k{i}": 0.1 for i in range(10)}
+        assert WeightVector(tenths).total() == 0.9999999999999999
+        assert FuzzyVector(tenths).total() == 0.9999999999999999
 
 
 class TestIdsThatCollideAsText:

@@ -59,6 +59,14 @@ class TestRoundStatistics:
         assert stats.cv == pytest.approx(0.1667, abs=1e-4)
         assert stats.respondent_count == 10
 
+    def test_variance_adds_left_to_right(self):
+        # The bundled survey's C2 scores, in file order. The exact (or compensated,
+        # as the builtin `sum` adds from Python 3.12) sum of the squared deviations
+        # gives 0.5163977794943222; the golden reports hold ...223.
+        rnd = _round({"expert": [4, 4, 3, 3, 3], "end_user": [4, 4, 4, 4, 3]})
+        (stats,) = round_statistics(rnd, CLASSES)
+        assert stats.std_dev == 0.5163977794943223
+
     def test_constant_sample(self):
         rnd = _round({"expert": [4, 4], "end_user": [4, 4]})
         (stats,) = round_statistics(rnd, CLASSES)

@@ -17,6 +17,7 @@ from siteval import (
     information_entropy,
 )
 from siteval import entropy
+from siteval.core import float_sum
 
 
 def _matrix(columns: dict[str, list[float]]) -> DecisionMatrix:
@@ -292,7 +293,7 @@ def _reference_weights(m: DecisionMatrix) -> dict[str, float]:
         nz = col[col > 0]
         entropies.append(float(-(nz * np.log(nz)).sum() / np.log(n)))
     divergences = [max(0.0, 1.0 - e) for e in entropies]
-    total = sum(divergences)
+    total = float_sum(divergences)
     if total <= 1e-12:
         raise ValidationError("no information content: all indicator columns are uniform")
     return {ind: d / total for ind, d in zip(m.indicators, divergences)}

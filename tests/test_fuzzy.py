@@ -18,6 +18,7 @@ from siteval import (
     second_level,
     verdict,
 )
+from siteval.core import float_sum
 from siteval.fuzzy import (
     MEMBERSHIP_LO,
     MIN_MAX,
@@ -226,7 +227,7 @@ class TestFuzzyProperties:
 def _scalar_compose(weights, rows, operator):
     """Reference: the left-to-right scalar composition of one weight vector."""
     if operator == WEIGHTED_AVERAGE:
-        return [sum(w * row[g] for w, row in zip(weights, rows)) for g in range(len(rows[0]))]
+        return [float_sum(w * row[g] for w, row in zip(weights, rows)) for g in range(len(rows[0]))]
     return [max(min(w, row[g]) for w, row in zip(weights, rows)) for g in range(len(rows[0]))]
 
 

@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 
 import pytest
@@ -6,8 +8,10 @@ from siteval import (
     RespondentClass,
     ValidationError,
     ingest_survey,
+    load_config,
     read_decision_matrix,
 )
+from siteval.config import read_weight_file
 
 CLASSES = (RespondentClass("expert", 0.8), RespondentClass("end_user", 0.2))
 
@@ -212,3 +216,46 @@ class TestReadDecisionMatrix:
         p.write_text("station,X1\nS1,1\n")
         with pytest.raises(ValidationError, match="alternative"):
             read_decision_matrix(p)
+
+
+# Each file reader, with its "not found" and its "cannot read" message for a path p.
+READERS = [
+    (load_config, "config file not found: {p}", "config file {p}: cannot read: {reason}"),
+    (read_weight_file, "weight file not found: {p}", "weight file {p}: cannot read: {reason}"),
+    (
+        lambda p: ingest_survey(p, CLASSES),
+        "survey {p}: file not found",
+        "survey {p}: cannot read: {reason}",
+    ),
+    (
+        read_decision_matrix,
+        "decision matrix {p}: file not found",
+        "decision matrix {p}: cannot read: {reason}",
+    ),
+]
+READER_IDS = ["config", "weights", "survey", "decision-matrix"]
+
+
+class TestReaderPaths:
+    """A path that names no file, or names a directory, keeps each reader's message."""
+
+    @pytest.mark.parametrize("read, missing, _", READERS, ids=READER_IDS)
+    def test_missing_file(self, tmp_path, read, missing, _):
+        p = tmp_path / "nope"
+        with pytest.raises(ValidationError) as info:
+            read(p)
+        assert str(info.value) == missing.format(p=p)
+
+    @pytest.mark.parametrize("read, missing, _", READERS, ids=READER_IDS)
+    def test_path_below_a_file(self, tmp_path, read, missing, _):
+        (tmp_path / "file").write_text("{}")
+        p = tmp_path / "file" / "nope"
+        with pytest.raises(ValidationError) as info:
+            read(p)
+        assert str(info.value) == missing.format(p=p)
+
+    @pytest.mark.parametrize("read, _, unreadable", READERS, ids=READER_IDS)
+    def test_directory(self, tmp_path, read, _, unreadable):
+        with pytest.raises(ValidationError) as info:
+            read(tmp_path)
+        assert str(info.value) == unreadable.format(p=tmp_path, reason=os.strerror(errno.EISDIR))

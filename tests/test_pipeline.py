@@ -31,6 +31,7 @@ from siteval import (
     sweep_alpha,
 )
 from siteval import ahp, config, core, pipeline
+from siteval.core import float_sum
 from siteval.fusion import blend
 from siteval.report import json_text, render_markdown, sweep_rows, sweep_to_json_dict
 
@@ -374,6 +375,55 @@ class TestRunPipeline:
         report = run_pipeline(ProjectConfig.from_dict(data))
         assert report.verdict.grade == "Excellent"
         assert report.second_level["Excellent"] > 1.0
+
+
+def _membership_variant(config_dict, rows):
+    data = copy.deepcopy(config_dict)
+    for ind, row in rows.items():
+        data["membership"][ind] = dict(zip(data["grades"], row))
+    return ProjectConfig.from_dict(data)
+
+
+def _messages(report, code):
+    return [w.message for w in report.warnings if w.code == code]
+
+
+class TestToleranceBounds:
+    """Each bound of the membership and vector-sum checks, from just inside and just outside.
+
+    The figures are literals, not read from the bounds, so a moved bound fails here.
+    """
+
+    @pytest.mark.parametrize("row", [(0.1, 0.45, 0.4), (0.1, 0.4, 0.45), (0.05, 0.45, 0.45)])
+    def test_row_check_ignores_cell_order(self, campus_config_dict, row):
+        report = run_pipeline(_membership_variant(campus_config_dict, {"C1": row}))
+        assert _messages(report, "membership-row-sum") == [
+            "membership row 'C1' sums to 0.9500, expected 1"
+        ]
+
+    def test_membership_shortfall_just_inside_warns(self, campus_config_dict):
+        cfg = _membership_variant(campus_config_dict, {"C4": (0.0, 0.5, 0.4501)})
+        assert _messages(run_pipeline(cfg), "membership-row-sum")[-1] == (
+            "membership row 'C4' sums to 0.9501, expected 1"
+        )
+
+    def test_membership_shortfall_just_outside_raises(self, campus_config_dict):
+        cfg = _membership_variant(campus_config_dict, {"C4": (0.0, 0.5, 0.4499)})
+        with pytest.raises(ValidationError) as info:
+            run_pipeline(cfg)
+        assert str(info.value) == (
+            "config: membership row 'C4' sums to 0.9499; deviation exceeds 0.05"
+        )
+
+    @pytest.mark.parametrize("shortfall, warned", [(0.9e-6, False), (1.1e-6, True)])
+    def test_vector_sum_warning_bound(self, campus_config_dict, shortfall, warned):
+        # Every row falls short of 1 by the same amount, so every vector does too.
+        rows = {ind: (0.2, 0.5, 0.3 - shortfall) for ind in campus_config_dict["membership"]}
+        report = run_pipeline(_membership_variant(campus_config_dict, rows))
+        assert report.operator == "weighted-average"
+        assert bool(_messages(report, "fuzzy-vector-sum")) is warned
+        if warned:  # four first-level vectors and the second-level one
+            assert len(_messages(report, "fuzzy-vector-sum")) == 5
 
 
 class TestMalformedConfig:
@@ -783,7 +833,7 @@ def _scalar_second_levels(cfg, alphas):
 
     def compose(weights, vectors):
         if cfg.operator == "weighted-average":
-            return [sum(w * v[g] for w, v in zip(weights, vectors)) for g in grades]
+            return [float_sum(w * v[g] for w, v in zip(weights, vectors)) for g in grades]
         return [max(min(w, v[g]) for w, v in zip(weights, vectors)) for g in grades]
 
     out = []
@@ -792,7 +842,7 @@ def _scalar_second_levels(cfg, alphas):
         for c in cfg.hierarchy.criteria:
             if cfg.weights_policy == "fused-both":
                 fused = [a * ind_s[i] + (1.0 - a) * ind_o[i] for i in c.children]
-                total = sum(fused)
+                total = float_sum(fused)
                 weights = [w / total for w in fused]
             else:
                 weights = [report.ahp.relative[c.id][i] for i in c.children]

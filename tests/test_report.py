@@ -2,13 +2,15 @@
 import gc
 import json
 import math
+from collections import OrderedDict
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siteval import run_pipeline
 from siteval.pipeline import emit_report
-from siteval.report import json_text
+from siteval.report import _FLAT, json_text
 
 # Text that `ensure_ascii` escapes: non-ASCII, control characters, quotes,
 # backslashes, a line separator and a lone surrogate.
@@ -32,6 +34,19 @@ trees = st.recursive(
 )
 
 
+class Count(int):
+    def __repr__(self) -> str:
+        return f"Count({int(self)})"
+
+
+def nested_list(depth: int) -> list:
+    """A flat list of two floats inside `depth` one-item lists."""
+    obj: list = [0.25, -1e300]
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
 @settings(max_examples=300)
 @given(trees)
 @example({})
@@ -50,6 +65,12 @@ trees = st.recursive(
         "verdict": {"grade": "Good", "membership": 0.5, "tied": False, "flag": True},
     }
 )
+@example({"a": np.float64(0.1), "b": 2.5})  # a float subclass: the walker, not the C encoder
+@example([1.5, Count(7), "x"])  # an int subclass whose own repr json.dumps does not use
+@example({"a": 0.5, "b": OrderedDict([("x", 1.0), ("y", [2, {"z": None}])])})
+@example({"a": OrderedDict(), "b": [OrderedDict([("k", [])])]})
+@example(OrderedDict([("a", [1.0])]))
+@example(nested_list(len(_FLAT) + 2))  # a flat list deeper than any cached encoder
 def test_matches_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
