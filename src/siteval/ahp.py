@@ -9,7 +9,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from numbers import Integral
 from typing import Mapping
 
@@ -60,11 +59,7 @@ class JudgmentMatrix:
     `entries` may be given as numbers or ratio strings like '3' or '1/3'; each
     cell is parsed once with `parse_ratio` and stored as a float. `raw` keeps
     each cell as supplied, `str(cell)`, so a parsed config can be re-emitted
-    without rounding drift.
-
-    The matrix's principal eigenvector is found by power iteration once per
-    matrix object, on the first `derive_weights` call, and kept, as read-only
-    weights, with its consistency report for later calls. An error is not kept.
+    without rounding drift. `derive_weights` finds its principal eigenvector.
     """
 
     node: str
@@ -131,32 +126,6 @@ class JudgmentMatrix:
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
-    @cached_property
-    def _eigen(self) -> tuple[WeightVector, ConsistencyReport]:
-        """The principal-eigenvector weights and consistency report, computed on first use.
-
-        lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the converged
-        eigenvector. CR is defined as 0 for orders 1 and 2, which are always
-        consistent. An order above 9, which has no random index, raises before
-        the iteration runs; a raise keeps nothing, so the next use raises again.
-        """
-        a = self.to_array()
-        n = self.order
-        try:
-            ri = ri_lookup(n)
-            w = _principal_eigenvector(a)
-        except ValidationError as exc:
-            raise ValidationError(f"matrix {self.node!r}: {exc}") from exc
-        lambda_max = float(np.add.reduce(a.dot(w) / w)) / n  # the float np.mean gives
-
-        ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
-        cr = 0.0 if n <= 2 else ci / ri
-        report = ConsistencyReport(
-            lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
-        )
-        return WeightVector(dict(zip(self.labels, w.tolist()))), report
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     lambda_max: float
@@ -205,12 +174,26 @@ def _principal_eigenvector(a: np.ndarray) -> np.ndarray:
 def derive_weights(m: JudgmentMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Principal-eigenvector weights plus the consistency report for a matrix.
 
-    The power iteration runs once per matrix object, on first use, and its
-    weights and report are kept on the matrix; every call returns those same
-    objects, which are read-only. An error is not kept: an order above 9 (no
-    random index) or a matrix that does not converge raises on every call.
+    Each call runs the power iteration (a config keeps its AHP section, see
+    `pipeline`). lambda_max is the Rayleigh-style mean of (A w)_i / w_i at the
+    converged eigenvector. CR is 0 for orders 1 and 2, which are always
+    consistent. An order above 9 (no random index) raises before the iteration.
     """
-    return m._eigen
+    a = m.to_array()
+    n = m.order
+    try:
+        ri = ri_lookup(n)
+        w = _principal_eigenvector(a)
+    except ValidationError as exc:
+        raise ValidationError(f"matrix {m.node!r}: {exc}") from exc
+    lambda_max = float(np.add.reduce(a.dot(w) / w)) / n  # the float np.mean gives
+
+    ci = (lambda_max - n) / (n - 1) if n >= 2 else 0.0
+    cr = 0.0 if n <= 2 else ci / ri
+    report = ConsistencyReport(
+        lambda_max=lambda_max, ci=ci, ri=ri, cr=cr, consistent=cr < CR_LIMIT
+    )
+    return WeightVector(dict(zip(m.labels, w.tolist()))), report
 
 
 def synthesize_global(

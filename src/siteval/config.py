@@ -118,9 +118,10 @@ class ProjectConfig:
     `scale.labels` is a run's one grade order; `membership` must list its grades in it.
 
     A config and its parts are values: every mapping they hold is read-only.
-    A config keeps what it derives on first use: its `config_hash` and the
-    stages that do not depend on alpha (see `pipeline`). `with_overrides` and
-    `dataclasses.replace` copies keep nothing of the original's runs.
+    A config keeps what it derives on first use: its `config_hash` and one
+    record of the stages that do not depend on alpha (see `pipeline`).
+    `with_overrides` and `dataclasses.replace` copies keep nothing of the
+    original's runs: a copy's first run derives its AHP weights again.
     """
 
     hierarchy: IndicatorHierarchy
@@ -134,9 +135,8 @@ class ProjectConfig:
     alpha: float = 0.5
     operator: str = WEIGHTED_AVERAGE
     weights_policy: str = POLICY_PAPER
-    # Filled by `pipeline` on first use: the membership layout, then the alpha-free weights.
-    _layout: Any = field(default=None, init=False, repr=False, compare=False)
-    _weights: Any = field(default=None, init=False, repr=False, compare=False)
+    # Filled by `pipeline` on first use: the record of the stages that ignore alpha.
+    _kept: Any = field(default=None, init=False, repr=False, compare=False)
     _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

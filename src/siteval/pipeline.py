@@ -1,8 +1,8 @@
 """The evaluation stages and the four entry points that chain them.
 
 `load_config` reads a project config (see `config`). One private pass runs
-every stage in order: the membership checks, optional survey screening
-(`screen_stage`), eigenvector weights with consistency checks (`ahp_stage`),
+every stage in order: optional survey screening (`screen_stage`), the
+membership checks, eigenvector weights with consistency checks (`ahp_stage`),
 entropy or adopted objective weights, then convex fusion and two-level fuzzy
 composition batched over a 1-D array of alphas. `run_pipeline` runs it at the
 config's alpha and adds the max-membership verdict; `sweep_alpha` runs it over
@@ -12,25 +12,24 @@ stage prefixes its errors with its name (`ahp: ...`). Runs are pure functions
 of their inputs, so identical configs produce identical reports, and a sweep
 row equals the report at the same alpha bit for bit.
 
-The stages that do not depend on alpha run on a config's first run only. The
-config keeps their results in two parts: the membership layout, built before
-screening (`_layout`: unpadded slots, criteria in size order), and the weights,
-built after it (`_weights`: the AHP section with inconsistency as warnings, the
-objective weights, checked for fusion, and under `paper` the first-level
-vectors). A later run does only screening, the `allow_inconsistent` check, the
-blends and composition. A build that raises keeps nothing, and the first run
-raises what the stage order gives: screening before AHP, an inconsistent matrix
-before a later matrix's, the entropy stage's or fusion's fault. A config keeps
-its `config_hash` too, and a report holds the kept AHP section itself: every
-mapping a config or a report holds is read-only.
+The stages that do not depend on alpha run on a config's first run only, after
+screening, and the config keeps their results in one record (`_kept`): the
+membership rows, checked and laid out in unpadded slots with the criteria in
+size order; the AHP section with inconsistency as warnings; the objective
+weights, checked for fusion; and under `paper` the first-level vectors. A later
+run does only screening, the `allow_inconsistent` check, the blends and
+composition. A build that raises keeps nothing, and the first run raises what
+the stage order gives: screening before a membership row's fault, that before
+AHP, and an inconsistent matrix before a later matrix's, the entropy stage's or
+fusion's fault. A config keeps its `config_hash` too, and a report holds the
+kept AHP section itself: every mapping a config or a report holds is read-only.
 """
 from __future__ import annotations
 
-import numbers
 from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .config import POLICY_FUSED_BOTH, ProjectConfig, read_json
 from .core import ValidationError, WeightVector, error_prefix, float_sum, gc_paused
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
-from .fusion import blend, check_pair
+from .fusion import alpha_floats, blend, check_pair
 from .fuzzy import WEIGHTED_AVERAGE, FuzzyVector, compose, verdict
 from .report import (
     AhpSection,
@@ -104,11 +103,12 @@ def ahp_stage(cfg: ProjectConfig, allow_inconsistent: bool) -> AhpSection:
     )
 
 
-class _Layout(NamedTuple):
-    """A config's membership rows, checked once and laid out slot by slot, unpadded.
+class _Kept(NamedTuple):
+    """A config's alpha-free state, built once by its first run after screening.
 
-    With the criteria in size order (most indicators first, ties in hierarchy order),
-    slot j holds the j-th indicator of each criterion that has one, in contiguous rows.
+    The membership rows are laid out slot by slot, unpadded: with the criteria in
+    size order (most indicators first, ties in hierarchy order), slot j holds the
+    j-th indicator of each criterion that has one, in contiguous rows.
     """
 
     warnings: tuple[ReportWarning, ...]  # rows whose sum strays from 1 within tolerance
@@ -118,11 +118,6 @@ class _Layout(NamedTuple):
     row_vector: np.ndarray  # (I,) the size-order index of the vector each row's term updates
     membership: np.ndarray  # (I, G, 1) in row order, read-only
     back: np.ndarray | slice  # size order to hierarchy order; slice(None) when they agree
-
-
-class _Weights(NamedTuple):
-    """A config's weights that do not depend on alpha, built once after screening."""
-
     ahp: AhpSection  # every inconsistent judgment matrix is one of its warnings
     criterion_objective: WeightVector
     indicator_objective: WeightVector
@@ -136,10 +131,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _layout(cfg: ProjectConfig) -> _Layout:
-    """The config's membership layout, built and kept on first use; a raise keeps nothing."""
-    if cfg._layout is not None:
-        return cfg._layout
+def _kept(cfg: ProjectConfig, allow_inconsistent: bool) -> _Kept:
+    """The config's alpha-free state, built and kept on first use; a raise keeps nothing.
+
+    The stages run in order: the membership row checks and layout, `ahp_stage`,
+    the objective weights and fusion's checks. The AHP section kept holds every
+    inconsistent matrix as a warning: a build that does not allow one raises at
+    the first, as `ahp_stage` does, and one that succeeds found none.
+    """
+    if cfg._kept is not None:
+        return cfg._kept
     warnings: list[ReportWarning] = []
     with error_prefix("config"):
         for ind, dev in cfg.membership.row_sum_deviations().items():
@@ -158,28 +159,12 @@ def _layout(cfg: ProjectConfig) -> _Layout:
         ids = [c.children for c in cfg.hierarchy.criteria]
         order = sorted(range(len(ids)), key=lambda c: -len(ids[c]))  # stable
         slots = [[ids[c][j] for c in order if j < len(ids[c])] for j in range(len(ids[order[0]]))]
-        indicators = tuple(i for slot in slots for i in slot)
+        rows = tuple(i for slot in slots for i in slot)
         sizes = tuple(map(len, slots))
         stops = list(accumulate(sizes))
-        membership = _read_only(cfg.membership.to_array(indicators)[..., None])
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    back = slice(None) if inverse == sorted(inverse) else np.array(inverse)
-    row_vector = _read_only(np.array([j for k in sizes for j in range(k)]))
-    layout = _Layout(tuple(warnings), indicators, tuple(map(slice, [0] + stops, stops)), sizes,
-                     row_vector, membership, back)
-    object.__setattr__(cfg, "_layout", layout)
-    return layout
+        membership = _read_only(cfg.membership.to_array(rows)[..., None])
+    back = slice(None) if order == sorted(order) else np.argsort(order)  # the inverse of order
 
-
-def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _Weights:
-    """The config's alpha-free weights, built and kept on first use; a raise keeps nothing.
-
-    The AHP section kept holds every inconsistent matrix as a warning: a build
-    that does not allow one raises at the first, as `ahp_stage` does, and one
-    that succeeds found none. Fusion's checks run here, once per config.
-    """
-    if cfg._weights is not None:
-        return cfg._weights
     ahp = ahp_stage(cfg, allow_inconsistent)
 
     with error_prefix("entropy"):
@@ -198,20 +183,22 @@ def _weights(cfg: ProjectConfig, layout: _Layout, allow_inconsistent: bool) -> _
     with error_prefix("fuse"):
         check_pair(ahp.criterion, criterion_objective)
         check_pair(ahp.indicator, indicator_objective)
-    rows, first = layout.indicators, None
+    first = None
     if cfg.weights_policy != POLICY_FUSED_BOTH:
         # The paper's level-one weights are the relative ones, which ignore alpha.
         relative = {i: w for v in ahp.relative.values() for i, w in v.weights.items()}
         w = np.array([relative[i] for i in rows])[:, None]
-        first = _read_only(compose(w, layout.membership, cfg.operator, layout.sizes)[layout.back])
-    weights = _Weights(
+        first = _read_only(compose(w, membership, cfg.operator, sizes)[back])
+    kept = _Kept(
+        tuple(warnings), rows, tuple(map(slice, [0] + stops, stops)), sizes,
+        _read_only(np.array([j for k in sizes for j in range(k)])), membership, back,
         ahp, criterion_objective, indicator_objective,
         _read_only(np.array([ahp.criterion.values(), criterion_objective.values()])),
         _read_only(np.array([ahp.indicator.values(rows), indicator_objective.values(rows)])),
         first,
     )
-    object.__setattr__(cfg, "_weights", weights)
-    return weights
+    object.__setattr__(cfg, "_kept", kept)
+    return kept
 
 
 class _Run(NamedTuple):
@@ -219,7 +206,7 @@ class _Run(NamedTuple):
 
     warnings: list[ReportWarning]
     screening: ScreeningSection | None
-    kept: _Weights  # the config's own record, read-only
+    kept: _Kept  # the config's own record, read-only
     criterion: np.ndarray  # (C, A) comprehensive criterion weights
     first: np.ndarray  # (C, G, A) first-level vectors; (C, G, 1) if they ignore alpha
     second: np.ndarray  # (G, A) second-level vectors
@@ -233,18 +220,16 @@ def _evaluate(
 ) -> _Run:
     """Every stage in order; fusion and both fuzzy levels batched over `alphas`.
 
-    The alpha-free stages run on the config's first run only (`_layout`, `_weights`).
+    The alpha-free stages run on the config's first run only (`_kept`).
     """
-    layout = _layout(cfg)
-    warnings = list(layout.warnings)
-
+    rejected: list[ReportWarning] = []
     screening = None
     if survey is not None:
         screening = screen_stage(cfg, survey)
         in_hierarchy = set(cfg.hierarchy.indicator_ids())
         for d in screening.result.rejected:
             if d.indicator in in_hierarchy:
-                warnings.append(
+                rejected.append(
                     ReportWarning(
                         "screening-rejected-in-hierarchy",
                         f"indicator {d.indicator!r} was rejected by screening "
@@ -252,11 +237,11 @@ def _evaluate(
                     )
                 )
 
-    kept = _weights(cfg, layout, allow_inconsistent)
+    kept = _kept(cfg, allow_inconsistent)
     if kept.ahp.warnings and not allow_inconsistent:  # kept by a run that allowed them
         with error_prefix("ahp"):
             raise ValidationError(kept.ahp.warnings[0].message)
-    warnings += kept.ahp.warnings
+    warnings = [*kept.warnings, *rejected, *kept.ahp.warnings]
 
     # Weights and vectors keep alpha last, so each step runs over the contiguous grid.
     criterion = blend(*kept.criterion, alphas)
@@ -264,13 +249,13 @@ def _evaluate(
     with error_prefix("fuzzy"):
         if first is None:  # only fused-both blends the indicator weights
             w = blend(*kept.indicator, alphas)
-            total = w[layout.slots[0]] + 0.0  # each adds left to right from 0.0, as float_sum
-            for rows, k in zip(layout.slots[1:], layout.sizes[1:]):
+            total = w[kept.slots[0]] + 0.0  # each adds left to right from 0.0, as float_sum
+            for rows, k in zip(kept.slots[1:], kept.sizes[1:]):
                 total[:k] += w[rows]
             if total.min() <= 0:  # a NaN total passes, as NaN <= 0 is false
                 raise ValidationError("degenerate weight vector: all entries zero")
-            w /= total.take(layout.row_vector, axis=0)
-            first = compose(w, layout.membership, cfg.operator, layout.sizes)[layout.back]
+            w /= total.take(kept.row_vector, axis=0)
+            first = compose(w, kept.membership, cfg.operator, kept.sizes)[kept.back]
         second = compose(criterion, first, cfg.operator)
 
     return _Run(warnings, screening, kept, criterion, first, second)
@@ -288,7 +273,7 @@ def run_pipeline(
     run = _evaluate(cfg, survey, allow_inconsistent, np.array([cfg.alpha], dtype=np.float64))
     ahp = run.kept.ahp
     blended = blend(*run.kept.indicator, np.array([cfg.alpha]))[:, 0].tolist()
-    indicator = dict(zip(_layout(cfg).indicators, blended))  # in row order
+    indicator = dict(zip(run.kept.indicators, blended))  # in row order
     grades = cfg.scale.labels
     with error_prefix("fuzzy"):
         first = {
@@ -328,36 +313,6 @@ def run_pipeline(
     )
 
 
-def _grid_floats(grid: Iterable[object]) -> tuple[np.ndarray, Sequence[object]]:
-    """The grid as a float64 array in input order, and the values it was read from.
-
-    The first value that is a str, None, a bool or anything else that is not a
-    real number raises.
-    """
-    values = grid if isinstance(grid, (list, tuple, np.ndarray)) else list(grid)
-    try:
-        inferred = np.array(values)
-        numeric = inferred.ndim == 1 and inferred.dtype.kind in "fiu"
-    except ValueError:  # ragged, so some value is a sequence
-        numeric = False
-    # A bool beside numbers also infers a numeric dtype, as 0 or 1, so then
-    # only the values equal to 0 or 1 need their type checked.
-    suspects = (
-        [values[k] for k in np.flatnonzero((inferred == 0) | (inferred == 1)).tolist()]
-        if numeric else values
-    )
-    for v in suspects:
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-            raise ValidationError(f"sweep grid value is not a number: {v!r}")
-    if numeric:
-        return inferred.astype(np.float64, copy=False), values
-    try:
-        return np.array(values, dtype=np.float64), values
-    except OverflowError:  # an int too large for a float lies out of range
-        bad = next(v for v in sorted(values) if not 0.0 <= v <= 1.0)  # type: ignore
-        raise ValidationError(f"sweep grid value out of [0, 1]: {bad}") from None
-
-
 def sweep_alpha(
     cfg: ProjectConfig, grid: Iterable[float], allow_inconsistent: bool = False
 ) -> AlphaSweep:
@@ -373,7 +328,7 @@ def sweep_alpha(
     array. An empty grid, a value that is a str, None or bool, and a value
     outside [0, 1] each raise a ValidationError.
     """
-    unsorted, values = _grid_floats(grid)
+    unsorted, values = alpha_floats(grid, "sweep grid value")
     if not unsorted.size:
         raise ValidationError("sweep grid is empty")
     # Stable, like `sorted`: equal values (0.0 and -0.0) keep their order; NaN sorts last.

@@ -253,12 +253,13 @@ def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
 def json_text(obj: object) -> str:
     """`obj` as `json.dumps` writes it with indent 2, without the stdlib's pure-Python encoder.
 
-    Lays out an exact `dict` (str keys), `list` or `tuple`. A flat one, whose
-    values are all exact str, int, float, bool or None or empty exact
-    containers, is written by one call to the stdlib's C encoder, which writes
-    them as `json.dumps` does. Any other container writes its str, finite
-    float, bool, None, exact int and empty-container leaves itself; only NaN,
-    inf and other types, such as a dict subclass, reach `json.dumps`.
+    Lays out an exact `dict`, `list` or `tuple`. A flat one, whose values are
+    all exact str, int, float, bool or None or empty exact containers, is
+    written by one call to the stdlib's C encoder, which writes them as
+    `json.dumps` does. Any other container writes its str, finite float, bool,
+    None, exact int and empty-container leaves itself; only NaN, inf, other
+    types, such as a dict subclass, and a dict with a key that is not a str
+    reach `json.dumps`.
     """
     cls = type(obj)
     if (cls is dict or cls is list or cls is tuple) and obj:
@@ -308,7 +309,11 @@ def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
     inner = newline + "  "
     comma = "," + inner
     if type(obj) is dict:
-        heads = [comma + encode_basestring_ascii(key) + ": " for key in obj]
+        try:
+            heads = [comma + encode_basestring_ascii(key) + ": " for key in obj]
+        except TypeError:  # a key that is not a str: json.dumps converts it or raises
+            out.append(json.dumps(obj, indent=2).replace("\n", newline))
+            return
         heads[0] = "{" + heads[0][1:]
         close = newline + "}"
     else:

@@ -352,42 +352,8 @@ class TestDeriveWeights:
         assert str(info.value) == "matrix 'big': RI undefined for order > 9"
 
 
-def _count_iterations(monkeypatch) -> list[int]:
-    """Wrap `ahp._principal_eigenvector` so each call appends to the returned list."""
-    calls: list[int] = []
-    inner = ahp._principal_eigenvector
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return inner(a)
-
-    monkeypatch.setattr(ahp, "_principal_eigenvector", counted)
-    return calls
-
-
 class TestKeptEigenvector:
-    def test_iteration_runs_once_per_matrix_object(self, monkeypatch):
-        calls = _count_iterations(monkeypatch)
-        m = goal_matrix()
-        first = derive_weights(m)
-        second = derive_weights(m)
-        assert calls == [4]
-        assert first[0].as_dict() == second[0].as_dict()
-        assert first[1] == second[1]
-        derive_weights(goal_matrix())
-        assert calls == [4, 4]
-
-    def test_each_call_returns_the_kept_read_only_weights(self):
-        m = goal_matrix()
-        weights, report = derive_weights(m)
-        expected = weights.as_dict()
-        with pytest.raises(AttributeError):
-            weights.weights.clear()
-        with pytest.raises(TypeError):
-            weights.weights["B1"] = 0.0
-        again, again_report = derive_weights(m)
-        assert again is weights and again_report is report
-        assert again.as_dict() == expected
+    """A matrix keeps nothing of a call, so an error raises again on every call."""
 
     def test_order_above_nine_raises_on_every_call(self):
         labels = [f"x{i}" for i in range(10)]

@@ -77,6 +77,18 @@ class TestFuse:
             with pytest.raises(ValidationError, match=rf"alpha must be in \[0, 1\], got {bad}$"):
                 fuse(subj, obj, alphas)
 
+    @pytest.mark.parametrize(
+        "alphas, shown",
+        [([True], "True"), ([0.5, False], "False"), ([b"1"], "b'1'"), (["0.5"], "'0.5'"),
+         ([None], "None"), (np.array([True]), repr(np.True_))],
+    )
+    def test_alpha_not_a_number(self, alphas, shown):
+        subj = WeightVector({"a": 0.6, "b": 0.4})
+        obj = WeightVector({"a": 0.2, "b": 0.8})
+        with pytest.raises(ValidationError) as err:
+            fuse(subj, obj, alphas)
+        assert str(err.value) == f"alpha is not a number: {shown}"
+
 
 @st.composite
 def weight_pairs(draw):

@@ -743,6 +743,36 @@ class TestKeptStages:
                 sweep_alpha(cfg, self.GRID, allow_inconsistent=allow)
             assert str(err.value) == expected[allow]
 
+    def test_warnings_list_membership_then_screening_then_ahp(
+        self, campus_config_dict, fixture_dir
+    ):
+        data = copy.deepcopy(campus_config_dict)
+        data["judgment_matrices"]["goal"] = INCONSISTENT_GOAL
+        cfg = ProjectConfig.from_dict(data)
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", cfg.classes)
+        expected = [
+            "membership-row-sum",
+            "screening-rejected-in-hierarchy",
+            "screening-rejected-in-hierarchy",
+            "inconsistent-judgment-matrix",
+        ]
+        for _ in range(2):  # the first run builds the kept record, the second reads it
+            report = run_pipeline(cfg, survey, allow_inconsistent=True)
+            codes = [w.code for w in report.warnings if w.code != "fuzzy-vector-sum"]
+            assert codes == expected
+
+    def test_screening_fault_comes_before_membership_fault(self, campus_config_dict, fixture_dir):
+        data = _with_unknown_override(campus_config_dict)
+        data["membership"]["C1"]["Good"] -= 0.2  # the row's largest cell; it sums to 0.75
+        cfg = ProjectConfig.from_dict(data)
+        survey = ingest_survey(fixture_dir / "survey_round2.csv", cfg.classes)
+        screen_error = "screen: unknown override ids: ['ZZ']"
+        membership_error = "config: membership row 'C1' sums to 0.7500; deviation exceeds 0.05"
+        for with_survey, message in [(True, screen_error), (False, membership_error)] * 2:
+            with pytest.raises(ValidationError) as err:
+                run_pipeline(cfg, survey if with_survey else None)
+            assert str(err.value) == message
+
 
 # Every mapping a config, an AHP section or a report holds: (owner, path, its mappings).
 READ_ONLY_MAPPINGS = [
@@ -860,17 +890,24 @@ class TestSweepAlpha:
         assert rows[1].second_level.as_dict() == mid.second_level.as_dict()
 
     def test_power_iteration_runs_once_per_loaded_matrix(self, monkeypatch, campus_config_dict):
+        """Each config object iterates its five matrices once, and so does each copy of it."""
         calls = []
         inner = ahp._principal_eigenvector
         monkeypatch.setattr(ahp, "_principal_eigenvector", lambda a: calls.append(1) or inner(a))
         base = ProjectConfig.from_dict(campus_config_dict)
         grid = [0.0, 0.5, 1.0]
-        plain = sweep_alpha(base.with_overrides(operator="weighted-average"), grid)
-        sweep_alpha(base.with_overrides(operator="min-max", weights_policy="fused-both"), grid)
-        assert len(calls) == 5
+        copies = [
+            base.with_overrides(operator="weighted-average"),
+            base.with_overrides(operator="min-max", weights_policy="fused-both"),
+        ]
+        for k, cfg in enumerate([base, *copies], 1):
+            for _ in range(2):
+                sweep_alpha(cfg, grid)
+            run_pipeline(cfg)
+            assert len(calls) == 5 * k
         again = sweep_alpha(ProjectConfig.from_dict(campus_config_dict), grid)
-        assert len(calls) == 10
-        assert sweep_to_json_dict(again) == sweep_to_json_dict(plain)
+        assert len(calls) == 20
+        assert sweep_to_json_dict(again) == sweep_to_json_dict(sweep_alpha(copies[0], grid))
 
     def test_duplicate_grid_values_repeat_rows(self, campus_config):
         sweep = sweep_alpha(campus_config, [0.5, 0.5])

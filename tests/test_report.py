@@ -71,6 +71,9 @@ def nested_list(depth: int) -> list:
 @example({"a": OrderedDict(), "b": [OrderedDict([("k", [])])]})
 @example(OrderedDict([("a", [1.0])]))
 @example(nested_list(len(_FLAT) + 2))  # a flat list deeper than any cached encoder
+@example({1: [[1]]})  # keys that json.dumps converts to str, in a dict the walker lays out
+@example({None: {"a": [1]}, True: [2]})
+@example({"a": {2.5: [{}], "b": [1]}})
 def test_matches_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
