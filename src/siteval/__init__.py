@@ -35,9 +35,9 @@ from .delphi import (
     screen,
     weighted_full_mark_rate,
 )
-from .entropy import DecisionMatrix, column_shares, entropy_weights, information_entropy
+from .entropy import DecisionMatrix, entropy_weights, information_entropy
 from .fusion import fuse
-from .fuzzy import FuzzyVector, Verdict, first_level, second_level, verdict
+from .fuzzy import FuzzyVector, Verdict, verdict
 from .ingest import ingest_survey, read_decision_matrix
 from .pipeline import emit_report, load_config, run_pipeline, sweep_alpha
 from .report import TOOL_VERSION as __version__
@@ -67,11 +67,9 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "WeightVector",
-    "column_shares",
     "derive_weights",
     "emit_report",
     "entropy_weights",
-    "first_level",
     "fuse",
     "information_entropy",
     "ingest_survey",
@@ -82,7 +80,6 @@ __all__ = [
     "round_statistics",
     "run_pipeline",
     "screen",
-    "second_level",
     "sweep_alpha",
     "synthesize_global",
     "validate_hierarchy",

@@ -65,10 +65,11 @@ class gc_paused:
 def parse_float(value: object, where: str, *args: object) -> float:
     """`value` as a float, or a ValidationError at `where.format(*args)`.
 
-    A bool is not a number here, though Python counts it as an int. The
-    location is formatted only on failure, so parsing stays cheap.
+    A bool, Python's or numpy's, is not a number here, though Python counts
+    it as an int. The location is formatted only on failure, so parsing stays
+    cheap.
     """
-    if not isinstance(value, bool):
+    if not isinstance(value, (bool, np.bool_)):
         try:
             return float(value)  # type: ignore[arg-type]
         except (TypeError, ValueError):

@@ -161,11 +161,6 @@ def _column_sums(m: DecisionMatrix) -> np.ndarray:
     return sums
 
 
-def column_shares(m: DecisionMatrix) -> np.ndarray:
-    """Per-column shares p_ij = x_ij / column sum. Columns sum to 1."""
-    return m.values / _column_sums(m)
-
-
 def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float | np.ndarray:
     """Normalized Shannon entropy of shares along the last axis, in [0, 1].
 

@@ -9,11 +9,12 @@ selected with the operator token "min-max". Result vectors are reported raw,
 without re-normalization, so an input whose membership rows do not sum to 1
 stays visible in the output.
 
-Both operators run on a batch of weight vectors at once (`compose`), and the
-verdict is read off a batch of result vectors at once (`verdicts`), so the
-alpha sweep evaluates its whole grid in one pass; a single evaluation is a
-batch of one. `compose` keeps the batch (alpha) axis last, so each
-elementwise step runs over the whole contiguous grid.
+Both levels run on a batch of weight vectors at once (`first_level`,
+`second_level`, over one composition kernel), and the verdict is read off a
+batch of result vectors at once (`verdicts`), so the alpha sweep evaluates its
+whole grid in one pass; a single evaluation is a batch of one. The batch
+(alpha) axis is last, so each elementwise step runs over the whole contiguous
+grid.
 """
 from __future__ import annotations
 
@@ -23,18 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    SUM_TOL,
-    GradeScale,
-    IndicatorHierarchy,
-    MembershipMatrix,
-    ValidationError,
-    WeightVector,
-    check_same_ids,
-    check_str_ids,
-    float_sum,
-    parse_float,
-)
+from .core import SUM_TOL, GradeScale, ValidationError, check_str_ids, float_sum, parse_float
 
 WEIGHTED_AVERAGE = "weighted-average"
 MIN_MAX = "min-max"
@@ -93,17 +83,16 @@ class Verdict:
     tied: bool
 
 
-def compose(
-    weights: np.ndarray, rows: np.ndarray, operator: str, sizes: Sequence[int] | None = None
+def _compose(
+    weights: np.ndarray, rows: np.ndarray, operator: str, sizes: Sequence[int]
 ) -> np.ndarray:
     """Compose weights (I, A) with rows (I, G, A or 1), term by term, into vectors (k, G, A).
 
     Term j takes the next sizes[j] weights and rows and updates the first sizes[j]
-    vectors, so sizes never grows and k = sizes[0] (`pipeline`'s slot layout). With
-    no `sizes` each term holds one row and the result is one (G, A) block. The last
-    axis is the batch: column k composes weights[:, k] with rows[:, :, k], or with
-    shared rows whose batch axis is 1. Each vector's terms run in index order, so
-    every entry is the scalar left-to-right sum (or max of mins), to the bit.
+    vectors, so sizes never grows and k = sizes[0]. The last axis is the batch:
+    column k composes weights[:, k] with rows[:, :, k], or with shared rows whose
+    batch axis is 1. Each vector's terms run in index order, so every entry is the
+    scalar left-to-right sum (or max of mins), to the bit.
 
     Max-min relies on numpy's tie rule: `np.minimum(a, b)` and `np.maximum(a, b)`
     return `b` when the operands compare equal. So `np.minimum(r, w)` keeps `w` on a
@@ -113,8 +102,6 @@ def compose(
     `test_batch_rows_equal_scalar_reference` and
     `test_signed_zero_ties_match_scalar_reference`.
     """
-    one_row = sizes is None
-    sizes = (1,) * len(weights) if one_row else sizes
     if not sizes:
         raise ValidationError("nothing to compose: no weights")
     if operator not in OPERATORS:
@@ -133,55 +120,24 @@ def compose(
         term, part = low[:k], acc[:k]
         pair(rows[start:stop], w[start:stop], out=term)
         merge(term, part, out=part)
-    return acc[0] if one_row else acc
+    return acc
 
 
 def first_level(
-    h: IndicatorHierarchy,
-    within_criterion_weights: Mapping[str, WeightVector],
-    r: MembershipMatrix,
-    operator: str = WEIGHTED_AVERAGE,
-) -> dict[str, FuzzyVector]:
-    """Per-criterion fuzzy vectors from indicator weights and membership rows."""
-    missing = [c.id for c in h.criteria if c.id not in within_criterion_weights]
-    if missing:
-        raise ValidationError(f"missing within-criterion weights for: {missing}")
+    weights: np.ndarray, rows: np.ndarray, operator: str, sizes: Sequence[int]
+) -> np.ndarray:
+    """First-level vectors (sizes[0], G, A) of the criteria in size order.
 
-    grades = r.grades
-    out: dict[str, FuzzyVector] = {}
-    for crit in h.criteria:
-        weights = within_criterion_weights[crit.id]
-        check_same_ids(
-            weights.ids, crit.children,
-            "weights for criterion {!r} do not match its indicators", crit.id,
-        )
-        w = np.array([weights.values(crit.children)])
-        values = compose(w.T, r.to_array(crit.children)[..., None], operator)[:, 0]
-        out[crit.id] = FuzzyVector(dict(zip(grades, values.tolist())))
-    return out
+    Weights (I, A) and membership rows (I, G, A or 1) are in `pipeline`'s slot
+    layout: term j holds the sizes[j] rows of slot j (see `_compose`).
+    """
+    return _compose(weights, rows, operator, sizes)
 
 
-def second_level(
-    criterion_weights: WeightVector,
-    first: Mapping[str, FuzzyVector],
-    operator: str = WEIGHTED_AVERAGE,
-) -> FuzzyVector:
-    """Goal-level fuzzy vector from criterion weights and level-one vectors."""
-    check_same_ids(
-        criterion_weights.ids, first, "criterion weights do not match first-level vectors"
-    )
-
-    crit_ids = list(criterion_weights.ids)
-    grades = first[crit_ids[0]].grades
-    for cid in crit_ids:
-        if first[cid].grades != grades:
-            raise ValidationError(
-                f"first-level vector for {cid!r} uses a different grade order"
-            )
-    w = np.array([criterion_weights.values(crit_ids)])
-    rows = np.array([[first[cid][g] for g in grades] for cid in crit_ids])
-    values = compose(w.T, rows[..., None], operator)[:, 0]
-    return FuzzyVector(dict(zip(grades, values.tolist())))
+def second_level(weights: np.ndarray, vectors: np.ndarray, operator: str) -> np.ndarray:
+    """Second-level vectors (G, A) from criterion weights (C, A) and first-level
+    vectors (C, G, A or 1), one term per criterion."""
+    return _compose(weights, vectors, operator, (1,) * len(weights))[0]
 
 
 def check_vectors(vectors: np.ndarray, grades: Sequence[str]) -> None:

@@ -39,7 +39,7 @@ from .core import ValidationError, WeightVector, error_prefix, float_sum, gc_pau
 from .delphi import SurveyRound, round_statistics, screen
 from .entropy import entropy_weights
 from .fusion import alpha_floats, blend, check_pair
-from .fuzzy import WEIGHTED_AVERAGE, FuzzyVector, compose, verdict
+from .fuzzy import WEIGHTED_AVERAGE, FuzzyVector, first_level, second_level, verdict
 from .report import (
     AhpSection,
     AlphaSweep,
@@ -188,7 +188,7 @@ def _kept(cfg: ProjectConfig, allow_inconsistent: bool) -> _Kept:
         # The paper's level-one weights are the relative ones, which ignore alpha.
         relative = {i: w for v in ahp.relative.values() for i, w in v.weights.items()}
         w = np.array([relative[i] for i in rows])[:, None]
-        first = _read_only(compose(w, membership, cfg.operator, sizes)[back])
+        first = _read_only(first_level(w, membership, cfg.operator, sizes)[back])
     kept = _Kept(
         tuple(warnings), rows, tuple(map(slice, [0] + stops, stops)), sizes,
         _read_only(np.array([j for k in sizes for j in range(k)])), membership, back,
@@ -255,8 +255,8 @@ def _evaluate(
             if total.min() <= 0:  # a NaN total passes, as NaN <= 0 is false
                 raise ValidationError("degenerate weight vector: all entries zero")
             w /= total.take(kept.row_vector, axis=0)
-            first = compose(w, kept.membership, cfg.operator, kept.sizes)[kept.back]
-        second = compose(criterion, first, cfg.operator)
+            first = first_level(w, kept.membership, cfg.operator, kept.sizes)[kept.back]
+        second = second_level(criterion, first, cfg.operator)
 
     return _Run(warnings, screening, kept, criterion, first, second)
 
@@ -337,8 +337,8 @@ def sweep_alpha(
         first_bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))[0]
         value = values[np.argsort(unsorted, kind="stable")[first_bad]]
         raise ValidationError(f"sweep grid value out of [0, 1]: {value}")
-    second_level = _evaluate(cfg, None, allow_inconsistent, alphas).second.T
-    return AlphaSweep(alphas, second_level, cfg.scale)
+    second = _evaluate(cfg, None, allow_inconsistent, alphas).second.T
+    return AlphaSweep(alphas, second, cfg.scale)
 
 
 def emit_report(report: EvaluationReport, format: str) -> str:

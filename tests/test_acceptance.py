@@ -24,12 +24,12 @@ from siteval import (
     fuse,
     run_pipeline,
     screen,
-    second_level,
     sweep_alpha,
     synthesize_global,
     verdict,
 )
 from siteval.entropy import DecisionMatrix, entropy_weights
+from siteval.fuzzy import WEIGHTED_AVERAGE, second_level
 from siteval.report import sweep_to_json_dict
 
 
@@ -249,15 +249,19 @@ def test_criterion_5_first_level_vectors(campus_config):
 
 def test_criterion_6_second_level_and_verdict(campus_config):
     with criterion(6, "second-level vector at tolerance and verdict Good"):
-        # Published first-level matrix, including the complement-filled B1 row.
-        published_first = {
-            "B1": FuzzyVector({"Excellent": 0.1563, "Good": 0.5157, "Poor": 0.328}),
-            "B2": FuzzyVector({"Excellent": 0.1723, "Good": 0.3384, "Poor": 0.4893}),
-            "B3": FuzzyVector({"Excellent": 0.125, "Good": 0.55, "Poor": 0.325}),
-            "B4": FuzzyVector({"Excellent": 0.3326, "Good": 0.5866, "Poor": 0.0808}),
-        }
-        weights = WeightVector({"B1": 0.348, "B2": 0.405, "B3": 0.082, "B4": 0.166})
-        out = second_level(weights, published_first)
+        # Published first-level matrix of B1..B4, grades Excellent, Good, Poor,
+        # including the complement-filled B1 row.
+        published_first = np.array(
+            [
+                [0.1563, 0.5157, 0.328],
+                [0.1723, 0.3384, 0.4893],
+                [0.125, 0.55, 0.325],
+                [0.3326, 0.5866, 0.0808],
+            ]
+        )
+        weights = np.array([0.348, 0.405, 0.082, 0.166])
+        composed = second_level(weights[:, None], published_first[..., None], WEIGHTED_AVERAGE)
+        out = FuzzyVector(dict(zip(("Excellent", "Good", "Poor"), composed[:, 0].tolist())))
         assert out["Excellent"] == pytest.approx(0.1896, abs=0.002)
         assert out["Good"] == pytest.approx(0.458, abs=0.002)
         assert out["Good"] == pytest.approx(0.459, abs=0.002)

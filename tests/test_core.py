@@ -17,7 +17,7 @@ from siteval import (
     WeightVector,
     validate_hierarchy,
 )
-from siteval.core import error_prefix, float_sum
+from siteval.core import error_prefix, float_sum, parse_float
 from siteval.fuzzy import FuzzyVector
 
 
@@ -264,6 +264,24 @@ class TestFloatConversion:
             build(None)
         with pytest.raises(ValidationError, match=message + "not a number: True"):
             build(True)
+
+    @pytest.mark.parametrize("flag", [np.True_, np.False_])
+    @pytest.mark.parametrize(
+        "build, where",
+        [
+            (lambda v, cfg: parse_float(v, "cell {}", "A1"), "cell A1"),
+            (lambda v, cfg: WeightVector({"a": v}), "weight for 'a'"),
+            (lambda v, cfg: MembershipMatrix({"C1": {"Good": v}}), "membership row 'C1', grade 'Good'"),
+            (lambda v, cfg: FuzzyVector({"Good": v}), "membership for grade 'Good'"),
+            (lambda v, cfg: cfg.with_overrides(alpha=v), "alpha"),
+        ],
+        ids=["parse_float", "WeightVector", "MembershipMatrix", "FuzzyVector", "with_overrides"],
+    )
+    def test_numpy_bool_is_not_a_number(self, build, where, flag, campus_config):
+        # float(np.True_) is 1.0, so a numpy bool would otherwise read as a number.
+        with pytest.raises(ValidationError) as exc:
+            build(flag, campus_config)
+        assert str(exc.value) == f"{where}: not a number: {flag!r}"
 
 
 class TestErrorPrefix:

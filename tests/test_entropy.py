@@ -12,7 +12,6 @@ from siteval import (
     DecisionMatrix,
     ValidationError,
     WeightVector,
-    column_shares,
     entropy_weights,
     information_entropy,
 )
@@ -34,32 +33,18 @@ def _matrix(columns: dict[str, list[float]]) -> DecisionMatrix:
 
 
 class TestColumnShares:
-    def test_direct_ratio(self):
-        p = column_shares(_matrix({"X": [2, 1, 1]}))
-        assert p[:, 0] == pytest.approx([0.5, 0.25, 0.25], abs=1e-15)
-
-    def test_uniform_column(self):
-        p = column_shares(_matrix({"X": [3.7, 3.7, 3.7]}))
-        assert p[:, 0] == pytest.approx([1 / 3] * 3, abs=1e-15)
-
-    def test_single_mass_column(self):
-        p = column_shares(_matrix({"X": [0, 1, 0]}))
-        assert p[:, 0] == pytest.approx([0.0, 1.0, 0.0], abs=0)
+    """`entropy_weights` divides each column by its sum, so it names the first
+    column whose sum is zero or too large for a float."""
 
     def test_zero_column_named(self):
         with pytest.raises(ValidationError, match="degenerate indicator column 'X2'"):
-            column_shares(_matrix({"X1": [1, 1], "X2": [0, 0]}))
+            entropy_weights(_matrix({"X1": [1, 2], "X2": [0, 0]}))
 
     def test_overflowing_column_sum_named_without_numpy_warning(self):
         # pytest turns any warning into an error, so a numpy overflow warning fails here.
         message = "^indicator column 'X1': sum too large for a float$"
         with pytest.raises(ValidationError, match=message):
-            column_shares(_matrix({"X1": [1e308, 1e308], "X2": [1, 2]}))
-
-    def test_columns_sum_to_one(self):
-        m = _matrix({"X1": [1, 2, 3], "X2": [5, 0.5, 1]})
-        p = column_shares(m)
-        assert p.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+            entropy_weights(_matrix({"X1": [1e308, 1e308], "X2": [1, 2]}))
 
 
 class TestInformationEntropy:
@@ -224,7 +209,7 @@ class TestEntropyProperties:
     @settings(max_examples=50, deadline=None)
     def test_entropy_bounds(self, cols):
         m = _matrix({f"X{i}": c for i, c in enumerate(cols)})
-        p = column_shares(m)
+        p = m.values / m.values.sum(axis=0)
         n = len(m.alternatives)
         for j, ind in enumerate(m.indicators):
             e = information_entropy(p[:, j], n)
@@ -374,7 +359,6 @@ class TestBlockedEntropyWeights:
     def test_size_zero_matrix(self):
         m = DecisionMatrix(("S1", "S2"), (), ((), ()))
         assert m.values.shape == (2, 0)
-        assert column_shares(m).shape == (2, 0)
         with pytest.raises(ValidationError, match="^no information content"):
             entropy_weights(m)
 

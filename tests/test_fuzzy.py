@@ -5,19 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siteval import (
-    Criterion,
-    FuzzyVector,
-    GradeScale,
-    Indicator,
-    IndicatorHierarchy,
-    MembershipMatrix,
-    ValidationError,
-    WeightVector,
-    first_level,
-    second_level,
-    verdict,
-)
+from siteval import FuzzyVector, GradeScale, ValidationError, verdict
 from siteval.core import float_sum
 from siteval.fuzzy import (
     MEMBERSHIP_LO,
@@ -25,34 +13,32 @@ from siteval.fuzzy import (
     TIE_TOL,
     WEIGHTED_AVERAGE,
     Verdict,
-    compose,
+    first_level,
+    second_level,
     verdicts,
 )
 
 SCALE = GradeScale(("Excellent", "Good", "Poor"))
 
 
-def _single_criterion(children, rows, weights):
-    h = IndicatorHierarchy(
-        goal_name="g",
-        criteria=(Criterion("B", "B", tuple(Indicator(c, c) for c in children)),),
-    )
-    r = MembershipMatrix(
-        {c: dict(zip(SCALE.labels, row)) for c, row in zip(children, rows)}
-    )
-    w = {"B": WeightVector(dict(zip(children, weights)))}
-    return h, w, r
+def _first(weights, rows, operator=WEIGHTED_AVERAGE):
+    """One criterion's first-level vector (G,): weights (n,) with membership rows (n, G)."""
+    w = np.array(weights, dtype=np.float64)[:, None]
+    out = first_level(w, np.array(rows, dtype=np.float64)[..., None], operator, (1,) * len(w))
+    assert out.shape == (1, len(rows[0]), 1)
+    return out[0, :, 0]
+
+
+def _second(weights, vectors, operator=WEIGHTED_AVERAGE):
+    """The second-level vector (G,): criterion weights (C,) with first-level vectors (C, G)."""
+    w = np.array(weights, dtype=np.float64)[:, None]
+    return second_level(w, np.array(vectors, dtype=np.float64)[..., None], operator)[:, 0]
 
 
 class TestFirstLevel:
     def test_two_indicator_exact(self):
-        h, w, r = _single_criterion(
-            ["C10", "C11"], [(0.2, 0.4, 0.4), (0.1, 0.6, 0.3)], (0.25, 0.75)
-        )
-        out = first_level(h, w, r)["B"]
-        assert out["Excellent"] == pytest.approx(0.125, abs=1e-12)
-        assert out["Good"] == pytest.approx(0.55, abs=1e-12)
-        assert out["Poor"] == pytest.approx(0.325, abs=1e-12)
+        out = _first((0.25, 0.75), [(0.2, 0.4, 0.4), (0.1, 0.6, 0.3)])
+        assert out.tolist() == pytest.approx([0.125, 0.55, 0.325], abs=1e-12)
 
     def test_six_indicator_branch(self):
         rows = [
@@ -63,77 +49,38 @@ class TestFirstLevel:
             (0.4, 0.4, 0.2),
             (0.0, 0.2, 0.8),
         ]
-        weights = (0.065, 0.107, 0.227, 0.147, 0.227, 0.227)
-        h, w, r = _single_criterion([f"C{i}" for i in range(4, 10)], rows, weights)
-        out = first_level(h, w, r)["B"]
-        assert out["Excellent"] == pytest.approx(0.1723, abs=0.002)
-        assert out["Good"] == pytest.approx(0.3384, abs=0.002)
-        assert out["Poor"] == pytest.approx(0.4893, abs=0.002)
+        out = _first((0.065, 0.107, 0.227, 0.147, 0.227, 0.227), rows)
+        assert out.tolist() == pytest.approx([0.1723, 0.3384, 0.4893], abs=0.002)
 
     def test_single_indicator_identity(self):
-        h, w, r = _single_criterion(["C1"], [(0.2, 0.5, 0.3)], (1.0,))
-        out = first_level(h, w, r)["B"]
-        assert out.as_dict() == pytest.approx(
-            {"Excellent": 0.2, "Good": 0.5, "Poor": 0.3}, abs=1e-15
-        )
-
-    def test_missing_membership_row_names_indicator(self):
-        h = IndicatorHierarchy(
-            goal_name="g",
-            criteria=(Criterion("B", "B", (Indicator("C1", "C1"), Indicator("C2", "C2"))),),
-        )
-        r = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}})
-        w = {"B": WeightVector({"C1": 0.5, "C2": 0.5})}
-        with pytest.raises(ValidationError, match="C2"):
-            first_level(h, w, r)
-
-    def test_weight_coverage_mismatch(self):
-        h, w, r = _single_criterion(["C1", "C2"], [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)], (0.5, 0.5))
-        bad = {"B": WeightVector({"C1": 1.0})}
-        with pytest.raises(ValidationError, match="C2"):
-            first_level(h, bad, r)
+        assert _first((1.0,), [(0.2, 0.5, 0.3)]).tolist() == [0.2, 0.5, 0.3]
 
     def test_min_max_operator(self):
-        h, w, r = _single_criterion(
-            ["C10", "C11"], [(0.2, 0.4, 0.4), (0.1, 0.6, 0.3)], (0.25, 0.75)
-        )
-        out = first_level(h, w, r, operator=MIN_MAX)["B"]
-        assert out["Excellent"] == pytest.approx(0.2, abs=1e-12)
-        assert out["Good"] == pytest.approx(0.6, abs=1e-12)
-        assert out["Poor"] == pytest.approx(0.3, abs=1e-12)
+        out = _first((0.25, 0.75), [(0.2, 0.4, 0.4), (0.1, 0.6, 0.3)], MIN_MAX)
+        assert out.tolist() == pytest.approx([0.2, 0.6, 0.3], abs=1e-12)
 
 
-FIRST = {
-    "B1": FuzzyVector({"Excellent": 0.1563, "Good": 0.5157, "Poor": 0.328}),
-    "B2": FuzzyVector({"Excellent": 0.1723, "Good": 0.3384, "Poor": 0.4893}),
-    "B3": FuzzyVector({"Excellent": 0.125, "Good": 0.55, "Poor": 0.325}),
-    "B4": FuzzyVector({"Excellent": 0.3326, "Good": 0.5866, "Poor": 0.0808}),
-}
+# The paper's published first-level vectors of B1..B4, grades in SCALE order.
+FIRST = [
+    (0.1563, 0.5157, 0.328),
+    (0.1723, 0.3384, 0.4893),
+    (0.125, 0.55, 0.325),
+    (0.3326, 0.5866, 0.0808),
+]
 
 
 class TestSecondLevel:
     def test_four_branch_composition(self):
-        w = WeightVector({"B1": 0.348, "B2": 0.405, "B3": 0.082, "B4": 0.166})
-        out = second_level(w, FIRST)
-        assert out["Excellent"] == pytest.approx(0.1896, abs=0.002)
-        assert out["Good"] == pytest.approx(0.459, abs=0.002)
-        assert out["Poor"] == pytest.approx(0.3524, abs=0.002)
+        out = _second((0.348, 0.405, 0.082, 0.166), FIRST)
+        assert out.tolist() == pytest.approx([0.1896, 0.459, 0.3524], abs=0.002)
 
     def test_uniform_weights_over_identical_rows(self):
-        row = FuzzyVector({"Excellent": 0.2, "Good": 0.5, "Poor": 0.3})
-        w = WeightVector({"B1": 0.25, "B2": 0.25, "B3": 0.25, "B4": 0.25})
-        out = second_level(w, {k: row for k in w.ids})
-        assert out.as_dict() == pytest.approx(row.as_dict(), abs=1e-15)
+        row = (0.2, 0.5, 0.3)
+        out = _second((0.25,) * 4, [row] * 4)
+        assert out.tolist() == pytest.approx(list(row), abs=1e-15)
 
     def test_degenerate_weight_projects_single_row(self):
-        w = WeightVector({"B1": 1.0, "B2": 0.0, "B3": 0.0, "B4": 0.0})
-        out = second_level(w, FIRST)
-        assert out.as_dict() == pytest.approx(FIRST["B1"].as_dict(), abs=1e-15)
-
-    def test_coverage_mismatch(self):
-        w = WeightVector({"B1": 0.5, "B9": 0.5})
-        with pytest.raises(ValidationError, match="B9"):
-            second_level(w, FIRST)
+        assert _second((1.0, 0.0, 0.0, 0.0), FIRST).tolist() == list(FIRST[0])
 
 
 class TestVerdict:
@@ -169,8 +116,8 @@ def _row_strategy():
 
 
 def _summing_to_one(weights):
-    total = sum(weights.values())
-    return WeightVector({k: v / total for k, v in weights.items()})
+    total = sum(weights)
+    return [v / total for v in weights]
 
 
 class TestFuzzyProperties:
@@ -182,46 +129,38 @@ class TestFuzzyProperties:
     @example(rows=[(1.0, 0.0, 0.0)] * 3, raw_weights=[0.05, 0.2, 0.05, 0.05, 0.05])
     @settings(max_examples=50, deadline=None)
     def test_row_stochastic_inputs_give_unit_sum(self, rows, raw_weights):
-        children = [f"C{i}" for i in range(len(rows))]
-        weights = _summing_to_one(dict(zip(children, raw_weights[: len(rows)])))
-        h, _, r = _single_criterion(children, rows, [weights[c] for c in children])
-        out = first_level(h, {"B": weights}, r)["B"]
-        assert out.total() == pytest.approx(1.0, abs=1e-9)
-        assert all(-1e-9 <= out[g] <= 1 + 1e-9 for g in out.grades)
+        out = _first(_summing_to_one(raw_weights[: len(rows)]), rows)
+        assert float_sum(out.tolist()) == pytest.approx(1.0, abs=1e-9)
+        assert all(-1e-9 <= v <= 1 + 1e-9 for v in out.tolist())
 
     @given(st.floats(min_value=0.05, max_value=20))
     @settings(max_examples=50)
     def test_verdict_invariant_under_weight_scaling(self, factor):
-        raw = {"B1": 0.8, "B2": 0.3, "B3": 0.5, "B4": 0.1}
-        base = second_level(_summing_to_one(raw), FIRST)
-        scaled = second_level(_summing_to_one({k: v * factor for k, v in raw.items()}), FIRST)
-        assert verdict(base, SCALE).grade == verdict(scaled, SCALE).grade
+        raw = [0.8, 0.3, 0.5, 0.1]
+        # Column 0 composes the base weights, column 1 the scaled ones.
+        w = np.array([_summing_to_one(raw), _summing_to_one([v * factor for v in raw])]).T
+        out = second_level(w, np.array(FIRST)[..., None], WEIGHTED_AVERAGE)
+        winner, _, _ = verdicts(out)
+        assert winner[0] == winner[1]
 
     def test_linear_in_each_criterion_vector(self):
-        w = WeightVector({"B1": 0.6, "B2": 0.4})
-        va = FuzzyVector({"Excellent": 0.2, "Good": 0.5, "Poor": 0.3})
-        vb = FuzzyVector({"Excellent": 0.4, "Good": 0.4, "Poor": 0.2})
-        fixed = FuzzyVector({"Excellent": 0.1, "Good": 0.6, "Poor": 0.3})
-        mix = FuzzyVector(
-            {g: 0.5 * va[g] + 0.5 * vb[g] for g in va.grades}
-        )
-        out_mix = second_level(w, {"B1": mix, "B2": fixed})
-        out_a = second_level(w, {"B1": va, "B2": fixed})
-        out_b = second_level(w, {"B1": vb, "B2": fixed})
-        for g in va.grades:
-            assert out_mix[g] == pytest.approx(0.5 * out_a[g] + 0.5 * out_b[g], abs=1e-12)
+        w = (0.6, 0.4)
+        va, vb, fixed = (0.2, 0.5, 0.3), (0.4, 0.4, 0.2), (0.1, 0.6, 0.3)
+        mix = [0.5 * a + 0.5 * b for a, b in zip(va, vb)]
+        out_mix = _second(w, [mix, fixed])
+        out_a = _second(w, [va, fixed])
+        out_b = _second(w, [vb, fixed])
+        assert out_mix.tolist() == pytest.approx((0.5 * out_a + 0.5 * out_b).tolist(), abs=1e-12)
 
     def test_two_level_composition_matches_flat_average(self):
         # One criterion holding every indicator reduces to a single weighted average.
-        children = ["C1", "C2", "C3"]
         rows = [(0.2, 0.5, 0.3), (0.1, 0.6, 0.3), (0.4, 0.4, 0.2)]
         rel = (0.5, 0.3, 0.2)
-        h, w, r = _single_criterion(children, rows, rel)
-        first = first_level(h, w, r)
-        out = second_level(WeightVector({"B": 1.0}), first)
-        for gi, g in enumerate(SCALE.labels):
-            flat = sum(rel[i] * rows[i][gi] for i in range(3))
-            assert out[g] == pytest.approx(flat, abs=1e-12)
+        w = np.array(rel)[:, None]
+        first = first_level(w, np.array(rows)[..., None], WEIGHTED_AVERAGE, (1, 1, 1))
+        out = second_level(np.ones((1, 1)), first, WEIGHTED_AVERAGE)[:, 0]
+        flat = [sum(rel[i] * rows[i][g] for i in range(3)) for g in range(3)]
+        assert out.tolist() == pytest.approx(flat, abs=1e-12)
 
 
 def _scalar_compose(weights, rows, operator):
@@ -251,20 +190,23 @@ class TestComposeKernel:
         weights, rows, other_rows = case
         w = np.array(weights).T  # (n, A): batch column k is weights[k]
         # (n, G, 1) rows: every column composes with the same rows.
-        shared = compose(w, np.array(rows)[..., None], operator)
+        shared = second_level(w, np.array(rows)[..., None], operator)
         # repr tells -0.0 from 0.0, which == does not
         assert repr(shared.T.tolist()) == repr(
             [_scalar_compose(v, rows, operator) for v in weights]
         )
+        # Level one over a single criterion, one row per slot, gives the same floats.
+        one = first_level(w, np.array(rows)[..., None], operator, (1,) * len(rows))
+        assert repr(one[0].tolist()) == repr(shared.tolist())
         # (n, G, A) rows: batch column k composes weights[k] with its own rows.
         per_column = [rows if k % 2 else other_rows for k in range(len(weights))]
-        batched = compose(w, np.stack(per_column, axis=-1), operator)
+        batched = second_level(w, np.stack(per_column, axis=-1), operator)
         assert repr(batched.T.tolist()) == repr(
             [_scalar_compose(v, r, operator) for v, r in zip(weights, per_column)]
         )
         # Two criteria in the slot layout: term j holds row j of each, so the
         # (2n, A) weights and (2n, G, 1) rows interleave them, with sizes (2,) * n.
-        by_criterion = compose(
+        by_criterion = first_level(
             np.stack([w, w[::-1]], axis=1).reshape(2 * len(w), -1),
             np.stack([rows, other_rows], axis=1).reshape(2 * len(rows), -1)[..., None],
             operator,
@@ -290,13 +232,13 @@ class TestComposeKernel:
         row_sets = [[[z] for z in v] for v in vectors]
         w = np.array(vectors).T  # (n, A)
         for rows in row_sets:  # (n, G, 1) rows shared by every column
-            shared = compose(w, np.array(rows)[..., None], MIN_MAX)
+            shared = second_level(w, np.array(rows)[..., None], MIN_MAX)
             assert repr(shared.T.tolist()) == repr(
                 [_scalar_compose(v, rows, MIN_MAX) for v in vectors]
             )
         # (n, G, A) rows: one column per (weights, rows) pair.
         pairs = list(itertools.product(vectors, row_sets))
-        batched = compose(
+        batched = second_level(
             np.array([v for v, _ in pairs]).T,
             np.stack([np.array(r) for _, r in pairs], axis=-1),
             MIN_MAX,
@@ -306,8 +248,12 @@ class TestComposeKernel:
         )
 
     def test_unknown_operator_rejected(self):
-        with pytest.raises(ValidationError, match="unknown fuzzy operator"):
-            compose(np.ones((2, 1)), np.ones((2, 3, 1)), "mean")
+        with pytest.raises(ValidationError, match="unknown fuzzy operator 'mean'"):
+            first_level(np.ones((2, 1)), np.ones((2, 3, 1)), "mean", (1, 1))
+        with pytest.raises(ValidationError, match="unknown fuzzy operator 'mean'"):
+            second_level(np.ones((2, 1)), np.ones((2, 3, 1)), "mean")
+        with pytest.raises(ValidationError, match="nothing to compose: no weights"):
+            second_level(np.ones((0, 1)), np.ones((0, 3, 1)), WEIGHTED_AVERAGE)
 
 
 def _reference_verdict(values, grades, labels):
