@@ -94,10 +94,13 @@ def _object(value: object, cls: type, where: str, *args: object) -> Mapping[str,
     return value
 
 
-def _objects(value: object, cls: type, where: str, *args: object) -> list[Mapping[str, Any]]:
-    """`value` as a list of mappings, each checked by `_object` at `where[k]`."""
-    item = where + "[{}]"
-    return [_object(v, cls, item, *args, k) for k, v in enumerate(_list(value, where, *args))]
+def _objects(value: object, cls: type, where: str, *args: object) -> Sequence[Mapping[str, Any]]:
+    """`value` as a list of mappings, all checked as `_object` checks them at `where[k]`."""
+    items, keys = _list(value, where, *args), _keys(cls)
+    for k, v in enumerate(items):
+        if type(v) is not dict or not v.keys() <= keys:
+            _object(v, cls, where + "[{}]", *args, k)
+    return items
 
 
 def _field(entry: Mapping[str, Any], key: str, where: str, *args: object) -> Any:
@@ -237,9 +240,12 @@ class ProjectConfig:
             indicators = []
             kids = entry.get("indicators", [])
             for m, ind in enumerate(_objects(kids, Indicator, "criteria[{}].indicators", k)):
-                ind_id = _field(ind, "id", "criteria[{}].indicators[{}]", k, m)
+                if "id" not in ind:
+                    raise ValidationError(f"criteria[{k}].indicators[{m}]: missing key 'id'")
+                ind_id, name = str(ind["id"]), str(ind.get("name", ind["id"]))
                 indicators.append(
-                    Indicator(str(ind_id), str(ind.get("name", ind_id)), **_given(ind, "kind"))
+                    Indicator(ind_id, name, ind["kind"]) if "kind" in ind
+                    else Indicator(ind_id, name)
                 )
             criteria.append(
                 Criterion(str(crit_id), str(entry.get("name", crit_id)), tuple(indicators))
@@ -272,37 +278,34 @@ class ProjectConfig:
             )
         screening = ScreeningCriteria(**thresholds)
 
+        # Each node's labels; the goal's, then the first criterion of an id.
+        labels_of = {"goal": hierarchy.criterion_ids()}
+        for c in hierarchy.criteria:
+            labels_of.setdefault(c.id, c.children)
         matrices: dict[str, JudgmentMatrix] = {}
         for node, rows in as_object(data["judgment_matrices"], "judgment_matrices").items():
             node = str(node)
-            if node == "goal":
-                labels = hierarchy.criterion_ids()
-            else:
-                match = [c for c in hierarchy.criteria if c.id == node]
-                if not match:
-                    raise ValidationError(f"judgment matrix for unknown node {node!r}")
-                labels = match[0].children
-            rows = [
-                _list(row, "judgment_matrices.{}[{}]", node, k)
-                for k, row in enumerate(_list(rows, "judgment_matrices.{}", node))
-            ]
-            matrices[node] = JudgmentMatrix(node, labels, rows)
+            if node not in labels_of:
+                raise ValidationError(f"judgment matrix for unknown node {node!r}")
+            rows = _list(rows, "judgment_matrices.{}", node)
+            for k, row in enumerate(rows):
+                if type(row) is not list:
+                    _list(row, "judgment_matrices.{}[{}]", node, k)
+            matrices[node] = JudgmentMatrix(node, labels_of[node], rows)
 
+        grades, grade_set = scale.labels, set(scale.labels)
         membership_rows: dict[str, dict[str, float]] = {}
         for ind, row in as_object(data["membership"], "membership").items():
-            row = as_object(row, "membership.{}", ind)
-            missing_grades = [g for g in scale.labels if g not in row]
-            if missing_grades:
-                raise ValidationError(
-                    f"membership row {ind!r}: missing grades {missing_grades}"
-                )
-            extra_grades = sorted(set(row) - set(scale.labels))
-            if extra_grades:
-                raise ValidationError(
-                    f"membership row {ind!r}: unknown grades {extra_grades}"
-                )
+            if type(row) is not dict:
+                row = as_object(row, "membership.{}", ind)
+            if row.keys() != grade_set:  # one compare; the lists are built only to name the fault
+                missing = [g for g in grades if g not in row]
+                if missing:
+                    raise ValidationError(f"membership row {ind!r}: missing grades {missing}")
+                unknown = sorted(set(row) - grade_set)
+                raise ValidationError(f"membership row {ind!r}: unknown grades {unknown}")
             membership_rows[str(ind)] = {
-                g: parse_float(row[g], "membership.{}.{}", ind, g) for g in scale.labels
+                g: parse_float(row[g], "membership.{}.{}", ind, g) for g in grades
             }
         membership = MembershipMatrix(membership_rows)
 
@@ -438,7 +441,8 @@ def read_json(path: str | Path, what: str) -> Any:
     """Parsed JSON of a file; a missing, unreadable or invalid file raises a ValidationError."""
     p = Path(path)
     try:
-        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        # "utf-8-sig" skips a leading byte-order mark, as the CSV readers do.
+        return json.loads(p.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except (FileNotFoundError, NotADirectoryError):
         raise ValidationError(f"{what} not found: {p}") from None
     except OSError as exc:

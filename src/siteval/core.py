@@ -69,6 +69,8 @@ def parse_float(value: object, where: str, *args: object) -> float:
     it as an int. The location is formatted only on failure, so parsing stays
     cheap.
     """
+    if type(value) is float:  # most values; `float` of one returns it unchanged
+        return value
     if not isinstance(value, (bool, np.bool_)):
         try:
             return float(value)  # type: ignore[arg-type]
@@ -263,6 +265,7 @@ class MembershipMatrix:
 
     def __post_init__(self) -> None:
         cleaned: dict[str, Mapping[str, float]] = {}
+        sums: dict[str, float] = {}
         grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
             row_f = {
@@ -275,7 +278,7 @@ class MembershipMatrix:
             row_grades = tuple(row_f)
             if grades is None:
                 grades = row_grades
-            elif set(row_grades) != set(grades):
+            elif row_grades != grades and set(row_grades) != set(grades):
                 raise ValidationError(
                     f"membership row {ind!r}: grade set {sorted(row_grades)} "
                     f"differs from {sorted(grades)}"
@@ -290,13 +293,14 @@ class MembershipMatrix:
                 raise ValidationError(
                     f"membership row {ind!r}: sum {total} exceeds 1"
                 )
-            cleaned[str(ind)] = MappingProxyType(row_f)
+            cleaned[str(ind)], sums[str(ind)] = MappingProxyType(row_f), total
         if grades is None:
             raise ValidationError("membership matrix has no rows")
         if len(cleaned) != len(self.rows):
             check_str_ids(self.rows, "membership row")
         object.__setattr__(self, "rows", MappingProxyType(cleaned))
         object.__setattr__(self, "_grades", grades)
+        object.__setattr__(self, "_sums", sums)
 
     @property
     def grades(self) -> tuple[str, ...]:
@@ -321,11 +325,12 @@ class MembershipMatrix:
     def row_sum_deviations(self) -> dict[str, float]:
         """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1).
 
-        Each row is summed exactly (`math.fsum`), so a row's cells in any order give one sum.
+        Each row was summed exactly (`math.fsum`) when the matrix was built, so a
+        row's cells in any order give one sum.
         """
         out: dict[str, float] = {}
-        for ind, row in self.rows.items():
-            dev = math.fsum(row.values()) - 1.0
+        for ind, total in self._sums.items():  # type: ignore[attr-defined]
+            dev = total - 1.0
             if abs(dev) > ROW_SUM_FLAG_TOL:
                 out[ind] = dev
         return out

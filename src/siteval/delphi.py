@@ -152,16 +152,10 @@ def weighted_full_mark_rate(
     class scoring weight, so the rate reduces to the plain count ratio when
     all classes carry the same weight.
     """
-    weight_of: dict[str, float] = {}
-    for c in classes:
-        if c.label in weight_of:
-            raise ValidationError(f"duplicate respondent class {c.label!r}")
-        weight_of[c.label] = c.score_weight
+    weight_of = _weights_of(classes)
     for label in set(max_scorers_by_class) | set(totals_by_class):
         if label not in weight_of:
             raise ValidationError(f"unknown respondent class {label!r}")
-    numer = 0.0
-    denom = 0.0
     for label, total in totals_by_class.items():
         maxed = max_scorers_by_class.get(label, 0)
         if total < 0 or maxed < 0:
@@ -170,8 +164,25 @@ def weighted_full_mark_rate(
             raise ValidationError(
                 f"class {label!r}: full-mark count {maxed} exceeds total {total}"
             )
-        numer += weight_of[label] * maxed
-        denom += weight_of[label] * total
+    return _rate(max_scorers_by_class, totals_by_class, weight_of)
+
+
+def _weights_of(classes: Sequence[RespondentClass]) -> dict[str, float]:
+    """Each class's score weight by label; a label given twice raises."""
+    weight_of: dict[str, float] = {}
+    for c in classes:
+        if c.label in weight_of:
+            raise ValidationError(f"duplicate respondent class {c.label!r}")
+        weight_of[c.label] = c.score_weight
+    return weight_of
+
+
+def _rate(maxed: Mapping[str, int], totals: Mapping[str, int], weights: dict[str, float]) -> float:
+    """The full-mark rate of checked counts; `weights` holds each class's score weight."""
+    numer = denom = 0.0
+    for label, total in totals.items():
+        numer += weights[label] * maxed.get(label, 0)
+        denom += weights[label] * total
     if denom <= 0:
         raise ValidationError("no respondents")
     return numer / denom
@@ -188,6 +199,7 @@ def round_statistics(
     scores, or None when nobody reported one.
     """
     known = {c.label for c in classes}
+    weight_of: dict[str, float] | None = None  # built, and checked, where the first rate is taken
     by_indicator: dict[str, list[Response]] = {}
     for r in survey_round.responses:
         if r.respondent_class not in known:
@@ -214,7 +226,9 @@ def round_statistics(
             totals[r.respondent_class] = totals.get(r.respondent_class, 0) + 1
             if r.score >= FULL_MARK_MIN:
                 maxed[r.respondent_class] = maxed.get(r.respondent_class, 0) + 1
-        rate = weighted_full_mark_rate(maxed, totals, classes)
+        if weight_of is None:
+            weight_of = _weights_of(classes)
+        rate = _rate(maxed, totals, weight_of)  # every class is known; counts are >= 0
 
         confidences = [r.confidence for r in responses if r.confidence is not None]
         gcr = sum(confidences) / len(confidences) if confidences else None

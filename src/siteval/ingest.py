@@ -2,8 +2,9 @@
 
 Survey files carry one response per line with the header
 `indicator,respondent,class,score,confidence`; the confidence column is
-optional. Decision matrices carry one alternative per line with `alternative`
-as the first header field and indicator ids as the remaining ones. Every
+optional, and without it in the header a row has exactly four cells.
+Decision matrices carry one alternative per line with `alternative` as the
+first header field and indicator ids as the remaining ones. Every
 error names the file it came from: `survey <path>: line N: ...` or
 `decision matrix <path>: line N: ...`, where N is the file line the record
 starts on.
@@ -19,6 +20,8 @@ from .delphi import SCORE_MAX, SCORE_MIN, RespondentClass, Response, SurveyRound
 from .entropy import DecisionMatrix
 
 SURVEY_HEADER = ("indicator", "respondent", "class", "score", "confidence")
+# The score and confidence tokens a survey holds; any other token takes `_scale_point`.
+_SCALE = {str(s): s for s in range(SCORE_MIN, SCORE_MAX + 1)}
 
 
 def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
@@ -44,12 +47,18 @@ def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def _parse_int(token: str, what: str, line_no: int) -> int:
-    """`token` (already stripped) as an int, or an error that quotes it."""
+def _scale_point(token: str, what: str, line_no: int) -> int:
+    """`token`, stripped, as an int on the score scale, or an error that quotes it."""
+    token = token.strip()
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ValidationError(f"line {line_no}: {what} must be an integer, got {token!r}") from None
+    if not SCORE_MIN <= value <= SCORE_MAX:
+        raise ValidationError(
+            f"line {line_no}: {what} out of range {SCORE_MIN}-{SCORE_MAX}, got {value}"
+        )
+    return value
 
 
 def ingest_survey(
@@ -76,15 +85,19 @@ def _parse_survey(
             f"got {','.join(header)}"
         )
     known = {c.label for c in classes}
+    widths = (4, 5) if len(header) == 5 else (4,)  # without the column, no confidence cell
 
     # Each record is checked here, then built without the dataclass `__init__`
-    # and `__post_init__`, whose range checks the ones below repeat.
+    # and `__post_init__`, whose checks the ones below repeat; so is the round.
     new_response = Response.__new__
     responses: list[Response] = []
+    first_line: dict[tuple[str, str], int] = {}
     for line_no, row in rows[1:]:
         n = len(row)
-        if n != 4 and n != 5:
-            raise ValidationError(f"line {line_no}: expected 4 or 5 columns, got {n}")
+        if n not in widths:
+            raise ValidationError(
+                f"line {line_no}: expected {' or '.join(map(str, widths))} columns, got {n}"
+            )
         indicator = row[0].strip()
         respondent = row[1].strip()
         if not indicator or not respondent:
@@ -92,21 +105,17 @@ def _parse_survey(
         cls = row[2].strip()
         if cls not in known:
             raise ValidationError(f"line {line_no}: unknown class label {cls!r}")
-        score = _parse_int(row[3].strip(), "score", line_no)
-        if not SCORE_MIN <= score <= SCORE_MAX:
-            raise ValidationError(
-                f"line {line_no}: score out of range {SCORE_MIN}-{SCORE_MAX}, got {score}"
-            )
+        score = _SCALE.get(row[3]) or _scale_point(row[3], "score", line_no)
         confidence: int | None = None
         if n == 5:
-            token = row[4].strip()
-            if token:
-                confidence = _parse_int(token, "confidence", line_no)
-                if not SCORE_MIN <= confidence <= SCORE_MAX:
-                    raise ValidationError(
-                        f"line {line_no}: confidence out of range {SCORE_MIN}-{SCORE_MAX}, "
-                        f"got {confidence}"
-                    )
+            confidence = _SCALE.get(row[4])
+            if confidence is None and row[4].strip():
+                confidence = _scale_point(row[4], "confidence", line_no)
+        if (first := first_line.setdefault((respondent, indicator), line_no)) != line_no:
+            raise ValidationError(
+                f"line {line_no}: duplicate response for respondent {respondent!r} "
+                f"on indicator {indicator!r} (first on line {first})"
+            )
         response = new_response(Response)
         response.__dict__.update(
             respondent=respondent,
@@ -116,7 +125,11 @@ def _parse_survey(
             confidence=confidence,
         )
         responses.append(response)
-    return SurveyRound(round_index=round_index, responses=tuple(responses))
+    if round_index < 1:
+        raise ValidationError("round_index must be a positive integer")
+    survey = SurveyRound.__new__(SurveyRound)
+    survey.__dict__.update(round_index=round_index, responses=tuple(responses))
+    return survey
 
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:

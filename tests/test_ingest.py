@@ -69,6 +69,28 @@ class TestIngestSurvey:
         with pytest.raises(ValidationError, match="duplicate response"):
             ingest_survey(path, CLASSES)
 
+    def test_duplicate_response_names_both_lines(self, tmp_path):
+        # The repeat is found where it is read, before a later row's fault.
+        body = "C3,r07,expert,4,5\nC3,r08,expert,4,5\nC3,r07,expert,5,5\nC3,r09,alien,4,5\n"
+        path = _write(tmp_path, body)
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(path, CLASSES)
+        assert str(info.value) == (
+            f"survey {path}: line 4: duplicate response for respondent 'r07' "
+            "on indicator 'C3' (first on line 2)"
+        )
+
+    def test_four_column_header_takes_exactly_four_cells(self, tmp_path):
+        # Without a confidence column, a fifth cell is not read as a confidence.
+        p = tmp_path / "short.csv"
+        p.write_text("indicator,respondent,class,score\nC1,r01,expert,5\nC1,r02,expert,5,1\n")
+        with pytest.raises(ValidationError) as info:
+            ingest_survey(p, CLASSES)
+        assert str(info.value) == f"survey {p}: line 3: expected 4 columns, got 5"
+        # Under the five-column header the confidence cell may still be left off.
+        path = _write(tmp_path, "C1,r01,expert,5\nC1,r02,expert,5,1\n")
+        assert [r.confidence for r in ingest_survey(path, CLASSES).responses] == [None, 1]
+
     def test_unknown_class_reports_line(self, tmp_path):
         path = _write(tmp_path, "C3,r07,visitor,4,5\n")
         with pytest.raises(ValidationError, match="line 2: unknown class label 'visitor'"):
@@ -234,6 +256,28 @@ READERS = [
     ),
 ]
 READER_IDS = ["config", "weights", "survey", "decision-matrix"]
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize(
+        "read, name",
+        [(load_config, "campus_bikeshare.json"), (read_weight_file, "weights_objective.json")],
+        ids=["config", "weights"],
+    )
+    def test_utf8_bom_is_skipped(self, tmp_path, fixture_dir, read, name):
+        # Windows editors may save JSON with a byte-order mark, as Excel does CSV.
+        p = tmp_path / name
+        p.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / name).read_bytes())
+        assert read(p) == read(fixture_dir / name)
+
+    def test_invalid_utf8_names_the_codec(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"goal": "\xff"}')
+        with pytest.raises(ValidationError) as info:
+            load_config(p)
+        assert str(info.value).startswith(
+            f"config file {p}: invalid JSON: 'utf-8' codec can't decode byte 0xff"
+        )
 
 
 class TestReaderPaths:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from siteval import (
     Response,
+    SurveyRound,
     ValidationError,
     entropy_weights,
     ingest_survey,
@@ -137,7 +138,8 @@ records = st.tuples(
 @given(st.lists(records, max_size=8, unique_by=lambda r: r[:2]), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_parsed_records_equal_responses_built_normally(drawn, four_columns):
-    """The reader builds each `Response` without `__init__`; it must be the same record."""
+    """The reader builds each `Response`, and the round, without `__init__`; each must
+    equal the record built normally."""
     header = list(SURVEY_HEADER[:4] if four_columns else SURVEY_HEADER)
     rows = [(1, header)]
     expected = []
@@ -152,7 +154,11 @@ def test_parsed_records_equal_responses_built_normally(drawn, four_columns):
             Response(respondent=resp, respondent_class=cls, indicator=ind, score=score,
                      confidence=conf)
         )
-    parsed = _parse_survey(rows, CONFIG.classes, 1).responses
+    survey = _parse_survey(rows, CONFIG.classes, 1)
+    want_round = SurveyRound(round_index=1, responses=tuple(expected))
+    assert survey == want_round
+    assert list(vars(survey).items()) == list(vars(want_round).items())
+    parsed = survey.responses
     assert len(parsed) == len(expected)
     for got, want in zip(parsed, expected):
         assert got == want

@@ -555,6 +555,72 @@ class TestMalformedConfig:
         with pytest.raises(ValidationError, match="^config: expected an object, got list"):
             ProjectConfig.from_dict([1, 2])
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: (d["criteria"][0].pop("id"), d["criteria"].__setitem__(1, "B2")),
+                "criteria[1]: expected an object, got str",
+            ),
+            (
+                lambda d: (
+                    d["criteria"][0]["indicators"][0].pop("id"),
+                    d["criteria"][0]["indicators"][2].update(x=1),
+                ),
+                "criteria[0].indicators[2]: unknown keys ['x']",
+            ),
+            (
+                lambda d: (
+                    d["criteria"][0]["indicators"][0].update(kind="x"),
+                    d["criteria"][1]["indicators"][0].update(x=1),
+                ),
+                "indicator 'C1': kind must be 'qualitative' or 'quantitative'",
+            ),
+            (
+                lambda d: (
+                    d["membership"]["C1"].pop("Good"), d["membership"]["C1"].update(Fair=0.1)
+                ),
+                "membership row 'C1': missing grades ['Good']",
+            ),
+            (
+                lambda d: (
+                    d["membership"]["C1"].update(Good="x"), d["membership"]["C2"].pop("Good")
+                ),
+                "membership.C1.Good: not a number: 'x'",
+            ),
+            (
+                lambda d: (
+                    d["judgment_matrices"]["goal"][0].pop(),
+                    d["judgment_matrices"]["goal"].__setitem__(1, 5),
+                ),
+                "judgment_matrices.goal[1]: expected a list, got int",
+            ),
+            (
+                lambda d: (
+                    d["judgment_matrices"]["goal"].__setitem__(1, 5),
+                    d["judgment_matrices"].update(B9=[[1]]),
+                ),
+                "judgment_matrices.goal[1]: expected a list, got int",
+            ),
+        ],
+        ids=[
+            "criterion-type-before-field",
+            "indicator-keys-before-field",
+            "indicator-kind-before-next-criterion",
+            "missing-before-unknown-grade",
+            "cell-before-next-row",
+            "row-type-before-shape",
+            "rows-before-later-node",
+        ],
+    )
+    def test_first_of_two_faults_is_reported(self, campus_config_dict, edit, message):
+        # Each config holds two faults; the one named is the one found first.
+        data = copy.deepcopy(campus_config_dict)
+        edit(data)
+        with pytest.raises(ValidationError) as exc:
+            ProjectConfig.from_dict(data)
+        assert str(exc.value) == f"config: {message}"
+
 
 class TestDeterminism:
     def test_repeated_runs_emit_identical_json(self, campus_config_dict):
