@@ -427,7 +427,8 @@ class ProjectConfig:
         weights_policy: str | None = None,
     ) -> "ProjectConfig":
         changes = {"alpha": alpha, "operator": operator, "weights_policy": weights_policy}
-        return replace(self, **{k: v for k, v in changes.items() if v is not None})
+        with error_prefix("config"):
+            return replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -161,11 +161,11 @@ def _column_sums(m: DecisionMatrix) -> np.ndarray:
     return sums
 
 
-def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float | np.ndarray:
+def information_entropy(shares: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Normalized Shannon entropy of shares along the last axis, in [0, 1].
 
-    Uses the continuity convention 0 * ln 0 = 0. `n` is the number of
-    observations, which fixes the 1 / ln(n) normalization. A 1-D `shares` is
+    Uses the continuity convention 0 * ln 0 = 0. The last axis's length n, the
+    number of observations, fixes the 1 / ln(n) normalization. A 1-D `shares` is
     one distribution and gives a float; an (..., n) array gives an array of
     shape (...), one entropy per row along the last axis, each equal to the
     float its row alone gives. Rows are checked in order: the first row with
@@ -181,7 +181,7 @@ def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float |
         if negative[bad[0]]:
             raise ValidationError("shares must be non-negative")
         raise ValidationError(f"shares must sum to 1, got {totals[bad[0]]}")
-    if n < 2:
+    if rows.shape[1] < 2:
         raise ValidationError("entropy needs at least 2 observations")
     positive = rows > 0
     terms = np.log(rows, out=np.zeros_like(rows), where=positive)
@@ -191,7 +191,7 @@ def information_entropy(shares: Sequence[float] | np.ndarray, n: int) -> float |
     # one sums only its positive terms, in order, as the plain 1-D form does.
     for r in np.flatnonzero(~positive.all(axis=1)).tolist():
         sums[r] = terms[r][positive[r]].sum()
-    entropies = -sums / np.log(n)
+    entropies = -sums / np.log(rows.shape[1])
     return entropies.reshape(lead) if p.ndim > 1 else float(entropies[0])
 
 
@@ -212,7 +212,7 @@ def entropy_weights(m: DecisionMatrix) -> WeightVector:
         # be F-ordered and sum in another order.
         block = x[:, j:j + step].T.copy()
         block /= sums[j:j + step, None]
-        entropies.extend(information_entropy(block, n).tolist())
+        entropies.extend(information_entropy(block).tolist())
     # Clamp float noise: e may exceed 1 by ~1e-16 for exactly uniform columns.
     divergences = [max(0.0, 1.0 - e) for e in entropies]
     total = float_sum(divergences)

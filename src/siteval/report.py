@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import inf
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -253,13 +252,12 @@ def sweep_to_json_dict(sweep: AlphaSweep) -> dict[str, object]:
 def json_text(obj: object) -> str:
     """`obj` as `json.dumps` writes it with indent 2, without the stdlib's pure-Python encoder.
 
-    Lays out an exact `dict`, `list` or `tuple`. A flat one, whose values are
-    all exact str, int, float, bool or None or empty exact containers, is
-    written by one call to the stdlib's C encoder, which writes them as
-    `json.dumps` does. Any other container writes its str, finite float, bool,
-    None, exact int and empty-container leaves itself; only NaN, inf, other
-    types, such as a dict subclass, and a dict with a key that is not a str
-    reach `json.dumps`.
+    The stdlib's C encoder writes every flat container (an exact `dict`, `list`
+    or `tuple` whose values are all exact str, int, float, bool or None or
+    empty exact containers) and every such leaf; the walker writes only the
+    layout of the other exact containers. Only other types, such as a dict
+    subclass or a float subclass, and a dict with a key that is not a str reach
+    `json.dumps`.
     """
     cls = type(obj)
     if (cls is dict or cls is list or cls is tuple) and obj:
@@ -274,8 +272,9 @@ _CONTAINERS = frozenset({dict, list, tuple})
 # The C encoder of a flat container at each depth: "," and the next depth's
 # indent between items, no cycle check (a flat container holds no container
 # but empty ones) and NaN and inf as `json.dumps` writes them. Its `default`
-# is never called: a flat container holds only JSON values. A flat container
-# deeper than the table is laid out by the walker.
+# is never called: it is given only JSON values. A leaf holds no separator, so
+# `_FLAT[0]` writes a leaf at any depth. A flat container deeper than the table
+# is laid out by the walker.
 _FLAT = tuple(
     c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * (depth + 1),
                    False, False, True)
@@ -299,7 +298,7 @@ def _is_flat(values: Iterable[object]) -> bool:
 
 def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
     # Not a closure: one that calls itself is a reference cycle holding `out` until gen-2 gc.
-    # `obj` is a non-empty exact container; each leaf is written in the loop, without a call.
+    # `obj` is a non-empty exact container.
     values: Iterable[object] = obj.values() if type(obj) is dict else obj
     depth = len(newline) // 2  # `newline` is "\n" and two spaces per level
     if depth < len(_FLAT) and _is_flat(values):
@@ -320,25 +319,14 @@ def _write_json(obj: dict | list | tuple, newline: str, out: list[str]) -> None:
         heads = [comma] * len(obj)
         heads[0] = "[" + inner
         close = newline + "]"
+    leaf = _FLAT[0]
     for head, value in zip(heads, values):
         cls = type(value)
-        if cls is float and -inf < value < inf:  # NaN compares false
-            out.append(head + float.__repr__(value))
-        elif cls is str:
-            out.append(head + encode_basestring_ascii(value))
-        elif (cls is dict or cls is list or cls is tuple) and value:
+        if cls in _CONTAINERS and value:
             out.append(head)
             _write_json(value, inner, out)
-        elif value is None:
-            out.append(head + "null")
-        elif cls is bool:
-            out.append(head + ("true" if value else "false"))
-        elif cls is int:
-            out.append(head + int.__repr__(value))
-        elif cls is dict:
-            out.append(head + "{}")
-        elif cls is list or cls is tuple:
-            out.append(head + "[]")
+        elif cls in _SCALARS or cls in _CONTAINERS:  # a container here is empty
+            out.append(head + leaf(value, 0)[0])
         else:
             # indent 2, each line moved to this depth; JSON text escapes every "\n" in a str
             out.append(head + json.dumps(value, indent=2).replace("\n", inner))

@@ -102,6 +102,12 @@ class TestEvaluate:
         _, second, _ = _run(capsys, argv)
         assert first == second
 
+    def test_alpha_out_of_range_names_the_config_stage(self, capsys, fixture_dir):
+        argv = ["evaluate", "--config", str(fixture_dir / "campus_bikeshare.json"), "--alpha", "1.5"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: config: alpha must be in [0, 1], got 1.5\n"
+
     def test_missing_config_exits_one(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["evaluate", "--config", str(tmp_path / "none.json")])
         assert code == 1
@@ -246,6 +252,14 @@ class TestScreen:
         assert code == 1
         assert out == ""
         assert err == "error: screen: unknown override ids: ['ZZ']\n"
+
+    def test_round_zero_names_the_survey(self, capsys, fixture_dir):
+        survey = fixture_dir / "survey_round2.csv"
+        argv = ["screen", "--config", str(fixture_dir / "campus_bikeshare.json"),
+                "--survey", str(survey), "--round", "0"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: survey {survey}: round_index must be a positive integer\n"
 
     def test_markdown_format(self, capsys, fixture_dir):
         code, out, _ = _run(
@@ -496,6 +510,14 @@ class TestSweepCommand:
         assert out == ""
         assert err == "error: sweep grid is empty\n"
 
+    def test_invalid_grid_exits_one(self, capsys, fixture_dir):
+        code, out, err = _run(
+            capsys,
+            ["sweep-alpha", "--config", str(fixture_dir / "campus_bikeshare.json"), "--grid", "a,b"],
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: invalid sweep grid 'a,b'\n"
+
     def test_markdown_table(self, capsys, fixture_dir):
         code, out, _ = _run(
             capsys,
@@ -572,6 +594,19 @@ class TestFileErrors:
         path.write_bytes(b"alternative,X1\nS1,\xff\n")
         argv = ["entropy", "--matrix", str(path)]
         self._assert_names(capsys, argv, f"decision matrix {path}", "not UTF-8 text")
+
+    def test_survey_without_bytes(self, capsys, tmp_path, fixture_dir):
+        path = tmp_path / "survey.csv"
+        path.write_text("")
+        config = str(fixture_dir / "campus_bikeshare.json")
+        argv = ["screen", "--config", config, "--survey", str(path)]
+        self._assert_names(capsys, argv, f"survey {path}", "empty file")
+
+    def test_matrix_of_blank_lines(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(" \n,\n\n")
+        argv = ["entropy", "--matrix", str(path)]
+        self._assert_names(capsys, argv, f"decision matrix {path}", "empty file")
 
     def test_output_in_missing_directory(self, capsys, fixture_dir, tmp_path):
         target = tmp_path / "missing" / "x.json"

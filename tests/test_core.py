@@ -273,7 +273,7 @@ class TestFloatConversion:
             (lambda v, cfg: WeightVector({"a": v}), "weight for 'a'"),
             (lambda v, cfg: MembershipMatrix({"C1": {"Good": v}}), "membership row 'C1', grade 'Good'"),
             (lambda v, cfg: FuzzyVector({"Good": v}), "membership for grade 'Good'"),
-            (lambda v, cfg: cfg.with_overrides(alpha=v), "alpha"),
+            (lambda v, cfg: cfg.with_overrides(alpha=v), "config: alpha"),
         ],
         ids=["parse_float", "WeightVector", "MembershipMatrix", "FuzzyVector", "with_overrides"],
     )

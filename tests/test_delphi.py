@@ -170,6 +170,11 @@ class TestWeightedFullMarkRate:
         with pytest.raises(ValidationError, match="exceeds total"):
             weighted_full_mark_rate({"expert": 6}, {"expert": 5}, CLASSES)
 
+    @pytest.mark.parametrize("maxed, total", [(1, -2), (-1, 2)])
+    def test_negative_count_rejected(self, maxed, total):
+        with pytest.raises(ValidationError, match="^class 'expert': counts must be non-negative$"):
+            weighted_full_mark_rate({"expert": maxed}, {"expert": total}, CLASSES)
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValidationError, match="unknown respondent class"):
             weighted_full_mark_rate({"visitor": 1}, {"visitor": 2}, CLASSES)
@@ -263,6 +268,28 @@ class TestSurveyRoundInvariants:
     def test_score_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="score out of range"):
             Response("r0", "expert", "C1", 6)
+
+    def test_confidence_out_of_range_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            Response("r0", "expert", "C1", 4, confidence=6)
+        assert str(info.value) == "response ('r0', 'C1'): confidence out of range 1-5"
+
+    def test_round_index_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^round_index must be a positive integer$"):
+            SurveyRound(0, ())
+
+    @pytest.mark.parametrize(
+        "mean, std_dev, rate, message",
+        [
+            (6.0, 0.6, 0.5, "mean 6.0 outside [1, 5]"),
+            (4.0, -0.4, 0.5, "negative dispersion"),
+            (4.0, 0.4, 1.5, "full_mark_rate outside [0, 1]"),
+        ],
+    )
+    def test_stats_out_of_range_rejected(self, mean, std_dev, rate, message):
+        with pytest.raises(ValidationError) as info:
+            IndicatorStats("C1", mean, std_dev, 0.1, rate, 10)
+        assert str(info.value) == f"stats 'C1': {message}"
 
     def test_cv_consistency_enforced(self):
         with pytest.raises(ValidationError, match="cv must equal"):

@@ -49,22 +49,27 @@ class TestColumnShares:
 
 class TestInformationEntropy:
     def test_uniform_is_maximal(self):
-        assert information_entropy([1 / 3] * 3, 3) == pytest.approx(1.0, abs=1e-12)
+        assert information_entropy([1 / 3] * 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_is_zero(self):
-        assert information_entropy([0, 1, 0], 3) == pytest.approx(0.0, abs=0)
+        assert information_entropy([0, 1, 0]) == pytest.approx(0.0, abs=0)
+
+    def test_normalised_by_the_number_of_shares(self):
+        # n is the length of the last axis: two equal shares are the most even two can be
+        assert information_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
+        assert information_entropy([[0.25] * 4]).tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_hand_computed_value(self):
         # -(0.5 ln 0.5 + 2 * 0.25 ln 0.25) / ln 3
-        assert information_entropy([0.5, 0.25, 0.25], 3) == pytest.approx(0.9464, abs=1e-4)
+        assert information_entropy([0.5, 0.25, 0.25]) == pytest.approx(0.9464, abs=1e-4)
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            information_entropy([0.5, 0.3], 2)
+            information_entropy([0.5, 0.3])
 
     def test_negative_share_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
-            information_entropy([-0.1, 1.1], 2)
+            information_entropy([-0.1, 1.1])
 
 
 class TestEntropyWeights:
@@ -210,9 +215,8 @@ class TestEntropyProperties:
     def test_entropy_bounds(self, cols):
         m = _matrix({f"X{i}": c for i, c in enumerate(cols)})
         p = m.values / m.values.sum(axis=0)
-        n = len(m.alternatives)
         for j, ind in enumerate(m.indicators):
-            e = information_entropy(p[:, j], n)
+            e = information_entropy(p[:, j])
             assert -1e-12 <= e <= 1.0 + 1e-12
             col = [row[j] for row in m.values]
             if len(set(col)) == 1:
@@ -493,24 +497,23 @@ class TestEntropyAlongLastAxis:
         keep = (sums > 0) & (sums < np.inf)
         assume(keep.any())
         rows = (x[:, keep] / sums[keep]).T.copy()
-        n = x.shape[0]
-        out = information_entropy(rows, n)
+        out = information_entropy(rows)
         assert out.shape == (rows.shape[0],)
-        assert repr(out.tolist()) == repr([information_entropy(r, n) for r in rows])
-        stacked = information_entropy(np.stack([rows, rows[::-1]]), n)
+        assert repr(out.tolist()) == repr([information_entropy(r) for r in rows])
+        stacked = information_entropy(np.stack([rows, rows[::-1]]))
         assert repr(stacked.tolist()) == repr([out.tolist(), out[::-1].tolist()])
 
     def test_one_dimensional_input_gives_a_float(self):
-        assert type(information_entropy([0.5, 0.5], 2)) is float
-        assert type(information_entropy(np.array([0.5, 0.5]), 2)) is float
+        assert type(information_entropy([0.5, 0.5])) is float
+        assert type(information_entropy(np.array([0.5, 0.5]))) is float
 
     def test_first_bad_row_raises(self):
         good = [0.5, 0.5]
         with pytest.raises(ValidationError, match=r"^shares must sum to 1, got 0\.8$"):
-            information_entropy([good, [0.4, 0.4], [-0.5, 1.5]], 2)
+            information_entropy([good, [0.4, 0.4], [-0.5, 1.5]])
         with pytest.raises(ValidationError, match="^shares must be non-negative$"):
-            information_entropy([good, [-0.5, 1.5], [0.4, 0.4]], 2)
+            information_entropy([good, [-0.5, 1.5], [0.4, 0.4]])
 
     def test_two_observations_needed(self):
         with pytest.raises(ValidationError, match="at least 2 observations"):
-            information_entropy([[1.0], [1.0]], 1)
+            information_entropy([[1.0], [1.0]])

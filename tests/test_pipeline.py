@@ -18,6 +18,7 @@ from siteval import (
     FuzzyVector,
     GradeScale,
     Indicator,
+    JudgmentMatrix,
     MembershipMatrix,
     ProjectConfig,
     RespondentClass,
@@ -56,6 +57,13 @@ def _with_decision_matrix(config_dict, values=None):
         "values": values,
     }
     return data
+
+
+def _inline_values(data, values):
+    """Edit `data` in place: its objective weights become a 4-row decision matrix of `values`."""
+    swapped = _with_decision_matrix(data, values)
+    data.clear()
+    data.update(swapped)
 
 
 class TestRunPipeline:
@@ -296,6 +304,20 @@ class TestRunPipeline:
             replace(campus_config, classes=twice)
         assert str(info.value) == "duplicate respondent class labels: ['expert', 'expert']"
 
+    def test_constructed_configs_check_their_matrices_too(self, campus_config):
+        extra = {**campus_config.matrices, "B9": JudgmentMatrix("B9", ("x",), ((1,),))}
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, matrices=extra)
+        assert str(info.value) == "judgment matrices for unknown nodes: ['B9']"
+        goal = campus_config.matrices["goal"]
+        reversed_goal = JudgmentMatrix("goal", goal.labels[::-1], goal.entries)
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, matrices={**campus_config.matrices, "goal": reversed_goal})
+        assert str(info.value) == (
+            "goal matrix labels ['B4', 'B3', 'B2', 'B1'] do not match criteria "
+            "['B1', 'B2', 'B3', 'B4']"
+        )
+
     def test_absent_respondent_classes_take_the_defaults(self, campus_config_dict):
         data = _variant(campus_config_dict)
         del data["respondent_classes"]
@@ -454,6 +476,31 @@ class TestMalformedConfig:
             (
                 lambda d: d.update(respondent_classes=[{"label": "expert"}]),
                 "respondent_classes[0]: missing key 'score_weight'",
+            ),
+            (
+                lambda d: d.update(operator="mean"),
+                "unknown operator 'mean'; expected one of ('weighted-average', 'min-max')",
+            ),
+            (
+                lambda d: d["judgment_matrices"].pop("B1"),
+                "missing judgment matrices for nodes: ['B1']",
+            ),
+            (lambda d: d.update(membership={}), "membership matrix has no rows"),
+            (
+                lambda d: d["respondent_classes"][0].update(score_weight=0),
+                "class 'expert': score_weight must be in (0, 1], got 0.0",
+            ),
+            (
+                lambda d: d["screening"].update(min_mean=math.inf),
+                "screening threshold min_mean must be finite",
+            ),
+            (
+                lambda d: d["screening"].update(min_gcr=math.nan),
+                "screening threshold min_gcr must be finite",
+            ),
+            (
+                lambda d: _inline_values(d, 5),
+                "decision matrix shape mismatch: expected 4x14",
             ),
         ],
     )
@@ -1423,7 +1470,7 @@ class TestConfigNumbers:
 
     def test_alpha_override_is_parsed(self, campus_config):
         assert campus_config.with_overrides(alpha="0.25").alpha == 0.25
-        with pytest.raises(ValidationError, match=r"^alpha: not a number: True$"):
+        with pytest.raises(ValidationError, match=r"^config: alpha: not a number: True$"):
             campus_config.with_overrides(alpha=True)
 
 

@@ -74,6 +74,10 @@ def nested_list(depth: int) -> list:
 @example({1: [[1]]})  # keys that json.dumps converts to str, in a dict the walker lays out
 @example({None: {"a": [1]}, True: [2]})
 @example({"a": {2.5: [{}], "b": [1]}})
+@example(  # every kind of leaf in a dict the walker lays out, as the nested list makes it
+    {"l": [[1]], "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "big": 2**70,
+     "e": "é", "none": None, "t": True, "f": False, "d": {}, "tup": ()}
+)
 def test_matches_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
