@@ -33,7 +33,6 @@ from .delphi import (
     SurveyRound,
     round_statistics,
     screen,
-    weighted_full_mark_rate,
 )
 from .entropy import DecisionMatrix, entropy_weights, information_entropy
 from .fusion import fuse
@@ -84,5 +83,4 @@ __all__ = [
     "synthesize_global",
     "validate_hierarchy",
     "verdict",
-    "weighted_full_mark_rate",
 ]

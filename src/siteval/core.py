@@ -129,13 +129,6 @@ class GradeScale:
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError(f"duplicate grade label {first_repeat(self.labels)!r}")
 
-    def rank(self, label: str) -> int:
-        """Position of a grade, 0 = best."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown grade {label!r}") from None
-
 
 @dataclass(frozen=True)
 class Indicator:

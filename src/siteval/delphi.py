@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import ValidationError, float_sum
+from .core import ValidationError, first_repeat, float_sum
 
 SCORE_MIN = 1
 SCORE_MAX = 5
@@ -124,6 +124,10 @@ class ScreeningCriteria:
                 raise ValidationError(f"screening threshold {name} must be finite")
         if self.min_gcr is not None and not math.isfinite(self.min_gcr):
             raise ValidationError("screening threshold min_gcr must be finite")
+        if isinstance(self.overrides, (str, bytes)):  # frozenset("C1") is {'C', '1'}
+            raise ValidationError(
+                f"screening overrides: expected a collection of ids, got {self.overrides!r}"
+            )
         object.__setattr__(self, "overrides", frozenset(self.overrides))
 
 
@@ -141,68 +145,22 @@ class ScreeningResult:
     overridden: tuple[ScreeningDecision, ...]
 
 
-def weighted_full_mark_rate(
-    max_scorers_by_class: Mapping[str, int],
-    totals_by_class: Mapping[str, int],
-    classes: Sequence[RespondentClass],
-) -> float:
-    """Class-weighted share of respondents giving a full mark.
-
-    Both the full-mark counts and the respondent totals are weighted by the
-    class scoring weight, so the rate reduces to the plain count ratio when
-    all classes carry the same weight.
-    """
-    weight_of = _weights_of(classes)
-    for label in set(max_scorers_by_class) | set(totals_by_class):
-        if label not in weight_of:
-            raise ValidationError(f"unknown respondent class {label!r}")
-    for label, total in totals_by_class.items():
-        maxed = max_scorers_by_class.get(label, 0)
-        if total < 0 or maxed < 0:
-            raise ValidationError(f"class {label!r}: counts must be non-negative")
-        if maxed > total:
-            raise ValidationError(
-                f"class {label!r}: full-mark count {maxed} exceeds total {total}"
-            )
-    return _rate(max_scorers_by_class, totals_by_class, weight_of)
-
-
-def _weights_of(classes: Sequence[RespondentClass]) -> dict[str, float]:
-    """Each class's score weight by label; a label given twice raises."""
-    weight_of: dict[str, float] = {}
-    for c in classes:
-        if c.label in weight_of:
-            raise ValidationError(f"duplicate respondent class {c.label!r}")
-        weight_of[c.label] = c.score_weight
-    return weight_of
-
-
-def _rate(maxed: Mapping[str, int], totals: Mapping[str, int], weights: dict[str, float]) -> float:
-    """The full-mark rate of checked counts; `weights` holds each class's score weight."""
-    numer = denom = 0.0
-    for label, total in totals.items():
-        numer += weights[label] * maxed.get(label, 0)
-        denom += weights[label] * total
-    if denom <= 0:
-        raise ValidationError("no respondents")
-    return numer / denom
-
-
 def round_statistics(
     survey_round: SurveyRound, classes: Sequence[RespondentClass]
 ) -> list[IndicatorStats]:
     """Per-indicator statistics for one round, in first-appearance order.
 
     The mean and the sample standard deviation (n - 1 divisor) are unweighted
-    over all respondents; the full-mark rate applies the class weights; the
-    group confidence rating is the unweighted mean of the reported confidence
-    scores, or None when nobody reported one.
+    over all respondents. The full-mark rate weights both counts by class,
+    sum_k w_k * full_k / sum_k w_k * n_k over the classes in first-appearance
+    order, so it is the plain share of full marks when all weights are equal.
+    The group confidence rating is the unweighted mean of the reported
+    confidence scores, or None when nobody reported one.
     """
-    known = {c.label for c in classes}
-    weight_of: dict[str, float] | None = None  # built, and checked, where the first rate is taken
+    weight_of = {c.label: c.score_weight for c in classes}
     by_indicator: dict[str, list[Response]] = {}
     for r in survey_round.responses:
-        if r.respondent_class not in known:
+        if r.respondent_class not in weight_of:
             raise ValidationError(
                 f"response ({r.respondent!r}, {r.indicator!r}): "
                 f"unknown class label {r.respondent_class!r}"
@@ -220,15 +178,21 @@ def round_statistics(
         std = math.sqrt(var)
         cv = std / mean
 
+        if len(weight_of) < len(classes):  # checked where the first rate is taken
+            raise ValidationError(
+                f"duplicate respondent class {first_repeat(c.label for c in classes)!r}"
+            )
         maxed: dict[str, int] = {}
         totals: dict[str, int] = {}
         for r in responses:
             totals[r.respondent_class] = totals.get(r.respondent_class, 0) + 1
             if r.score >= FULL_MARK_MIN:
                 maxed[r.respondent_class] = maxed.get(r.respondent_class, 0) + 1
-        if weight_of is None:
-            weight_of = _weights_of(classes)
-        rate = _rate(maxed, totals, weight_of)  # every class is known; counts are >= 0
+        numer = denom = 0.0
+        for label, total in totals.items():
+            numer += weight_of[label] * maxed.get(label, 0)
+            denom += weight_of[label] * total
+        rate = numer / denom  # > 0: d >= 2 and every score_weight is > 0
 
         confidences = [r.confidence for r in responses if r.confidence is not None]
         gcr = sum(confidences) / len(confidences) if confidences else None

@@ -178,7 +178,11 @@ def verdict(b: FuzzyVector, scale: GradeScale) -> Verdict:
 
     `b` may hold any subset of the scale, in any order: it is read in scale order.
     """
-    grades = sorted(b.grades, key=scale.rank)
+    grades = [g for g in scale.labels if g in b.memberships]
+    if len(grades) < len(b.memberships):
+        raise ValidationError(
+            f"unknown grade {next(g for g in b.grades if g not in scale.labels)!r}"
+        )
     winner, membership, tied = verdicts(np.array([b[g] for g in grades])[:, None])
     return Verdict(
         grade=grades[winner[0]], membership=float(membership[0]), tied=bool(tied[0])

@@ -16,6 +16,7 @@ from siteval import (
     ValidationError,
     WeightVector,
     validate_hierarchy,
+    verdict,
 )
 from siteval.core import error_prefix, float_sum, parse_float
 from siteval.fuzzy import FuzzyVector
@@ -33,9 +34,8 @@ def _hierarchy(criteria_children: dict[str, list[str]]) -> IndicatorHierarchy:
 
 class TestGradeScale:
     def test_order_is_preserved(self):
-        scale = GradeScale(("Excellent", "Good", "Poor"))
-        assert scale.rank("Excellent") == 0
-        assert scale.rank("Poor") == 2
+        scale = GradeScale(["Excellent", "Good", "Poor"])
+        assert scale.labels == ("Excellent", "Good", "Poor")
 
     def test_requires_two_grades(self):
         with pytest.raises(ValidationError):
@@ -46,9 +46,16 @@ class TestGradeScale:
             GradeScale(("Good", "Good", "Poor"))
 
     def test_unknown_grade(self):
+        # A grade is read against the scale in the vector's own order, so the
+        # first grade outside the scale is the one named.
         scale = GradeScale(("Good", "Poor"))
-        with pytest.raises(ValidationError):
-            scale.rank("Great")
+        cases = (
+            ({"Good": 0.5, "Great": 0.3, "Awful": 0.2}, "Great"),
+            ({"Awful": 0.2, "Poor": 0.5, "Great": 0.3}, "Awful"),
+        )
+        for b, first in cases:
+            with pytest.raises(ValidationError, match=f"^unknown grade '{first}'$"):
+                verdict(FuzzyVector(b), scale)
 
 
 class TestValidateHierarchy:

@@ -13,12 +13,27 @@ from siteval import (
     ValidationError,
     round_statistics,
     screen,
-    weighted_full_mark_rate,
 )
 
 EXPERT = RespondentClass("expert", 0.8)
 END_USER = RespondentClass("end_user", 0.2)
 CLASSES = (EXPERT, END_USER)
+RESIDENT = RespondentClass("resident", 0.35)
+
+
+def _weighted_full_mark_rate(responses, weights):
+    """Reference rate: sum_k w_k * full_k / sum_k w_k * n_k, over the classes in
+    the order they first appear, a full mark being a score of 4 or 5."""
+    full: dict[str, int] = {}
+    count: dict[str, int] = {}
+    for label, score in responses:
+        count[label] = count.get(label, 0) + 1
+        full[label] = full.get(label, 0) + (score >= 4)
+    numer = denom = 0.0
+    for label in count:
+        numer += weights[label] * full[label]
+        denom += weights[label] * count[label]
+    return numer / denom
 
 
 def _round(scores_by_class: dict[str, list[int]], indicator="C1", confidences=None):
@@ -30,6 +45,11 @@ def _round(scores_by_class: dict[str, list[int]], indicator="C1", confidences=No
             responses.append(Response(f"r{i:02d}", label, indicator, s, conf))
             i += 1
     return SurveyRound(round_index=2, responses=tuple(responses))
+
+
+def _rate(scores_by_class, classes=CLASSES):
+    (stats,) = round_statistics(_round(scores_by_class), classes)
+    return stats.full_mark_rate
 
 
 def _stats(indicator, mean, cv, rate, gcr=4.0, count=10):
@@ -108,7 +128,6 @@ class TestRoundStatistics:
         (stats,) = round_statistics(rnd, CLASSES)
         assert stats.full_mark_rate == pytest.approx(0.80, abs=1e-12)
 
-
     def test_duplicate_class_raises_where_the_first_rate_is_taken(self):
         twice = (EXPERT, END_USER, RespondentClass("expert", 0.5))
         assert round_statistics(SurveyRound(1, ()), twice) == []
@@ -121,68 +140,45 @@ class TestRoundStatistics:
 
     @given(
         st.lists(
-            st.tuples(
-                st.lists(st.integers(1, 5), max_size=6), st.lists(st.integers(1, 5), max_size=6)
-            ).filter(lambda t: len(t[0]) + len(t[1]) >= 2),
+            st.lists(
+                st.tuples(st.sampled_from(("expert", "end_user", "resident")), st.integers(1, 5)),
+                min_size=2,
+                max_size=12,
+            ),
             min_size=1,
             max_size=6,
         )
     )
     @settings(max_examples=50, deadline=None)
     def test_each_rate_equals_weighted_full_mark_rate(self, per_indicator):
-        responses = []
-        for k, (experts, users) in enumerate(per_indicator):
-            rnd = _round({"expert": experts, "end_user": users}, indicator=f"C{k}")
-            responses.extend(rnd.responses)
-        stats = round_statistics(SurveyRound(1, tuple(responses)), CLASSES)
+        # Three classes, interleaved: with three terms the order of the sums shows.
+        classes = (EXPERT, END_USER, RESIDENT)
+        responses = [
+            Response(f"r{i:02d}", label, f"C{k}", score)
+            for k, rows in enumerate(per_indicator)
+            for i, (label, score) in enumerate(rows)
+        ]
+        stats = round_statistics(SurveyRound(1, tuple(responses)), classes)
         assert [s.indicator for s in stats] == [f"C{k}" for k in range(len(per_indicator))]
-        for s, (experts, users) in zip(stats, per_indicator):
-            by_class = {"expert": experts, "end_user": users}
-            totals = {k: len(c) for k, c in by_class.items() if c}
-            maxed = {k: sum(v >= 4 for v in c) for k, c in by_class.items()}
-            maxed = {k: m for k, m in maxed.items() if m}
-            assert s.full_mark_rate == weighted_full_mark_rate(maxed, totals, CLASSES)
+        weights = {c.label: c.score_weight for c in classes}
+        for s, rows in zip(stats, per_indicator):
+            assert repr(s.full_mark_rate) == repr(_weighted_full_mark_rate(rows, weights))
 
 
 class TestWeightedFullMarkRate:
     def test_experts_only_scoring_high(self):
-        rate = weighted_full_mark_rate(
-            {"expert": 4, "end_user": 0}, {"expert": 5, "end_user": 5}, CLASSES
-        )
+        # (0.8*4 + 0) / (0.8*5 + 0.2*5) = 0.64.
+        rate = _rate({"expert": [5, 5, 4, 4, 3], "end_user": [3, 3, 3, 3, 3]})
         assert rate == pytest.approx(0.64, abs=1e-12)
 
     def test_uniform_weights_reduce_to_plain_ratio(self):
         classes = (RespondentClass("a", 0.5), RespondentClass("b", 0.5))
-        rate = weighted_full_mark_rate({"a": 3, "b": 2}, {"a": 5, "b": 5}, classes)
+        rate = _rate({"a": [4, 4, 5, 3, 1], "b": [5, 4, 3, 2, 1]}, classes)
         assert rate == pytest.approx(0.5, abs=1e-12)
 
     def test_all_experts_max(self):
-        rate = weighted_full_mark_rate(
-            {"expert": 5, "end_user": 0}, {"expert": 5, "end_user": 5}, CLASSES
-        )
+        rate = _rate({"expert": [5, 5, 5, 5, 5], "end_user": [1, 2, 3, 3, 3]})
         assert rate == pytest.approx(0.80, abs=1e-12)
-
-    def test_no_respondents(self):
-        with pytest.raises(ValidationError, match="no respondents"):
-            weighted_full_mark_rate({}, {}, CLASSES)
-
-    def test_max_exceeding_total_rejected(self):
-        with pytest.raises(ValidationError, match="exceeds total"):
-            weighted_full_mark_rate({"expert": 6}, {"expert": 5}, CLASSES)
-
-    @pytest.mark.parametrize("maxed, total", [(1, -2), (-1, 2)])
-    def test_negative_count_rejected(self, maxed, total):
-        with pytest.raises(ValidationError, match="^class 'expert': counts must be non-negative$"):
-            weighted_full_mark_rate({"expert": maxed}, {"expert": total}, CLASSES)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValidationError, match="unknown respondent class"):
-            weighted_full_mark_rate({"visitor": 1}, {"visitor": 2}, CLASSES)
-
-    def test_duplicate_class_labels_rejected(self):
-        twice = (RespondentClass("expert", 0.8), RespondentClass("expert", 0.2))
-        with pytest.raises(ValidationError, match="duplicate respondent class"):
-            weighted_full_mark_rate({"expert": 1}, {"expert": 2}, twice)
 
     @given(
         st.integers(min_value=0, max_value=4),
@@ -190,13 +186,15 @@ class TestWeightedFullMarkRate:
     )
     @settings(max_examples=40)
     def test_monotone_in_max_scorers(self, base, users):
-        lo = weighted_full_mark_rate(
-            {"expert": base, "end_user": users}, {"expert": 5, "end_user": 5}, CLASSES
-        )
-        hi = weighted_full_mark_rate(
-            {"expert": base + 1, "end_user": users}, {"expert": 5, "end_user": 5}, CLASSES
-        )
-        assert hi >= lo
+        def rate(experts):
+            return _rate(
+                {
+                    "expert": [4] * experts + [3] * (5 - experts),
+                    "end_user": [5] * users + [2] * (5 - users),
+                }
+            )
+
+        assert rate(base + 1) >= rate(base)
 
 
 class TestScreen:
@@ -234,6 +232,15 @@ class TestScreen:
     def test_empty_stats_rejected(self):
         with pytest.raises(ValidationError):
             screen([], ScreeningCriteria())
+
+    @pytest.mark.parametrize("overrides", ["C1", b"C1"], ids=["str", "bytes"])
+    def test_overrides_given_as_one_string_rejected(self, overrides):
+        # frozenset("C1") would be {'C', '1'}, which keeps no indicator C1.
+        with pytest.raises(ValidationError) as info:
+            ScreeningCriteria(overrides=overrides)
+        assert str(info.value) == (
+            f"screening overrides: expected a collection of ids, got {overrides!r}"
+        )
 
     @given(st.permutations(range(6)))
     @settings(max_examples=30)

@@ -316,7 +316,7 @@ class TestBatchedVerdict:
         scale, grades, rows = case
         got = [verdict(FuzzyVector(dict(zip(grades, r))), scale) for r in rows]
         # repr tells -0.0 from 0.0, which == does not
-        assert repr([(scale.rank(v.grade), v.membership, v.tied) for v in got]) == repr(
+        assert repr([(scale.labels.index(v.grade), v.membership, v.tied) for v in got]) == repr(
             [_reference_verdict(r, grades, scale.labels) for r in rows]
         )
 
@@ -327,14 +327,14 @@ class TestBatchedVerdict:
     @example(_EDGE_CASES[2])
     def test_kernel_reads_scale_ordered_columns_in_either_layout(self, case):
         scale, grades, rows = case
-        in_scale_order = sorted(grades, key=scale.rank)
+        in_scale_order = sorted(grades, key=scale.labels.index)
         # (G, A): a row per grade, in scale order, and a column per vector.
         columns = np.array(rows)[:, [grades.index(g) for g in in_scale_order]].T
         expected = [_reference_verdict(r, grades, scale.labels) for r in rows]
         for layout in (np.ascontiguousarray(columns), np.asfortranarray(columns)):
             winner, membership, tied = verdicts(layout)
             got = zip(winner.tolist(), membership.tolist(), tied.tolist())
-            assert repr([(scale.rank(in_scale_order[k]), m, t) for k, m, t in got]) == repr(
+            assert repr([(scale.labels.index(in_scale_order[k]), m, t) for k, m, t in got]) == repr(
                 expected
             )
 

@@ -56,6 +56,8 @@ class TestIngestSurvey:
         [
             ("C3,r07,expert, x ,5\n", "score must be an integer, got 'x'"),
             ("C3,r07,expert,4, y \n", "confidence must be an integer, got 'y'"),
+            (" ,r07,expert,4,5\n", "empty indicator or respondent id"),
+            ("C3,,expert,4,5\n", "empty indicator or respondent id"),
         ],
     )
     def test_integer_errors_quote_the_stripped_token(self, tmp_path, body, message):

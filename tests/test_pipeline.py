@@ -317,6 +317,13 @@ class TestRunPipeline:
             "goal matrix labels ['B4', 'B3', 'B2', 'B1'] do not match criteria "
             "['B1', 'B2', 'B3', 'B4']"
         )
+        b1 = campus_config.matrices["B1"]
+        reversed_b1 = JudgmentMatrix("B1", b1.labels[::-1], b1.entries)
+        with pytest.raises(ValidationError) as info:
+            replace(campus_config, matrices={**campus_config.matrices, "B1": reversed_b1})
+        assert str(info.value) == (
+            "matrix 'B1' labels ['C3', 'C2', 'C1'] do not match indicators ['C1', 'C2', 'C3']"
+        )
 
     def test_absent_respondent_classes_take_the_defaults(self, campus_config_dict):
         data = _variant(campus_config_dict)
@@ -501,6 +508,14 @@ class TestMalformedConfig:
             (
                 lambda d: _inline_values(d, 5),
                 "decision matrix shape mismatch: expected 4x14",
+            ),
+            (
+                lambda d: d.update(weights_policy="both"),
+                "unknown weights_policy 'both'; expected one of ('paper', 'fused-both')",
+            ),
+            (
+                lambda d: d["membership"]["C1"].update(Fair=0.0),
+                "membership row 'C1': unknown grades ['Fair']",
             ),
         ],
     )

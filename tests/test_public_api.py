@@ -33,7 +33,7 @@ def test_public_names_are_pinned():
         "emit_report", "entropy_weights", "fuse", "information_entropy",
         "ingest_survey", "load_config", "parse_ratio", "read_decision_matrix",
         "ri_lookup", "round_statistics", "run_pipeline", "screen", "sweep_alpha",
-        "synthesize_global", "validate_hierarchy", "verdict", "weighted_full_mark_rate",
+        "synthesize_global", "validate_hierarchy", "verdict",
     ]
 
 
