@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import gc
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -79,6 +80,16 @@ def parse_float(value: object, where: str, *args: object) -> float:
         except OverflowError:
             raise ValidationError(f"{where.format(*args)}: number too large for a float") from None
     raise ValidationError(f"{where.format(*args)}: not a number: {value!r}")
+
+
+def check_real(value: object, what: str) -> None:
+    """Raise `{what} is not a number: ...` unless `value` is a real number.
+
+    A bool, Python's or numpy's, is not one here; a numpy bool is no
+    `numbers.Real`, and Python's is excluded by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} is not a number: {value!r}")
 
 
 def float_sum(values: Iterable[float]) -> float:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import ValidationError, first_repeat, float_sum
+from .core import ValidationError, check_real, first_repeat, float_sum
 
 SCORE_MIN = 1
 SCORE_MAX = 5
@@ -30,6 +30,7 @@ class RespondentClass:
     score_weight: float
 
     def __post_init__(self) -> None:
+        check_real(self.score_weight, f"class {self.label!r}: score_weight")
         if not 0.0 < self.score_weight <= 1.0:
             raise ValidationError(
                 f"class {self.label!r}: score_weight must be in (0, 1], got {self.score_weight}"
@@ -119,16 +120,23 @@ class ScreeningCriteria:
     overrides: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        for name in ("min_mean", "min_full_mark_rate", "max_cv"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("min_mean", "min_full_mark_rate", "max_cv", "min_gcr"):
+            value = getattr(self, name)
+            if name == "min_gcr" and value is None:
+                continue
+            check_real(value, f"screening threshold {name}")
+            if not math.isfinite(value):
                 raise ValidationError(f"screening threshold {name} must be finite")
-        if self.min_gcr is not None and not math.isfinite(self.min_gcr):
-            raise ValidationError("screening threshold min_gcr must be finite")
-        if isinstance(self.overrides, (str, bytes)):  # frozenset("C1") is {'C', '1'}
-            raise ValidationError(
-                f"screening overrides: expected a collection of ids, got {self.overrides!r}"
-            )
-        object.__setattr__(self, "overrides", frozenset(self.overrides))
+        # frozenset("C1") is {'C', '1'}, so a lone str or bytes is no collection of ids.
+        ids = self.overrides
+        if not isinstance(ids, (str, bytes)) and isinstance(ids, Iterable):
+            ids = tuple(ids)
+            if all(isinstance(i, str) for i in ids):
+                object.__setattr__(self, "overrides", frozenset(ids))
+                return
+        raise ValidationError(
+            f"screening overrides: expected a collection of ids, got {self.overrides!r}"
+        )
 
 
 @dataclass(frozen=True)

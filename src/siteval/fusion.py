@@ -1,12 +1,11 @@
 """Convex blending of subjective and objective weight vectors."""
 from __future__ import annotations
 
-import numbers
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .core import SUM_TOL, ValidationError, WeightVector, check_same_ids
+from .core import SUM_TOL, ValidationError, WeightVector, check_real, check_same_ids
 
 
 def check_pair(subjective: WeightVector, objective: WeightVector) -> None:
@@ -23,34 +22,36 @@ def blend(subjective: np.ndarray, objective: np.ndarray, alphas: np.ndarray) -> 
     return np.add(out, subjective[:, None] * alphas, out=out)
 
 
-def alpha_floats(values: Iterable[object], what: str) -> tuple[np.ndarray, Sequence[object]]:
-    """The values as a float64 array in input order, and the values it was read from.
+def alpha_floats(values: Iterable[object], what: str) -> np.ndarray:
+    """The values as a float64 array in input order, each a real number in [0, 1].
 
     The first value that is a bool or not a real number (a str, bytes, None)
-    raises `{what} is not a number: ...`; an int too large for a float raises.
+    raises `{what} is not a number: ...`. Then the first value outside [0, 1]
+    in input order, NaN and an int too large for a float included, raises
+    `{what} must be in [0, 1], got ...`, showing the value as given.
     """
     values = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
     try:
-        inferred = np.array(values)
-        numeric = inferred.ndim == 1 and inferred.dtype.kind in "fiu"
+        a = np.array(values)
+        numeric = a.ndim == 1 and a.dtype.kind in "fiu"
     except ValueError:  # ragged, so some value is a sequence
         numeric = False
-    # A bool beside numbers also infers a numeric dtype, as 0 or 1, so then
-    # only the values equal to 0 or 1 need their type checked.
-    suspects = (
-        [values[k] for k in np.flatnonzero((inferred == 0) | (inferred == 1)).tolist()]
-        if numeric else values
-    )
-    for v in suspects:
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-            raise ValidationError(f"{what} is not a number: {v!r}")
     if numeric:
-        return inferred.astype(np.float64, copy=False), values
-    try:
-        return np.array(values, dtype=np.float64), values
-    except OverflowError:  # an int too large for a float lies out of range
-        bad = next(v for v in sorted(values) if not 0.0 <= v <= 1.0)  # type: ignore
-        raise ValidationError(f"{what} out of [0, 1]: {bad}") from None
+        a = a.astype(np.float64, copy=False)
+        # A bool beside numbers also infers a numeric dtype, as 0 or 1, so then
+        # only the values not strictly inside (0, 1), NaN included, need a look.
+        off = a >= 1.0
+        off |= ~(a > 0.0)
+        suspects = [values[k] for k in np.flatnonzero(off).tolist()]
+    else:
+        suspects = values
+    for v in suspects:
+        check_real(v, what)
+    for v in suspects:
+        if not 0.0 <= v <= 1.0:  # also true for NaN
+            raise ValidationError(f"{what} must be in [0, 1], got {v}")
+    # Every value now lies in [0, 1], so no int overflows a float.
+    return a if numeric else np.array(values, dtype=np.float64)
 
 
 def fuse(
@@ -62,12 +63,9 @@ def fuse(
 
     Row k is alphas[k] * subjective + (1 - alphas[k]) * objective, entrywise:
     alpha = 1 keeps the subjective weights, 0 the objective. Both inputs must
-    cover the same ids and sum to 1 (`check_pair`), and every alpha must be a
-    real number (not a bool or a str, see `alpha_floats`) in [0, 1].
+    cover the same ids and sum to 1 (`check_pair`); every alpha must be a real
+    number in [0, 1], checked by `alpha_floats` before the pair.
     """
-    a = alpha_floats(alphas, "alpha")[0]
-    bad = a[~((a >= 0.0) & (a <= 1.0))]  # NaN fails both comparisons
-    if bad.size:
-        raise ValidationError(f"alpha must be in [0, 1], got {float(bad[0])}")
+    a = alpha_floats(alphas, "alpha")
     check_pair(subjective, objective)
     return blend(np.array(subjective.values()), np.array(objective.values(subjective.ids)), a).T

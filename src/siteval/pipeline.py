@@ -325,18 +325,14 @@ def sweep_alpha(
     the order of `cfg.scale`, as everywhere in a run.
 
     The grid may be any iterable of real numbers, or a 1-D numeric numpy
-    array. An empty grid, a value that is a str, None or bool, and a value
-    outside [0, 1] each raise a ValidationError.
+    array. An empty grid raises a ValidationError, and so does a value that
+    `alpha_floats` rejects: a str, None or bool, or a value outside [0, 1]
+    (the first in input order).
     """
-    unsorted, values = alpha_floats(grid, "sweep grid value")
-    if not unsorted.size:
+    # Stable, like `sorted`: equal values (0.0 and -0.0) keep their order.
+    alphas = np.sort(alpha_floats(grid, "sweep grid value"), kind="stable")
+    if not alphas.size:
         raise ValidationError("sweep grid is empty")
-    # Stable, like `sorted`: equal values (0.0 and -0.0) keep their order; NaN sorts last.
-    alphas = np.sort(unsorted, kind="stable")
-    if not (alphas[0] >= 0.0 and alphas[-1] <= 1.0):
-        first_bad = np.flatnonzero(~((alphas >= 0.0) & (alphas <= 1.0)))[0]
-        value = values[np.argsort(unsorted, kind="stable")[first_bad]]
-        raise ValidationError(f"sweep grid value out of [0, 1]: {value}")
     second = _evaluate(cfg, None, allow_inconsistent, alphas).second.T
     return AlphaSweep(alphas, second, cfg.scale)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,9 +234,14 @@ class TestScreen:
         with pytest.raises(ValidationError):
             screen([], ScreeningCriteria())
 
-    @pytest.mark.parametrize("overrides", ["C1", b"C1"], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "overrides",
+        ["C1", b"C1", None, 5, [1, 2], ("C1", b"C2")],
+        ids=["str", "bytes", "none", "int", "int-ids", "bytes-id"],
+    )
     def test_overrides_given_as_one_string_rejected(self, overrides):
-        # frozenset("C1") would be {'C', '1'}, which keeps no indicator C1.
+        # frozenset("C1") would be {'C', '1'}, which keeps no indicator C1; an
+        # id that is not a str could never equal an indicator id.
         with pytest.raises(ValidationError) as info:
             ScreeningCriteria(overrides=overrides)
         assert str(info.value) == (
@@ -297,6 +303,27 @@ class TestSurveyRoundInvariants:
         with pytest.raises(ValidationError) as info:
             IndicatorStats("C1", mean, std_dev, 0.1, rate, 10)
         assert str(info.value) == f"stats 'C1': {message}"
+
+    @pytest.mark.parametrize("weight", [True, np.True_, "0.5", None, [0.5]])
+    def test_class_weight_that_is_not_a_number_rejected(self, weight):
+        with pytest.raises(ValidationError) as info:
+            RespondentClass("x", weight)
+        assert str(info.value) == f"class 'x': score_weight is not a number: {weight!r}"
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("min_mean", True), ("min_gcr", np.True_), ("min_mean", "x"), ("max_cv", None),
+         ("min_full_mark_rate", False)],
+    )
+    def test_threshold_that_is_not_a_number_rejected(self, name, value):
+        with pytest.raises(ValidationError) as info:
+            ScreeningCriteria(**{name: value})
+        assert str(info.value) == f"screening threshold {name} is not a number: {value!r}"
+
+    def test_real_numbers_of_any_type_accepted(self):
+        assert RespondentClass("x", 1).score_weight == 1
+        assert RespondentClass("x", np.float64(0.25)).score_weight == 0.25
+        assert ScreeningCriteria(min_mean=np.int64(3), min_gcr=None).min_mean == 3
 
     def test_cv_consistency_enforced(self):
         with pytest.raises(ValidationError, match="cv must equal"):

@@ -73,7 +73,14 @@ class TestFuse:
     def test_alpha_out_of_range(self):
         subj = WeightVector({"a": 0.6, "b": 0.4})
         obj = WeightVector({"a": 0.2, "b": 0.8})
-        for alphas, bad in (([1.5], "1.5"), ([-0.1], "-0.1"), ([0.2, np.nan, 2.0], "nan")):
+        for alphas, bad in (
+            ([1.5], "1.5"),
+            ([-0.1], "-0.1"),
+            ([0.2, np.nan, 2.0], "nan"),
+            ([2], "2"),  # an int is shown as given
+            ([10**400], str(10**400)),  # too large for a float
+            ([0.5, 1.5, -0.25], "1.5"),  # the first in input order
+        ):
             with pytest.raises(ValidationError, match=rf"alpha must be in \[0, 1\], got {bad}$"):
                 fuse(subj, obj, alphas)
 

@@ -1054,7 +1054,7 @@ class TestSweepAlpha:
         assert all(type(r.alpha) is float for r in rows)
 
     def test_grid_values_validated(self, campus_config):
-        with pytest.raises(ValidationError, match="out of"):
+        with pytest.raises(ValidationError, match=r"must be in \[0, 1\], got 1\.5$"):
             sweep_alpha(campus_config, [0.5, 1.5])
         with pytest.raises(ValidationError, match="empty"):
             sweep_alpha(campus_config, [])
@@ -1085,18 +1085,31 @@ class TestSweepAlpha:
             ((), "sweep grid is empty"),
             (iter([]), "sweep grid is empty"),
             (np.array([]), "sweep grid is empty"),
-            ([0.5, 1.5, -0.25], "sweep grid value out of [0, 1]: -0.25"),
-            ([2, 0.5], "sweep grid value out of [0, 1]: 2"),
-            (np.array([0.5, 1.5]), "sweep grid value out of [0, 1]: 1.5"),
-            ([0.5, float("nan")], "sweep grid value out of [0, 1]: nan"),
-            ([10**400, 0.5], f"sweep grid value out of [0, 1]: {10**400}"),
-            ([-(10**400), -1.0], f"sweep grid value out of [0, 1]: {-(10**400)}"),
+            ([0.5, 1.5, -0.25], "sweep grid value must be in [0, 1], got 1.5"),
+            ([2, 0.5], "sweep grid value must be in [0, 1], got 2"),
+            (np.array([0.5, 1.5]), "sweep grid value must be in [0, 1], got 1.5"),
+            ([0.5, float("nan")], "sweep grid value must be in [0, 1], got nan"),
+            ([10**400, 0.5], f"sweep grid value must be in [0, 1], got {10**400}"),
+            ([-(10**400), -1.0], f"sweep grid value must be in [0, 1], got {-(10**400)}"),
         ],
     )
     def test_grid_errors_keep_their_text(self, campus_config, grid, message):
         with pytest.raises(ValidationError) as info:
             sweep_alpha(campus_config, grid)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("alpha, shown", [(1.5, "1.5"), (-0.25, "-0.25"), (math.nan, "nan")])
+    def test_every_alpha_check_writes_one_text(self, campus_config, alpha, shown):
+        """A config, `fuse` and a sweep word a bad alpha alike, but for noun and prefix."""
+        paths = (
+            ("config: ", "alpha", lambda: campus_config.with_overrides(alpha=alpha)),
+            ("", "alpha", lambda: fuse(*[campus_config.objective_weights] * 2, [alpha])),
+            ("", "sweep grid value", lambda: sweep_alpha(campus_config, [0.5, alpha])),
+        )
+        for prefix, noun, call in paths:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == f"{prefix}{noun} must be in [0, 1], got {shown}"
 
     def test_signed_zeros_keep_the_order_sorted_gives(self, campus_config):
         for grid, signs in (([0.0, -0.0], [1.0, -1.0]), ([-0.0, 0.0], [-1.0, 1.0])):
