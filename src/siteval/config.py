@@ -1,11 +1,11 @@
 """Project config: parsing, cross-validation, canonical encoding and hashing.
 
-A project config bundles the hierarchy, grade scale, respondent classes,
-screening thresholds, judgment matrices, membership matrix and the
-objective-weight source. `ProjectConfig.from_dict` parses a JSON-shaped
-mapping and names the key path of every malformed value, with the `config:`
-prefix; constructing a `ProjectConfig` cross-checks every id against the
-hierarchy, so every config that exists is consistent.
+A project config bundles the hierarchy, respondent classes, screening
+thresholds, judgment matrices, membership matrix (which holds the grade
+scale) and the objective-weight source. `ProjectConfig.from_dict` parses a
+JSON-shaped mapping and names the key path of every malformed value, with the
+`config:` prefix; constructing a `ProjectConfig` cross-checks every id against
+the hierarchy, so every config that exists is consistent.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def _given(entry: Mapping[str, Any], *keys: str) -> dict[str, Any]:
 class ProjectConfig:
     """Everything one evaluation run needs, parsed and cross-validated.
 
-    `scale.labels` is a run's one grade order; `membership` must list its grades in it.
+    `membership.scale.labels` is a run's one grade order.
 
     A config and its parts are values: every mapping they hold is read-only.
     A config keeps what it derives on first use: its `config_hash` and one
@@ -128,7 +128,6 @@ class ProjectConfig:
     """
 
     hierarchy: IndicatorHierarchy
-    scale: GradeScale
     classes: tuple[RespondentClass, ...]
     screening: ScreeningCriteria
     matrices: Mapping[str, JudgmentMatrix]
@@ -200,11 +199,6 @@ class ProjectConfig:
             self.membership.indicator_ids, indicator_ids,
             "membership rows do not match indicators",
         )
-        if self.membership.grades != self.scale.labels:
-            raise ValidationError(
-                f"membership grades {list(self.membership.grades)} do not match "
-                f"scale {list(self.scale.labels)}"
-            )
         if self.objective_weights is not None:
             check_same_ids(
                 self.objective_weights.ids, indicator_ids,
@@ -293,21 +287,14 @@ class ProjectConfig:
                     _list(row, "judgment_matrices.{}[{}]", node, k)
             matrices[node] = JudgmentMatrix(node, labels_of[node], rows)
 
-        grades, grade_set = scale.labels, set(scale.labels)
         membership_rows: dict[str, dict[str, float]] = {}
         for ind, row in as_object(data["membership"], "membership").items():
             if type(row) is not dict:
                 row = as_object(row, "membership.{}", ind)
-            if row.keys() != grade_set:  # one compare; the lists are built only to name the fault
-                missing = [g for g in grades if g not in row]
-                if missing:
-                    raise ValidationError(f"membership row {ind!r}: missing grades {missing}")
-                unknown = sorted(set(row) - grade_set)
-                raise ValidationError(f"membership row {ind!r}: unknown grades {unknown}")
             membership_rows[str(ind)] = {
-                g: parse_float(row[g], "membership.{}.{}", ind, g) for g in grades
+                g: parse_float(v, "membership.{}.{}", ind, g) for g, v in row.items()
             }
-        membership = MembershipMatrix(membership_rows)
+        membership = MembershipMatrix(membership_rows, scale)
 
         objective = None
         if "objective_weights" in data:
@@ -331,7 +318,6 @@ class ProjectConfig:
 
         return cls(
             hierarchy=hierarchy,
-            scale=scale,
             classes=classes,
             screening=screening,
             matrices=matrices,
@@ -381,7 +367,7 @@ class ProjectConfig:
         """`to_dict()` minus the decision matrix's values, which its callers encode."""
         out: dict[str, Any] = {
             "goal": self.hierarchy.goal_name,
-            "grades": list(self.scale.labels),
+            "grades": list(self.membership.scale.labels),
             "criteria": [
                 {
                     "id": c.id,

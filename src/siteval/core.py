@@ -1,5 +1,8 @@
 """Shared domain types: grade scale, indicator hierarchy, weight vectors, membership matrix.
 
+A run's grade order has one home, the membership matrix's `scale`: every row
+holds exactly its grades and is stored in its order.
+
 Everything here is immutable after construction and safe to share across threads;
 each mapping held is a read-only `types.MappingProxyType`, so a write raises.
 """
@@ -259,34 +262,34 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class MembershipMatrix:
-    """Read-only indicator rows of membership degrees over a fixed grade set.
+    """Read-only indicator rows of membership degrees over one grade scale.
 
-    Rows are expected to be (close to) row-stochastic; `row_sum_deviations`
-    reports rows whose sum strays from 1 by more than a flagging tolerance.
+    Each row must hold exactly the scale's grades, given in any order, and is
+    stored in the scale's order. Rows are expected to be (close to)
+    row-stochastic; `row_sum_deviations` reports rows whose sum strays from 1
+    by more than a flagging tolerance.
     """
 
     rows: Mapping[str, Mapping[str, float]]
+    scale: GradeScale
 
     def __post_init__(self) -> None:
+        grades = self.scale.labels
+        grade_set = set(grades)
         cleaned: dict[str, Mapping[str, float]] = {}
         sums: dict[str, float] = {}
-        grades: tuple[str, ...] | None = None
         for ind, row in self.rows.items():
+            if row.keys() != grade_set:  # one compare; the lists are built only to name the fault
+                missing = [g for g in grades if g not in row]
+                if missing:
+                    raise ValidationError(f"membership row {ind!r}: missing grades {missing}")
+                unknown = sorted(row.keys() - grade_set, key=str)
+                raise ValidationError(f"membership row {ind!r}: unknown grades {unknown}")
             row_f = {
-                str(g): v if type(v) is float
-                else parse_float(v, "membership row {!r}, grade {!r}", str(ind), str(g))
-                for g, v in row.items()
+                g: v if type(v := row[g]) is float
+                else parse_float(v, "membership row {!r}, grade {!r}", str(ind), g)
+                for g in grades
             }
-            if len(row_f) != len(row):
-                check_str_ids(row, f"membership row {str(ind)!r}: grade")
-            row_grades = tuple(row_f)
-            if grades is None:
-                grades = row_grades
-            elif row_grades != grades and set(row_grades) != set(grades):
-                raise ValidationError(
-                    f"membership row {ind!r}: grade set {sorted(row_grades)} "
-                    f"differs from {sorted(grades)}"
-                )
             for g, v in row_f.items():
                 if not 0.0 <= v <= 1.0:
                     raise ValidationError(
@@ -298,28 +301,23 @@ class MembershipMatrix:
                     f"membership row {ind!r}: sum {total} exceeds 1"
                 )
             cleaned[str(ind)], sums[str(ind)] = MappingProxyType(row_f), total
-        if grades is None:
+        if not cleaned:
             raise ValidationError("membership matrix has no rows")
         if len(cleaned) != len(self.rows):
             check_str_ids(self.rows, "membership row")
         object.__setattr__(self, "rows", MappingProxyType(cleaned))
-        object.__setattr__(self, "_grades", grades)
         object.__setattr__(self, "_sums", sums)
-
-    @property
-    def grades(self) -> tuple[str, ...]:
-        return self._grades  # type: ignore[attr-defined]
 
     @property
     def indicator_ids(self) -> tuple[str, ...]:
         return tuple(self.rows)
 
     def to_array(self, indicator_ids: Sequence[str]) -> np.ndarray:
-        """Rows of `indicator_ids`, in that order, as an (I, G) float64 array in grade order."""
-        grades, rows = self.grades, self.rows
+        """Rows of `indicator_ids`, in that order, as an (I, G) float64 array in scale order."""
+        rows = self.rows
         try:
             return np.array(
-                [[row[g] for g in grades] for row in map(rows.__getitem__, indicator_ids)],
+                [list(row.values()) for row in map(rows.__getitem__, indicator_ids)],
                 dtype=np.float64,
             )
         except KeyError:

@@ -97,8 +97,9 @@ class IndicatorStats:
             raise ValidationError(
                 f"stats {self.indicator!r}: mean {self.mean} outside [{SCORE_MIN}, {SCORE_MAX}]"
             )
-        if self.std_dev < 0 or self.cv < 0:
-            raise ValidationError(f"stats {self.indicator!r}: negative dispersion")
+        if not (0.0 <= self.std_dev < math.inf and 0.0 <= self.cv < math.inf):  # false for NaN
+            kind = "negative" if self.std_dev < 0 or self.cv < 0 else "non-finite"
+            raise ValidationError(f"stats {self.indicator!r}: {kind} dispersion")
         if abs(self.cv - self.std_dev / self.mean) > 1e-12:
             raise ValidationError(
                 f"stats {self.indicator!r}: cv must equal std_dev / mean"
@@ -106,6 +107,10 @@ class IndicatorStats:
         if not 0.0 <= self.full_mark_rate <= 1.0:
             raise ValidationError(
                 f"stats {self.indicator!r}: full_mark_rate outside [0, 1]"
+            )
+        if self.gcr is not None and not SCORE_MIN <= self.gcr <= SCORE_MAX:
+            raise ValidationError(
+                f"stats {self.indicator!r}: gcr {self.gcr} outside [{SCORE_MIN}, {SCORE_MAX}]"
             )
 
 
@@ -120,13 +125,24 @@ class ScreeningCriteria:
     overrides: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        for name in ("min_mean", "min_full_mark_rate", "max_cv", "min_gcr"):
+        # A threshold outside its range could never be met, or never fail.
+        for name, lo, hi in (
+            ("min_mean", SCORE_MIN, SCORE_MAX),
+            ("min_full_mark_rate", 0, 1),
+            ("max_cv", 0, math.inf),
+            ("min_gcr", SCORE_MIN, SCORE_MAX),
+        ):
             value = getattr(self, name)
             if name == "min_gcr" and value is None:
                 continue
             check_real(value, f"screening threshold {name}")
             if not math.isfinite(value):
                 raise ValidationError(f"screening threshold {name} must be finite")
+            if not lo <= value <= hi:
+                bounds = f"in [{lo}, {hi}]" if hi < math.inf else f"at least {lo}"
+                raise ValidationError(
+                    f"screening threshold {name} must be {bounds}, got {value}"
+                )
         # frozenset("C1") is {'C', '1'}, so a lone str or bytes is no collection of ids.
         ids = self.overrides
         if not isinstance(ids, (str, bytes)) and isinstance(ids, Iterable):

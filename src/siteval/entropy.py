@@ -176,7 +176,7 @@ def information_entropy(shares: Sequence[float] | np.ndarray) -> float | np.ndar
     rows = p.reshape(math.prod(lead), p.shape[-1]) if p.ndim > 1 else p.reshape(1, -1)
     negative = (rows < 0).any(axis=1)
     totals = rows.sum(axis=1)
-    bad = np.flatnonzero(negative | (np.abs(totals - 1.0) > 1e-9))
+    bad = np.flatnonzero(negative | ~(np.abs(totals - 1.0) <= 1e-9))  # a NaN total is bad too
     if bad.size:
         if negative[bad[0]]:
             raise ValidationError("shares must be non-negative")

@@ -274,7 +274,7 @@ def run_pipeline(
     ahp = run.kept.ahp
     blended = blend(*run.kept.indicator, np.array([cfg.alpha]))[:, 0].tolist()
     indicator = dict(zip(run.kept.indicators, blended))  # in row order
-    grades = cfg.scale.labels
+    grades = cfg.membership.scale.labels
     with error_prefix("fuzzy"):
         first = {
             c.id: FuzzyVector(dict(zip(grades, vec.tolist())))
@@ -290,10 +290,10 @@ def run_pipeline(
                             "fuzzy-vector-sum", f"{what} sums to {vec.total():.4f}, expected 1"
                         )
                     )
-        final = verdict(second, cfg.scale)
+        final = verdict(second, cfg.membership.scale)
     return EvaluationReport(
         goal=cfg.hierarchy.goal_name,
-        grades=cfg.scale.labels,
+        grades=grades,
         screening=run.screening,
         ahp=ahp,
         criterion_objective=run.kept.criterion_objective,
@@ -322,7 +322,7 @@ def sweep_alpha(
     the verdict batched over the grid; the stages that ignore alpha run on
     the config's first run only. Each row's second-level vector and
     verdict equal those of `run_pipeline` at that alpha exactly; grades are in
-    the order of `cfg.scale`, as everywhere in a run.
+    the order of `cfg.membership.scale`, as everywhere in a run.
 
     The grid may be any iterable of real numbers, or a 1-D numeric numpy
     array. An empty grid raises a ValidationError, and so does a value that
@@ -334,7 +334,7 @@ def sweep_alpha(
     if not alphas.size:
         raise ValidationError("sweep grid is empty")
     second = _evaluate(cfg, None, allow_inconsistent, alphas).second.T
-    return AlphaSweep(alphas, second, cfg.scale)
+    return AlphaSweep(alphas, second, cfg.membership.scale)
 
 
 def emit_report(report: EvaluationReport, format: str) -> str:

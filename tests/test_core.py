@@ -21,6 +21,9 @@ from siteval import (
 from siteval.core import error_prefix, float_sum, parse_float
 from siteval.fuzzy import FuzzyVector
 
+GOOD_POOR = GradeScale(("Good", "Poor"))
+THREE_GRADES = GradeScale(("Excellent", "Good", "Poor"))
+
 
 def _hierarchy(criteria_children: dict[str, list[str]]) -> IndicatorHierarchy:
     return IndicatorHierarchy(
@@ -108,16 +111,18 @@ class TestValidateHierarchy:
 class TestMembershipMatrix:
     def test_entry_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
-            MembershipMatrix({"C1": {"Good": 1.2, "Poor": 0.0}})
+            MembershipMatrix({"C1": {"Good": 1.2, "Poor": 0.0}}, GOOD_POOR)
 
     def test_row_sum_above_one_rejected(self):
         with pytest.raises(ValidationError, match="exceeds 1"):
-            MembershipMatrix({"C1": {"Good": 0.7, "Poor": 0.5}})
+            MembershipMatrix({"C1": {"Good": 0.7, "Poor": 0.5}}, GOOD_POOR)
 
     def test_mismatched_grade_sets_rejected(self):
-        with pytest.raises(ValidationError, match="grade set"):
+        with pytest.raises(
+            ValidationError, match=r"^membership row 'C2': missing grades \['Poor'\]$"
+        ):
             MembershipMatrix(
-                {"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Good": 0.5, "Bad": 0.5}}
+                {"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Good": 0.5, "Bad": 0.5}}, GOOD_POOR
             )
 
     def test_row_sum_deviation_flagged(self):
@@ -125,7 +130,8 @@ class TestMembershipMatrix:
             {
                 "C1": {"Excellent": 0.1, "Good": 0.45, "Poor": 0.4},
                 "C2": {"Excellent": 0.3, "Good": 0.6, "Poor": 0.1},
-            }
+            },
+            THREE_GRADES,
         )
         deviations = m.row_sum_deviations()
         assert set(deviations) == {"C1"}
@@ -135,12 +141,14 @@ class TestMembershipMatrix:
     def test_row_sum_does_not_depend_on_cell_order(self, row):
         # Each row is 19/20 exactly; added in grade order, the first gives
         # 0.9500000000000001 and the other two 0.95.
-        m = MembershipMatrix({"C1": dict(zip(("Excellent", "Good", "Poor"), row))})
+        m = MembershipMatrix({"C1": dict(zip(THREE_GRADES.labels, row))}, THREE_GRADES)
         assert m.row_sum_deviations() == {"C1": math.fsum(row) - 1.0}
         assert math.fsum(row) == 0.9500000000000001
 
     def test_to_array_reads_rows_in_the_given_order(self):
-        m = MembershipMatrix({"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Poor": 0.75, "Good": 0.25}})
+        m = MembershipMatrix(
+            {"C1": {"Good": 0.5, "Poor": 0.5}, "C2": {"Poor": 0.75, "Good": 0.25}}, GOOD_POOR
+        )
         a = m.to_array(["C2", "C1"])
         assert a.dtype == np.float64
         assert a.tolist() == [[0.25, 0.75], [0.5, 0.5]]
@@ -190,12 +198,9 @@ class TestIdsThatCollideAsText:
         with pytest.raises(
             ValidationError, match=r"^membership row '1' given twice: as 1 and as '1'$"
         ):
-            MembershipMatrix({1: {"Good": 0.5}, "1": {"Good": 0.25}})
-        with pytest.raises(
-            ValidationError,
-            match=r"^membership row 'C1': grade '2' given twice: as 2 and as '2'$",
-        ):
-            MembershipMatrix({"C1": {2: 0.5, "2": 0.25}})
+            MembershipMatrix(
+                {1: {"Good": 0.5, "Poor": 0.5}, "1": {"Good": 0.25, "Poor": 0.5}}, GOOD_POOR
+            )
 
 
 # Weight values of every kind a caller may pass: exact floats (NaN, infinities
@@ -258,7 +263,10 @@ class TestFloatConversion:
         "build, message",
         [
             (lambda v: WeightVector({"a": v}), r"^weight for 'a': "),
-            (lambda v: MembershipMatrix({"C1": {"Good": v}}), r"^membership row 'C1', grade 'Good': "),
+            (
+                lambda v: MembershipMatrix({"C1": {"Poor": 0.0, "Good": v}}, GOOD_POOR),
+                r"^membership row 'C1', grade 'Good': ",
+            ),
             (lambda v: FuzzyVector({"Good": v}), r"^membership for grade 'Good': "),
         ],
     )
@@ -278,7 +286,10 @@ class TestFloatConversion:
         [
             (lambda v, cfg: parse_float(v, "cell {}", "A1"), "cell A1"),
             (lambda v, cfg: WeightVector({"a": v}), "weight for 'a'"),
-            (lambda v, cfg: MembershipMatrix({"C1": {"Good": v}}), "membership row 'C1', grade 'Good'"),
+            (
+                lambda v, cfg: MembershipMatrix({"C1": {"Poor": 0.0, "Good": v}}, GOOD_POOR),
+                "membership row 'C1', grade 'Good'",
+            ),
             (lambda v, cfg: FuzzyVector({"Good": v}), "membership for grade 'Good'"),
             (lambda v, cfg: cfg.with_overrides(alpha=v), "config: alpha"),
         ],

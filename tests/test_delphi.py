@@ -320,6 +320,37 @@ class TestSurveyRoundInvariants:
             ScreeningCriteria(**{name: value})
         assert str(info.value) == f"screening threshold {name} is not a number: {value!r}"
 
+    @pytest.mark.parametrize(
+        "name, value, bounds",
+        [("min_mean", 0.5, "in [1, 5]"), ("min_mean", 5.5, "in [1, 5]"),
+         ("min_full_mark_rate", -0.25, "in [0, 1]"), ("min_full_mark_rate", 5.0, "in [0, 1]"),
+         ("max_cv", -1.0, "at least 0"), ("min_gcr", 0.0, "in [1, 5]"),
+         ("min_gcr", 9, "in [1, 5]")],
+    )
+    def test_threshold_out_of_range_rejected(self, name, value, bounds):
+        with pytest.raises(ValidationError) as info:
+            ScreeningCriteria(**{name: value})
+        assert str(info.value) == f"screening threshold {name} must be {bounds}, got {value}"
+
+    def test_threshold_range_ends_accepted(self):
+        ScreeningCriteria(min_mean=1, min_full_mark_rate=0, max_cv=0, min_gcr=1)
+        ScreeningCriteria(min_mean=5, min_full_mark_rate=1, max_cv=1e300, min_gcr=5)
+
+    @pytest.mark.parametrize(
+        "std_dev, gcr, message",
+        [
+            (math.inf, 4.0, "non-finite dispersion"),
+            (math.nan, 4.0, "non-finite dispersion"),
+            (0.4, math.nan, "gcr nan outside [1, 5]"),
+            (0.4, 9.0, "gcr 9.0 outside [1, 5]"),
+            (0.4, 0.5, "gcr 0.5 outside [1, 5]"),
+        ],
+    )
+    def test_stats_dispersion_and_gcr_checked(self, std_dev, gcr, message):
+        with pytest.raises(ValidationError) as info:
+            IndicatorStats("C1", 4.0, std_dev, std_dev / 4.0, 0.5, 10, gcr)
+        assert str(info.value) == f"stats 'C1': {message}"
+
     def test_real_numbers_of_any_type_accepted(self):
         assert RespondentClass("x", 1).score_weight == 1
         assert RespondentClass("x", np.float64(0.25)).score_weight == 0.25

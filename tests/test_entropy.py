@@ -66,6 +66,11 @@ class TestInformationEntropy:
     def test_shares_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum to 1"):
             information_entropy([0.5, 0.3])
+        # NaN fails both `< 0` and `> tolerance`, so the sum test must not be a `>`.
+        with pytest.raises(ValidationError, match="^shares must sum to 1, got nan$"):
+            information_entropy([math.nan, 1.0])
+        with pytest.raises(ValidationError, match="^shares must sum to 1, got nan$"):
+            information_entropy([[math.nan, 1.0], [0.5, 0.5]])
 
     def test_negative_share_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):

@@ -356,32 +356,64 @@ class TestRunPipeline:
             ProjectConfig.from_dict(data)
 
     def test_construction_cross_validates(self, campus_config):
+        rows = campus_config.membership.rows
         membership = MembershipMatrix(
-            {i: dict(campus_config.membership.rows[i]) for i in list(campus_config.membership.rows)[1:]}
+            {i: dict(rows[i]) for i in list(rows)[1:]}, campus_config.membership.scale
         )
         with pytest.raises(ValidationError, match="membership rows do not match"):
             replace(campus_config, membership=membership)
 
     @pytest.mark.parametrize(
-        "grades",
+        "order",
         [
-            ("Poor", "Good", "Excellent"),  # the scale's grades, reversed
-            ("Good", "Excellent", "Poor"),
-            ("Excellent", "Good"),  # a subset
-            ("Excellent", "Good", "Fair"),  # a grade the scale lacks
+            {"C1": ("Poor", "Good", "Excellent")},  # the first row only
+            {"C5": ("Good", "Excellent", "Poor")},  # a later row only
+            {i: ("Poor", "Excellent", "Good") for i in ("C1", "C2", "C9", "C14")},
         ],
+        ids=["first-row", "later-row", "several-rows"],
     )
-    def test_membership_grades_must_be_the_scale_in_its_order(self, campus_config, grades):
-        rows = campus_config.membership.rows
-        membership = MembershipMatrix(
-            {i: {g: row.get(g, 0.0) for g in grades} for i, row in rows.items()}
-        )
+    def test_membership_rows_in_any_grade_order_are_stored_in_scale_order(
+        self, campus_config, campus_config_dict, order
+    ):
+        scale = campus_config.membership.scale
+        rows = {
+            i: {g: row[g] for g in order.get(i, scale.labels)}
+            for i, row in campus_config.membership.rows.items()
+        }
+        data = copy.deepcopy(campus_config_dict)
+        data["membership"] = rows
+        expected = emit_report(run_pipeline(campus_config), "json")
+        for cfg in (
+            replace(campus_config, membership=MembershipMatrix(rows, scale)),
+            ProjectConfig.from_dict(data),
+        ):
+            assert all(
+                list(row) == list(scale.labels) for row in cfg.to_dict()["membership"].values()
+            )
+            assert cfg.membership == campus_config.membership
+            assert emit_report(run_pipeline(cfg), "json") == expected
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"Excellent": 0.5, "Good": 0.5}, "missing grades ['Poor']"),
+            ({"Excellent": 0.5, "Poor": 0.25, "Fair": 0.0}, "missing grades ['Good']"),
+            (
+                {"Excellent": 0.5, "Good": 0.25, "Poor": 0.25, "Fair": 0.0, "Bad": 0.0},
+                "unknown grades ['Bad', 'Fair']",
+            ),
+            ({"Excellent": 0.5, "Good": 0.25, "Poor": 0.25, 1: 0.0}, "unknown grades [1]"),
+        ],
+        ids=["subset", "missing-and-unknown", "superset", "non-str-grade"],
+    )
+    @pytest.mark.parametrize("ind", ["C1", "C5"])
+    def test_membership_rows_must_hold_exactly_the_scale_grades(
+        self, campus_config, row, message, ind
+    ):
+        rows = {**campus_config.membership.rows, ind: row}
         with pytest.raises(ValidationError) as info:
-            replace(campus_config, membership=membership)
-        assert str(info.value) == (
-            f"membership grades {list(grades)} do not match "
-            "scale ['Excellent', 'Good', 'Poor']"
-        )
+            MembershipMatrix(rows, campus_config.membership.scale)
+        assert str(info.value) == f"membership row {ind!r}: {message}"
 
     def test_membership_deviation_above_band_is_error(self, campus_config_dict):
         data = copy.deepcopy(campus_config_dict)
@@ -504,6 +536,14 @@ class TestMalformedConfig:
             (
                 lambda d: d["screening"].update(min_gcr=math.nan),
                 "screening threshold min_gcr must be finite",
+            ),
+            (
+                lambda d: d["screening"].update(min_full_mark_rate=5.0),
+                "screening threshold min_full_mark_rate must be in [0, 1], got 5.0",
+            ),
+            (
+                lambda d: d["screening"].update(max_cv=-1),
+                "screening threshold max_cv must be at least 0, got -1.0",
             ),
             (
                 lambda d: _inline_values(d, 5),
@@ -987,7 +1027,7 @@ def _scalar_second_levels(cfg, alphas):
     report = run_pipeline(cfg)
     crit_s, crit_o = report.ahp.criterion, report.criterion_objective
     ind_s, ind_o = report.ahp.indicator, report.indicator_objective
-    rows, grades = cfg.membership.rows, cfg.membership.grades
+    rows, grades = cfg.membership.rows, cfg.membership.scale.labels
 
     def compose(weights, vectors):
         if cfg.operator == "weighted-average":
@@ -1212,7 +1252,7 @@ class TestSweepAlpha:
                 column[0] = 0.5
 
     def test_columns_c_contiguous_and_read_only(self, campus_config):
-        scale = campus_config.scale
+        scale = campus_config.membership.scale
         cfg = campus_config.with_overrides(operator="min-max", weights_policy="fused-both")
         f_ordered = np.asfortranarray([[0.2, 0.5, 0.3], [0.1, 0.6, 0.3]])
         built = AlphaSweep([0.0, 1.0], f_ordered, scale)
@@ -1269,7 +1309,7 @@ def _padded_levels(cfg, alphas):
     """Both fuzzy levels over `alphas` with criterion c's j-th indicator in slot (c, j)
     and zero weight and membership in the unused slots, as arrays (C, G, A or 1), (G, A)."""
     report = run_pipeline(cfg)
-    criteria, grades = cfg.hierarchy.criteria, cfg.scale.labels
+    criteria, grades = cfg.hierarchy.criteria, cfg.membership.scale.labels
     shape = (len(criteria), max(len(c.children) for c in criteria))
     subjective, objective, relative = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     membership = np.zeros(shape + (len(grades), 1))
