@@ -5,7 +5,9 @@ thresholds, judgment matrices, membership matrix (which holds the grade
 scale) and the objective-weight source. `ProjectConfig.from_dict` parses a
 JSON-shaped mapping and names the key path of every malformed value, with the
 `config:` prefix; constructing a `ProjectConfig` cross-checks every id against
-the hierarchy, so every config that exists is consistent.
+the hierarchy, so every config that exists is consistent. The parser is the one
+place where an id becomes text: it applies `str()` to the ids a JSON list may
+hold as numbers, and takes object keys, which JSON holds as text, as given.
 """
 from __future__ import annotations
 
@@ -176,7 +178,7 @@ class ProjectConfig:
         missing = [n for n in node_ids if n not in self.matrices]
         if missing:
             raise ValidationError(f"missing judgment matrices for nodes: {missing}")
-        extra = sorted(set(self.matrices) - set(node_ids))
+        extra = sorted(set(self.matrices) - set(node_ids), key=str)
         if extra:
             raise ValidationError(f"judgment matrices for unknown nodes: {extra}")
 
@@ -278,7 +280,6 @@ class ProjectConfig:
             labels_of.setdefault(c.id, c.children)
         matrices: dict[str, JudgmentMatrix] = {}
         for node, rows in as_object(data["judgment_matrices"], "judgment_matrices").items():
-            node = str(node)
             if node not in labels_of:
                 raise ValidationError(f"judgment matrix for unknown node {node!r}")
             rows = _list(rows, "judgment_matrices.{}", node)
@@ -291,7 +292,7 @@ class ProjectConfig:
         for ind, row in as_object(data["membership"], "membership").items():
             if type(row) is not dict:
                 row = as_object(row, "membership.{}", ind)
-            membership_rows[str(ind)] = {
+            membership_rows[ind] = {
                 g: parse_float(v, "membership.{}.{}", ind, g) for g, v in row.items()
             }
         membership = MembershipMatrix(membership_rows, scale)
@@ -300,7 +301,7 @@ class ProjectConfig:
         if "objective_weights" in data:
             ow = as_object(data["objective_weights"], "objective_weights")
             objective = WeightVector(
-                {str(k): parse_float(v, "objective_weights.{}", k) for k, v in ow.items()}
+                {k: parse_float(v, "objective_weights.{}", k) for k, v in ow.items()}
             )
         decision = None
         if "decision_matrix" in data:
@@ -443,5 +444,5 @@ def read_weight_file(path: str | Path) -> WeightVector:
     with gc_paused():
         data = as_object(read_json(path, "weight file"), "weight file {}", path)
         return WeightVector(
-            {str(k): parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
+            {k: parse_float(v, "weight file {}: {}", path, k) for k, v in data.items()}
         )

@@ -1,7 +1,8 @@
 """Shared domain types: grade scale, indicator hierarchy, weight vectors, membership matrix.
 
 A run's grade order has one home, the membership matrix's `scale`: every row
-holds exactly its grades and is stored in its order.
+holds exactly its grades and is stored in its order. Ids and grade labels are
+`str`: every type here takes them as given and rejects any other.
 
 Everything here is immutable after construction and safe to share across threads;
 each mapping held is a read-only `types.MappingProxyType`, so a write raises.
@@ -17,7 +18,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-ROW_SUM_FLAG_TOL = 1e-6
 # Weight vectors that must sum to 1 may miss it by this much; values combined
 # with such weights may exceed 1 by the same slack.
 SUM_TOL = 1e-6
@@ -108,20 +108,24 @@ def float_sum(values: Iterable[float]) -> float:
 
 
 def check_same_ids(a: Iterable[str], b: Iterable[str], text: str, *args: object) -> None:
-    """Raise `<text.format(*args)>: <sorted symmetric difference>` unless `a` and `b` match."""
+    """Raise `<text.format(*args)>: <sorted symmetric difference>` unless `a` and `b` match.
+
+    The difference is sorted as text, so ids of mixed types are named, not compared.
+    """
     a, b = set(a), set(b)
     if a != b:
-        raise ValidationError(f"{text.format(*args)}: {sorted(a ^ b)}")
+        raise ValidationError(f"{text.format(*args)}: {sorted(a ^ b, key=str)}")
 
 
-def check_str_ids(ids: Iterable[object], what: str) -> None:
-    """Raise if two of `ids` are the same text, which would merge them under `str()`."""
-    seen: dict[str, object] = {}
+def require_str_ids(ids: Iterable[object], what: str) -> None:
+    """Raise `{what} must be a str, got <id>` at the first of `ids` that is not a `str`.
+
+    Ids are never converted to text here: only the config parser makes text of
+    an id that a JSON list holds as a number.
+    """
     for k in ids:
-        text = str(k)
-        if text in seen:
-            raise ValidationError(f"{what} {text!r} given twice: as {seen[text]!r} and as {k!r}")
-        seen[text] = k
+        if not isinstance(k, str):
+            raise ValidationError(f"{what} must be a str, got {k!r}")
 
 
 def first_repeat(items: Iterable[Hashable]) -> Hashable:
@@ -138,6 +142,7 @@ class GradeScale:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
+        require_str_ids(self.labels, "grade label")
         if len(self.labels) < 2:
             raise ValidationError("grade scale needs at least 2 grades")
         if len(set(self.labels)) != len(self.labels):
@@ -229,11 +234,8 @@ class WeightVector:
             else:
                 object.__setattr__(self, "weights", MappingProxyType(dict(weights)))
                 return
-        cleaned = {
-            str(k): parse_float(v, "weight for {!r}", str(k)) for k, v in weights.items()
-        }
-        if len(cleaned) != len(weights):
-            check_str_ids(weights, "weight id")
+        require_str_ids(weights, "weight id")
+        cleaned = {k: parse_float(v, "weight for {!r}", k) for k, v in weights.items()}
         for k, v in cleaned.items():
             if not 0.0 <= v < math.inf:  # also false for NaN
                 kind = "negative" if v < 0 else "non-finite"
@@ -266,16 +268,18 @@ class MembershipMatrix:
 
     Each row must hold exactly the scale's grades, given in any order, and is
     stored in the scale's order. Rows are expected to be (close to)
-    row-stochastic; `row_sum_deviations` reports rows whose sum strays from 1
-    by more than a flagging tolerance.
+    row-stochastic: `row_sums` holds each row's exact sum (`math.fsum`), so a
+    row's cells in any order give one sum, and no sum may exceed 1.
     """
 
     rows: Mapping[str, Mapping[str, float]]
     scale: GradeScale
+    row_sums: Mapping[str, float] = field(init=False)
 
     def __post_init__(self) -> None:
         grades = self.scale.labels
         grade_set = set(grades)
+        require_str_ids(self.rows, "membership row id")
         cleaned: dict[str, Mapping[str, float]] = {}
         sums: dict[str, float] = {}
         for ind, row in self.rows.items():
@@ -287,7 +291,7 @@ class MembershipMatrix:
                 raise ValidationError(f"membership row {ind!r}: unknown grades {unknown}")
             row_f = {
                 g: v if type(v := row[g]) is float
-                else parse_float(v, "membership row {!r}, grade {!r}", str(ind), g)
+                else parse_float(v, "membership row {!r}, grade {!r}", ind, g)
                 for g in grades
             }
             for g, v in row_f.items():
@@ -295,18 +299,16 @@ class MembershipMatrix:
                     raise ValidationError(
                         f"membership row {ind!r}, grade {g!r}: entry {v} outside [0, 1]"
                     )
-            total = math.fsum(row_f.values())  # exact, so the order of the cells cannot matter
+            total = math.fsum(row_f.values())
             if total > 1.0 + 1e-9:
                 raise ValidationError(
                     f"membership row {ind!r}: sum {total} exceeds 1"
                 )
-            cleaned[str(ind)], sums[str(ind)] = MappingProxyType(row_f), total
+            cleaned[ind], sums[ind] = MappingProxyType(row_f), total
         if not cleaned:
             raise ValidationError("membership matrix has no rows")
-        if len(cleaned) != len(self.rows):
-            check_str_ids(self.rows, "membership row")
         object.__setattr__(self, "rows", MappingProxyType(cleaned))
-        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "row_sums", MappingProxyType(sums))
 
     @property
     def indicator_ids(self) -> tuple[str, ...]:
@@ -323,16 +325,3 @@ class MembershipMatrix:
         except KeyError:
             missing = next(i for i in indicator_ids if i not in rows)
             raise ValidationError(f"missing membership row for indicator {missing!r}") from None
-
-    def row_sum_deviations(self) -> dict[str, float]:
-        """Rows whose sum deviates from 1 by more than ROW_SUM_FLAG_TOL, as id -> (sum - 1).
-
-        Each row was summed exactly (`math.fsum`) when the matrix was built, so a
-        row's cells in any order give one sum.
-        """
-        out: dict[str, float] = {}
-        for ind, total in self._sums.items():  # type: ignore[attr-defined]
-            dev = total - 1.0
-            if abs(dev) > ROW_SUM_FLAG_TOL:
-                out[ind] = dev
-        return out

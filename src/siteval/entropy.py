@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, WeightVector, first_repeat, float_sum
+from .core import ValidationError, WeightVector, first_repeat, float_sum, require_str_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,7 +21,7 @@ class DecisionMatrix:
 
     `values` is stored as one read-only float64 array of shape
     (alternatives, indicators); any nested sequence of numbers is accepted,
-    but not bools. Ids must be unique and not empty.
+    but not bools. Ids must be `str`, unique and not empty.
     """
 
     alternatives: tuple[str, ...]
@@ -36,11 +36,12 @@ class DecisionMatrix:
         if len(alts) < 2:
             raise ValidationError("decision matrix needs at least 2 alternatives")
         for what, ids in (("alternative", alts), ("indicator", inds)):
+            require_str_ids(ids, f"decision matrix: {what} id")
             if len(set(ids)) != len(ids):
                 raise ValidationError(
                     f"decision matrix: duplicate {what} id {first_repeat(ids)!r}"
                 )
-            stripped = tuple(map(str.strip, map(str, ids)))  # as the CSV reader reads ids
+            stripped = tuple(map(str.strip, ids))  # as the CSV reader reads ids
             if "" in stripped:
                 raise ValidationError(
                     f"decision matrix: empty {what} id at index {stripped.index('')}"

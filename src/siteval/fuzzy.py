@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SUM_TOL, GradeScale, ValidationError, check_str_ids, float_sum, parse_float
+from .core import SUM_TOL, GradeScale, ValidationError, float_sum, parse_float, require_str_ids
 
 WEIGHTED_AVERAGE = "weighted-average"
 MIN_MAX = "min-max"
@@ -48,15 +48,13 @@ class FuzzyVector:
     memberships: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        require_str_ids(self.memberships, "grade")
         cleaned = {
-            str(g): v if type(v) is float
-            else parse_float(v, "membership for grade {!r}", str(g))
+            g: v if type(v) is float else parse_float(v, "membership for grade {!r}", g)
             for g, v in self.memberships.items()
         }
         if not cleaned:
             raise ValidationError("empty fuzzy vector")
-        if len(cleaned) != len(self.memberships):
-            check_str_ids(self.memberships, "grade")
         for g, v in cleaned.items():
             if not MEMBERSHIP_LO <= v <= MEMBERSHIP_HI:  # also false for NaN
                 raise _out_of_range(g, v)

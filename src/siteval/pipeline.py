@@ -50,9 +50,10 @@ from .report import (
     render_markdown,
 )
 
-# A membership row may fall short of sum 1 by this much before the run aborts;
-# a smaller shortfall above the flagging tolerance becomes a warning. Only
-# shortfalls reach this band: MembershipMatrix rejects sums above 1 + 1e-9.
+# A membership row whose sum misses 1 by more than ROW_SUM_FLAG_TOL becomes a
+# warning, and by more than MEMBERSHIP_ERROR_TOL aborts the run. Only shortfalls
+# reach the error band: MembershipMatrix rejects sums above 1 + 1e-9.
+ROW_SUM_FLAG_TOL = 1e-6
 MEMBERSHIP_ERROR_TOL = 0.05
 VECTOR_SUM_WARN_TOL = 1e-6
 
@@ -143,9 +144,11 @@ def _kept(cfg: ProjectConfig, allow_inconsistent: bool) -> _Kept:
         return cfg._kept
     warnings: list[ReportWarning] = []
     with error_prefix("config"):
-        for ind, dev in cfg.membership.row_sum_deviations().items():
-            total = 1.0 + dev
-            if abs(dev) > MEMBERSHIP_ERROR_TOL:
+        for ind, total in cfg.membership.row_sums.items():
+            dev = abs(total - 1.0)
+            if dev <= ROW_SUM_FLAG_TOL:
+                continue
+            if dev > MEMBERSHIP_ERROR_TOL:
                 raise ValidationError(
                     f"membership row {ind!r} sums to {total:.4f}; "
                     f"deviation exceeds {MEMBERSHIP_ERROR_TOL}"

@@ -451,6 +451,21 @@ class TestSynthesizeGlobal:
                 },
             )
 
+    def test_mismatch_of_mixed_type_ids_listed(self):
+        # The difference is sorted as text, so an int id is named, not compared.
+        h = self._hierarchy()
+        with pytest.raises(
+            ValidationError, match=r"^per-criterion weights do not match hierarchy: \[1, 'B4'\]$"
+        ):
+            synthesize_global(
+                h,
+                WeightVector({"B1": 0.5, "B4": 0.5}),
+                {
+                    "B1": WeightVector({"C1": 0.5, "C2": 0.5}),
+                    1: WeightVector({"C13": 0.5, "C14": 0.5}),
+                },
+            )
+
 
 @st.composite
 def reciprocal_matrices(draw):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from types import MappingProxyType
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from siteval import (
     Criterion,
+    DecisionMatrix,
     GradeScale,
     Indicator,
     IndicatorHierarchy,
@@ -133,16 +135,16 @@ class TestMembershipMatrix:
             },
             THREE_GRADES,
         )
-        deviations = m.row_sum_deviations()
-        assert set(deviations) == {"C1"}
-        assert deviations["C1"] == pytest.approx(-0.05, abs=1e-12)
+        assert list(m.row_sums) == ["C1", "C2"]
+        assert m.row_sums["C1"] - 1.0 == pytest.approx(-0.05, abs=1e-12)
+        assert m.row_sums["C2"] == 1.0
 
     @pytest.mark.parametrize("row", [(0.1, 0.45, 0.4), (0.1, 0.4, 0.45), (0.05, 0.45, 0.45)])
     def test_row_sum_does_not_depend_on_cell_order(self, row):
         # Each row is 19/20 exactly; added in grade order, the first gives
         # 0.9500000000000001 and the other two 0.95.
         m = MembershipMatrix({"C1": dict(zip(THREE_GRADES.labels, row))}, THREE_GRADES)
-        assert m.row_sum_deviations() == {"C1": math.fsum(row) - 1.0}
+        assert m.row_sums == {"C1": math.fsum(row)}
         assert math.fsum(row) == 0.9500000000000001
 
     def test_to_array_reads_rows_in_the_given_order(self):
@@ -181,26 +183,46 @@ class TestFloatSum:
         assert FuzzyVector(tenths).total() == 0.9999999999999999
 
 
-class TestIdsThatCollideAsText:
-    """Ids that differ as keys but not as `str()` are rejected, not merged."""
+class TestIdsAreStr:
+    """Every type that keys data by id takes `str` ids as given and rejects any other.
 
-    def test_weight_vector(self):
-        with pytest.raises(
-            ValidationError, match=r"^weight id '1' given twice: as 1 and as '1'$"
-        ):
-            WeightVector({1: 0.5, "1": 0.25})
+    So `1` and `"1"` are never merged into one id.
+    """
 
-    def test_fuzzy_vector(self):
-        with pytest.raises(ValidationError, match=r"^grade '1' given twice: as 1 and as '1'$"):
-            FuzzyVector({1: 0.5, "1": 0.25})
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WeightVector({"1": 0.25, 1: 0.5}), "weight id must be a str, got 1"),
+            (lambda: FuzzyVector({"1": 0.25, 1: 0.5}), "grade must be a str, got 1"),
+            (
+                lambda: MembershipMatrix(
+                    {"1": {"Good": 0.25, "Poor": 0.5}, 1: {"Good": 0.5, "Poor": 0.5}}, GOOD_POOR
+                ),
+                "membership row id must be a str, got 1",
+            ),
+            (lambda: GradeScale(("Good", 1)), "grade label must be a str, got 1"),
+            (
+                lambda: DecisionMatrix(("x", "y"), (1, 2), [[1.0, 2.0], [3.0, 4.0]]),
+                "decision matrix: indicator id must be a str, got 1",
+            ),
+            (
+                lambda: DecisionMatrix((b"x", "y"), ("a", "b"), [[1.0, 2.0], [3.0, 4.0]]),
+                "decision matrix: alternative id must be a str, got b'x'",
+            ),
+            (lambda: WeightVector({"a": 0.5, None: 0.5}), "weight id must be a str, got None"),
+        ],
+        ids=[
+            "weight-vector", "fuzzy-vector", "membership-matrix", "grade-scale",
+            "decision-matrix-indicator", "decision-matrix-alternative", "weight-vector-none",
+        ],
+    )
+    def test_non_str_id_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
-    def test_membership_matrix(self):
-        with pytest.raises(
-            ValidationError, match=r"^membership row '1' given twice: as 1 and as '1'$"
-        ):
-            MembershipMatrix(
-                {1: {"Good": 0.5, "Poor": 0.5}, "1": {"Good": 0.25, "Poor": 0.5}}, GOOD_POOR
-            )
+    def test_str_subclass_ids_accepted(self):
+        # A numpy string is a `str`, so it is an id as it is.
+        assert WeightVector({np.str_("a"): 0.5}).ids == ("a",)
 
 
 # Weight values of every kind a caller may pass: exact floats (NaN, infinities

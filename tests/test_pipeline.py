@@ -309,7 +309,10 @@ class TestRunPipeline:
         with pytest.raises(ValidationError) as info:
             replace(campus_config, matrices=extra)
         assert str(info.value) == "judgment matrices for unknown nodes: ['B9']"
-        goal = campus_config.matrices["goal"]
+        with pytest.raises(ValidationError) as info:  # sorted as text, not compared
+            replace(campus_config, matrices={**extra, 9: extra["B9"]})
+        assert str(info.value) == "judgment matrices for unknown nodes: [9, 'B9']"
+        goal =campus_config.matrices["goal"]
         reversed_goal = JudgmentMatrix("goal", goal.labels[::-1], goal.entries)
         with pytest.raises(ValidationError) as info:
             replace(campus_config, matrices={**campus_config.matrices, "goal": reversed_goal})
@@ -476,6 +479,12 @@ class TestToleranceBounds:
             "config: membership row 'C4' sums to 0.9499; deviation exceeds 0.05"
         )
 
+    @pytest.mark.parametrize("shortfall, warned", [(5e-7, False), (2e-6, True)])
+    def test_membership_row_sum_flag_bound(self, campus_config_dict, shortfall, warned):
+        cfg = _membership_variant(campus_config_dict, {"C1": (0.2, 0.5, 0.3 - shortfall)})
+        expected = ["membership row 'C1' sums to 1.0000, expected 1"] if warned else []
+        assert _messages(run_pipeline(cfg), "membership-row-sum") == expected
+
     @pytest.mark.parametrize("shortfall, warned", [(0.9e-6, False), (1.1e-6, True)])
     def test_vector_sum_warning_bound(self, campus_config_dict, shortfall, warned):
         # Every row falls short of 1 by the same amount, so every vector does too.
@@ -557,6 +566,10 @@ class TestMalformedConfig:
                 lambda d: d["membership"]["C1"].update(Fair=0.0),
                 "membership row 'C1': unknown grades ['Fair']",
             ),
+            (
+                lambda d: d["membership"].update({1: d["membership"].pop("C1")}),
+                "membership row id must be a str, got 1",
+            ),
         ],
     )
     def test_shape_errors_name_the_key_path(self, campus_config_dict, edit, message):
@@ -585,6 +598,20 @@ class TestMalformedConfig:
         edit(data)
         expected = re.escape(f"config: {message}: unknown keys ['max_CV']")
         with pytest.raises(ValidationError, match=f"^{expected}$"):
+            ProjectConfig.from_dict(data)
+
+    def test_object_keys_are_not_made_text(self, campus_config_dict):
+        # A list id given as a number becomes text, so indicator 1 is '1'; an
+        # object key given as a number stays one and is rejected, where it used
+        # to become '1' too and overwrite the weight the config gave for '1'.
+        data = copy.deepcopy(campus_config_dict)
+        data["criteria"][0]["indicators"][0]["id"] = 1
+        data["membership"]["1"] = data["membership"].pop("C1")
+        weights = data["objective_weights"]
+        weights["1"] = weights.pop("C1")
+        assert ProjectConfig.from_dict(data).objective_weights["1"] == 0.046
+        weights[1] = 0.9
+        with pytest.raises(ValidationError, match=r"^config: weight id must be a str, got 1$"):
             ProjectConfig.from_dict(data)
 
     def test_duplicate_indicator_id_is_one_violation(self, campus_config_dict):
@@ -947,6 +974,7 @@ READ_ONLY_MAPPINGS = [
     ("config", "matrices", lambda cfg: [cfg.matrices]),
     ("config", "membership.rows", lambda cfg: [cfg.membership.rows]),
     ("config", "membership.rows[i]", lambda cfg: list(cfg.membership.rows.values())),
+    ("config", "membership.row_sums", lambda cfg: [cfg.membership.row_sums]),
     ("config", "objective_weights.weights", lambda cfg: [cfg.objective_weights.weights]),
     ("ahp", "relative", lambda ahp: [ahp.relative]),
     ("ahp", "relative[c].weights", lambda ahp: [w.weights for w in ahp.relative.values()]),
